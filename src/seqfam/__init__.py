@@ -44,7 +44,6 @@ from .family import (
     distinct_shift_check,
 )
 from .fields import ExtensionContext, FieldContext, build_extension, build_field
-from .kernels import COMPILED_AVAILABLE
 from .sequences import (
     Character,
     MSequence,
@@ -59,7 +58,6 @@ from .verify import run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "COMPILED_AVAILABLE",
     "Character",
     "ColumnPolynomial",
     "CorrelationReport",

@@ -39,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tau", type=int, help="cyclic shift applied to generated sequences")
     common.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="text")
     common.add_argument("--out", help="output path (default stdout); family uses it as a prefix")
-    common.add_argument("--jobs", type=int, help="parallelism degree (default: all cores)")
+    common.add_argument("--jobs", type=int, help="FFT workers of the correlation scan (default: all cores); "
+                        "GEMM threads follow OPENBLAS_NUM_THREADS")
     common.add_argument("--table-limit", dest="table_limit", type=int,
                         help="log-table size cap (overrides SEQFAM_TABLE_LIMIT)")
 

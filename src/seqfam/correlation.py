@@ -111,83 +111,109 @@ class CorrelationReport:
 
 
 class _HistogramAccumulator:
-    """Counts quantized magnitudes, degrading to coarse bins if they explode."""
+    """Counts quantized magnitudes, degrading to coarse bins if they explode.
+
+    Every value is binned through its 1e-6 key rint(v * 1e6), also after
+    the switch to 1e-3 bins, where the bin is (key + 500) // 1000. A value
+    therefore lands in the same bin whenever it is scanned, and the result
+    does not depend on the order of the members or of the tiles.
+
+    Each tile's (key, count) pairs wait in a batch that is merged into the
+    sorted histogram once it holds as many keys as the histogram and at
+    least HISTOGRAM_EXACT_LIMIT, so the histogram is not re-sorted for
+    every tile. The switch is decided at a merge: it happens exactly when
+    the whole scan has more than HISTOGRAM_EXACT_LIMIT distinct keys.
+    """
 
     def __init__(self, period: int):
         self.scale = _FINE_SCALE
-        self.keys = np.empty(0, dtype=np.int64)
+        # Keys reach rint(period * 1e6); int32 sorts faster where it fits.
+        self._dtype = np.int32 if (period + 2) * _FINE_SCALE < 2**31 else np.int64
+        self.keys = np.empty(0, dtype=self._dtype)
         self.counts = np.empty(0, dtype=np.int64)
+        self._batch: list[tuple[np.ndarray, np.ndarray]] = []
+        self._batch_keys = 0
         self._coarse_len = (period + 2) * _COARSE_SCALE
         self._dense = None
 
     def add(self, values: np.ndarray) -> None:
-        if self._dense is None:
-            quantized = np.rint(values * self.scale).astype(np.int64)
-            new_keys, new_counts = np.unique(quantized, return_counts=True)
-            self.keys, self.counts = _merge_counts(self.keys, self.counts, new_keys, new_counts)
-            if self.keys.size > HISTOGRAM_EXACT_LIMIT:
-                self._degrade()
-        else:
-            quantized = np.rint(values * _COARSE_SCALE).astype(np.int64)
-            self._dense += np.bincount(quantized, minlength=self._coarse_len)
+        """Count values; a contiguous array is overwritten, to spare a copy."""
+        scaled = values.reshape(-1)
+        scaled *= _FINE_SCALE
+        keys = np.rint(scaled, out=scaled).astype(self._dtype)
+        if self._dense is not None:
+            self._dense += np.bincount(_coarse_keys(keys), minlength=self._coarse_len)
+            return
+        keys.sort()
+        starts = _run_starts(keys)
+        self._batch.append((keys[starts], np.diff(starts, append=keys.size)))
+        self._batch_keys += starts.size
+        if self._batch_keys >= max(self.keys.size, HISTOGRAM_EXACT_LIMIT):
+            self._merge()
 
-    def _degrade(self) -> None:
-        self.scale = _COARSE_SCALE
-        self._dense = np.zeros(self._coarse_len, dtype=np.int64)
-        ratio = _FINE_SCALE // _COARSE_SCALE
-        coarse = (self.keys + ratio // 2) // ratio  # round, matching the direct path
-        np.add.at(self._dense, coarse, self.counts)
-        self.keys = self.counts = None
+    def _merge(self) -> None:
+        cat = np.concatenate([self.keys] + [k for k, _ in self._batch])
+        cnt = np.concatenate([self.counts] + [c for _, c in self._batch])
+        self._batch, self._batch_keys = [], 0
+        order = np.argsort(cat, kind="stable")
+        cat, cnt = cat[order], cnt[order]
+        starts = _run_starts(cat)
+        self.keys, self.counts = cat[starts], np.add.reduceat(cnt, starts)
+        if self.keys.size > HISTOGRAM_EXACT_LIMIT:
+            self.scale = _COARSE_SCALE
+            self._dense = np.zeros(self._coarse_len, dtype=np.int64)
+            np.add.at(self._dense, _coarse_keys(self.keys), self.counts)
+            self.keys = self.counts = None
 
     def result(self) -> dict[float, int]:
+        if self._dense is None:
+            self._merge()
         if self._dense is not None:
             nz = np.flatnonzero(self._dense)
             return {int(k) / self.scale: int(self._dense[k]) for k in nz}
         return {k / self.scale: int(v) for k, v in zip(self.keys.tolist(), self.counts.tolist())}
 
 
-def _merge_counts(keys, counts, new_keys, new_counts):
-    """Merge two sorted (key, count) histograms into one sorted histogram."""
-    cat = np.concatenate([keys, new_keys])
-    cnt = np.concatenate([counts, new_counts])
-    order = np.argsort(cat, kind="mergesort")
-    cat, cnt = cat[order], cnt[order]
-    uniq, starts = np.unique(cat, return_index=True)
-    return uniq, np.add.reduceat(cnt, starts)
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal keys."""
+    return np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
 
 
-def _pair_blocks(n: int, block: int):
-    """Yield (left, right) index arrays covering all i <= j in lexicographic order."""
-    left = np.empty(block, dtype=np.int64)
-    right = np.empty(block, dtype=np.int64)
-    fill = 0
-    for i in range(n):
-        j = i
-        while j < n:
-            take = min(n - j, block - fill)
-            left[fill : fill + take] = i
-            right[fill : fill + take] = np.arange(j, j + take, dtype=np.int64)
-            fill += take
-            j += take
-            if fill == block:
-                yield left, right, fill
-                fill = 0
-    if fill:
-        yield left, right, fill
+def _coarse_keys(fine_keys: np.ndarray) -> np.ndarray:
+    """1e-6 keys to 1e-3 keys, rounding half up."""
+    ratio = _FINE_SCALE // _COARSE_SCALE
+    return (fine_keys + ratio // 2) // ratio
+
+
+def _first(entries: list[tuple]) -> list[tuple]:
+    """The WITNESS_CAP entries that come first in (i, j, tau) order."""
+    return sorted(entries)[:WITNESS_CAP]
+
+
+def _mask_diagonal_tile(vals: np.ndarray, period: int) -> None:
+    """On a tile whose rows are its columns, drop pairs j < i and each trivial shift.
+
+    Dropped entries are set to -1, below every magnitude.
+    """
+    diag = np.arange(vals.shape[0])
+    if np.any(np.abs(vals[diag, diag, 0] - period) > TOLERANCE):
+        raise InternalCheckError("trivial correlation does not equal the period")
+    vals[diag, diag, 0] = -1.0
+    vals[np.tril_indices(vals.shape[0], -1)] = -1.0
 
 
 def max_correlation(
     family: SequenceFamily,
     backend: str | None = "auto",
     jobs: int | None = None,
-    block_elements: int = 1 << 22,
 ) -> CorrelationReport:
     """Exhaustive scan of all nontrivial auto- and cross-correlations.
 
     Deduplicates by conjugate symmetry: only ordered pairs with
-    (c1, l1) <= (c2, l2) are scanned, autocorrelations once. The argmax
-    list is deterministic (lexicographic on (c1, l1, c2, l2, tau)) and
-    capped at WITNESS_CAP entries.
+    (c1, l1) <= (c2, l2) are scanned, autocorrelations once. The scan runs
+    over (row tile x column tile) blocks of the upper triangle. The argmax
+    and pair_bound_violations lists are deterministic (lexicographic on
+    (c1, l1, c2, l2, tau)) and each capped at WITNESS_CAP entries.
     """
     if family.size < 1:
         raise ParameterError("family is empty")
@@ -201,59 +227,58 @@ def max_correlation(
     l_arr = np.array([s.l for s in family.sequences], dtype=np.int64)
 
     delta_max = -1.0
-    witnesses: list[dict] = []
+    witnesses: list[tuple] = []  # (i, j, tau, value)
+    violations: list[tuple] = []  # (i, j, tau, value, pair bound)
     histogram = _HistogramAccumulator(period)
-    violations: list[dict] = []
     same_col_ok = True
-    block = max(1024, block_elements // period)
+    tile = scanner.tile
 
-    def witness(bi: int, bj: int, tau: int, value: float) -> dict:
+    for j0 in range(0, n, tile):
+        cols = np.arange(j0, min(j0 + tile, n))
+        for i0 in range(0, j0 + 1, tile):
+            rows = np.arange(i0, min(i0 + tile, n))
+            vals = scanner.correlations_abs(rows, cols)
+            diagonal = i0 == j0
+            if diagonal:
+                _mask_diagonal_tile(vals, period)
+            tile_max = float(vals.max())
+
+            pair_bound = (degs[rows][:, None] + degs[cols] - 1) * sqrt_q + 1.0
+            if tile_max > pair_bound.min() + TOLERANCE:
+                hits = np.argwhere(vals > (pair_bound + TOLERANCE)[:, :, None])[:WITNESS_CAP]
+                violations = _first(violations + [
+                    (int(rows[a]), int(cols[b]), int(tau), float(vals[a, b, tau]), float(pair_bound[a, b]))
+                    for a, b, tau in hits
+                ])
+
+            same_col = (l_arr[rows][:, None] == l_arr[cols]) & (c_arr[rows][:, None] != c_arr[cols])
+            if same_col_ok and same_col.any():
+                sharp = (degs[rows] - 1) * sqrt_q + 1.0
+                same_col_ok = not np.any(same_col & (vals[:, :, 0] > sharp[:, None] + TOLERANCE))
+
+            delta_max = max(delta_max, tile_max)
+            threshold = delta_max - _MATCH_TOL
+            if tile_max >= threshold:
+                new = [
+                    (int(rows[a]), int(cols[b]), int(tau), float(vals[a, b, tau]))
+                    for a, b, tau in np.argwhere(vals >= threshold)[:WITNESS_CAP]
+                ]
+                witnesses = _first([w for w in witnesses if w[3] >= threshold] + new)
+
+            histogram.add(vals[vals >= 0.0] if diagonal else vals)  # last use: overwrites vals
+
+    def labelled(i: int, j: int, tau: int, value: float) -> dict:
         return {
-            "c1": int(c_arr[bi]),
-            "l1": int(l_arr[bi]),
-            "c2": int(c_arr[bj]),
-            "l2": int(l_arr[bj]),
-            "tau": int(tau),
-            "value": float(value),
+            "c1": int(c_arr[i]),
+            "l1": int(l_arr[i]),
+            "c2": int(c_arr[j]),
+            "l2": int(l_arr[j]),
+            "tau": tau,
+            "value": value,
         }
 
-    for left, right, fill in _pair_blocks(n, block):
-        lf, rt = left[:fill], right[:fill]
-        vals = scanner.correlations_abs(lf, rt)
-
-        auto = lf == rt
-        if auto.any():
-            trivial = vals[auto, 0]
-            if np.any(np.abs(trivial - period) > TOLERANCE):
-                raise InternalCheckError("trivial correlation does not equal the period")
-            vals[auto, 0] = -1.0
-
-        pair_bound = (degs[lf] + degs[rt] - 1) * sqrt_q + 1.0
-        over = vals > pair_bound[:, None] + TOLERANCE
-        if over.any():
-            for bi, tau in np.argwhere(over)[:WITNESS_CAP]:
-                entry = witness(lf[bi], rt[bi], tau, vals[bi, tau])
-                entry["pair_bound"] = float(pair_bound[bi])
-                violations.append(entry)
-
-        same_col = (l_arr[lf] == l_arr[rt]) & (c_arr[lf] != c_arr[rt])
-        if same_col.any():
-            sharp = (degs[lf] - 1) * sqrt_q + 1.0
-            if np.any(vals[same_col, 0] > sharp[same_col] + TOLERANCE):
-                same_col_ok = False
-
-        histogram.add(vals[vals >= 0.0])
-
-        block_max = float(vals.max()) if vals.size else -1.0
-        if block_max > delta_max:
-            delta_max = block_max
-            witnesses = [w for w in witnesses if w["value"] >= delta_max - _MATCH_TOL]
-        if block_max >= delta_max - _MATCH_TOL and len(witnesses) < WITNESS_CAP:
-            hits = np.argwhere(vals >= delta_max - _MATCH_TOL)
-            for bi, tau in hits[: WITNESS_CAP - len(witnesses)]:
-                witnesses.append(witness(lf[bi], rt[bi], tau, vals[bi, tau]))
-
     bound = (2 * family.d - 1) * sqrt_q + 1.0
+    counts = histogram.result()  # the last merge decides the resolution
     return CorrelationReport(
         q=family.q,
         d=family.d,
@@ -263,11 +288,11 @@ def max_correlation(
         delta_max=delta_max,
         bound=bound,
         bound_ok=delta_max <= bound + TOLERANCE,
-        argmax=witnesses,
-        histogram=histogram.result(),
+        argmax=[labelled(*w) for w in witnesses],
+        histogram=counts,
         histogram_resolution=1.0 / histogram.scale,
         pair_bound_ok=not violations,
-        pair_bound_violations=violations,
+        pair_bound_violations=[{**labelled(*v[:4]), "pair_bound": v[4]} for v in violations],
         same_column_bound_ok=same_col_ok,
         backend=scanner.backend,
         elapsed=time.perf_counter() - start,

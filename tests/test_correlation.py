@@ -1,11 +1,16 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from seqfam import correlation, kernels
 from seqfam.correlation import (
+    WITNESS_CAP,
     WeilBoundInput,
     correlation_via_character_sum,
     cross_correlation,
@@ -53,10 +58,135 @@ def test_max_correlation_q16_m5(fam16_m5):
 
 
 def test_max_correlation_backends_agree(fam16_m5):
-    fft = max_correlation(fam16_m5, backend="fft")
     ref = max_correlation(fam16_m5, backend="reference")
-    assert fft.delta_max == pytest.approx(ref.delta_max, abs=1e-6)
-    assert fft.histogram == ref.histogram
+    for backend in ("gemm", "fft"):
+        report = max_correlation(fam16_m5, backend=backend)
+        assert report.backend == backend
+        assert report.delta_max == pytest.approx(ref.delta_max, abs=1e-6)
+        assert report.histogram == ref.histogram
+        assert _key_list(fam16_m5, report.argmax) == _key_list(fam16_m5, ref.argmax)
+    assert max_correlation(fam16_m5).backend == "gemm"  # period 15
+
+
+def _brute_force(family):
+    """(i, j, tau) -> |R| for every scanned entry, straight from cross_correlation."""
+    seqs, period = family.sequences, family.period
+    return {
+        (i, j, tau): abs(cross_correlation(seqs[i], seqs[j], tau))
+        for i in range(len(seqs))
+        for j in range(i, len(seqs))
+        for tau in range(period)
+        if (i, j, tau) >= (i, i, 1)
+    }
+
+
+def _key_list(family, entries):
+    index = {(s.c, s.l): k for k, s in enumerate(family.sequences)}
+    return [(index[(w["c1"], w["l1"])], index[(w["c2"], w["l2"])], w["tau"]) for w in entries]
+
+
+def _with_members(family, sequences):
+    return dataclasses.replace(family, sequences=tuple(sequences))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_tiled_scan_matches_brute_force(fam16_m5, data):
+    """Ragged and diagonal tiles, down to one member and tiles of one row."""
+    members = data.draw(st.lists(st.sampled_from(fam16_m5.sequences), min_size=1, max_size=9, unique=True))
+    family = _with_members(fam16_m5, sorted(members, key=lambda s: (s.c, s.l)))
+    tile_elements = data.draw(st.sampled_from([15, 60, 240, kernels.TILE_ELEMENTS]))
+    backend = data.draw(st.sampled_from(["gemm", "fft"]))
+    brute = _brute_force(family)
+    top = max(brute.values())
+    with mock.patch.object(kernels, "TILE_ELEMENTS", tile_elements):
+        report = max_correlation(family, backend=backend)
+    assert report.delta_max == pytest.approx(top, abs=1e-9)
+    ties = sorted(k for k, v in brute.items() if v >= top - 1e-9)[:WITNESS_CAP]
+    assert _key_list(family, report.argmax) == ties
+    assert report.histogram == max_correlation(family, backend="reference").histogram
+    assert sum(report.histogram.values()) == len(brute)
+
+
+@pytest.mark.parametrize("tile_elements", [60, kernels.TILE_ELEMENTS])
+def test_argmax_keeps_first_witnesses_among_many_ties(fam16_m5, tile_elements):
+    # Twenty shifted copies of one member: every pair of copies peaks at |R| = 15.
+    base = fam16_m5.sequences[3]
+    copies = [dataclasses.replace(base.shifted(k), c=100 + k) for k in range(20)]
+    family = _with_members(fam16_m5, copies)
+    brute = _brute_force(family)
+    ties = sorted(k for k, v in brute.items() if v >= max(brute.values()) - 1e-9)
+    assert len(ties) > WITNESS_CAP
+    with mock.patch.object(kernels, "TILE_ELEMENTS", tile_elements):
+        reports = {b: max_correlation(family, backend=b) for b in ("gemm", "fft", "reference")}
+    first = _key_list(family, reports["reference"].argmax)
+    assert first == ties[:WITNESS_CAP]
+    for report in reports.values():
+        assert _key_list(family, report.argmax) == first
+
+
+def _assert_first_violation_recomputes(family, report):
+    w = report.pair_bound_violations[0]
+    s1 = next(s for s in family.sequences if (s.c, s.l) == (w["c1"], w["l1"]))
+    s2 = next(s for s in family.sequences if (s.c, s.l) == (w["c2"], w["l2"]))
+    assert abs(cross_correlation(s1, s2, w["tau"])) == pytest.approx(w["value"], abs=1e-9)
+    assert w["value"] > w["pair_bound"]
+
+
+def test_pair_bound_violations_are_capped_in_order(fam16_m5):
+    # The c = 0 multiples of four columns are all-zero sequences: every
+    # pair of them correlates to the full period at every shift.
+    zeros = [
+        dataclasses.replace(fam16_m5.sequences[0], symbols=np.zeros(15, dtype=np.int64), c=0, l=l)
+        for l in fam16_m5.used_columns[:4]
+    ]
+    family = _with_members(fam16_m5, zeros + list(fam16_m5.sequences))
+    with mock.patch.object(kernels, "TILE_ELEMENTS", 240):
+        report = max_correlation(family)
+    assert not report.pair_bound_ok and not report.bound_ok
+    assert len(report.pair_bound_violations) == WITNESS_CAP
+    degs = [family.coset_sizes[s.l] for s in family.sequences]
+    expected = sorted(
+        (i, j, tau) for (i, j, tau), v in _brute_force(family).items()
+        if v > (degs[i] + degs[j] - 1) * math.sqrt(family.q) + 1.0 + 1e-6
+    )
+    assert len(expected) > WITNESS_CAP
+    assert _key_list(family, report.pair_bound_violations) == expected[:WITNESS_CAP]
+    _assert_first_violation_recomputes(family, report)
+
+
+def test_same_column_bound_violation_is_reported(fam16_m5):
+    # Relabel member (c', l) to carry the symbols of (c, l): the two now
+    # agree at shift 0, far above the same-column bound (d_l - 1) * 4 + 1.
+    members = list(fam16_m5.sequences)
+    first = members[0]
+    k = next(k for k, s in enumerate(members) if s.l == first.l and s.c != first.c)
+    members[k] = dataclasses.replace(first, c=members[k].c)
+    family = _with_members(fam16_m5, members)
+    report = max_correlation(family)
+    assert not report.same_column_bound_ok
+    assert not report.pair_bound_ok
+    assert 0 < len(report.pair_bound_violations) <= WITNESS_CAP
+    _assert_first_violation_recomputes(family, report)
+    assert max_correlation(fam16_m5).same_column_bound_ok
+
+
+def test_coarse_histogram_ignores_member_order(fam16_m5, monkeypatch):
+    # Few keys before the switch to 1e-3 bins, and many tiles, so that the
+    # switch happens partway through the scan at a point the order decides.
+    monkeypatch.setattr(kernels, "TILE_ELEMENTS", 240)
+    exact = max_correlation(fam16_m5).histogram
+    monkeypatch.setattr(correlation, "HISTOGRAM_EXACT_LIMIT", 20)
+    coarse = {}
+    for value, count in exact.items():
+        key = (round(value * 10**6) + 500) // 1000 / 1000
+        coarse[key] = coarse.get(key, 0) + count
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        members = [fam16_m5.sequences[i] for i in rng.permutation(fam16_m5.size)]
+        report = max_correlation(_with_members(fam16_m5, members))
+        assert report.histogram_resolution == 1e-3
+        assert report.histogram == coarse
 
 
 def test_argmax_is_lexicographic_and_complete(fam16_m5):
@@ -165,3 +295,16 @@ def test_character_sum_route_matches_direct(fam16_m5, gf256):
             d1 = column_polynomial(gf256, l1).full_coset.size
             d2 = column_polynomial(gf256, l2).full_coset.size
             assert abs(via + 1.0) <= (d1 + d2 - 1) * sqrt_q + 1e-6
+
+
+def test_coarse_bin_does_not_depend_on_when_a_value_is_scanned(monkeypatch):
+    # 1.0004996 has the 1e-6 key 1000500, which rounds half up to the 1e-3
+    # bin 1.001; rounding the value directly at 1e-3 would give 1.000.
+    monkeypatch.setattr(correlation, "HISTOGRAM_EXACT_LIMIT", 1)
+    results = []
+    for batches in ([[1.0004996], [0.25, 0.5]], [[0.25, 0.5], [1.0004996]]):
+        acc = correlation._HistogramAccumulator(period=2)
+        for batch in batches:
+            acc.add(np.array(batch))
+        results.append(acc.result())
+    assert results[0] == results[1] == {0.25: 1, 0.5: 1, 1.001: 1}

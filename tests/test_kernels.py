@@ -1,58 +1,118 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from seqfam.correlation import cross_correlation
 from seqfam.errors import ParameterError
-from seqfam.kernels import COMPILED_AVAILABLE, PairScanner, default_backend, resolve_backend
+from seqfam.kernels import (
+    GEMM_MAX_PERIOD,
+    TILE_ELEMENTS,
+    PairScanner,
+    default_backend,
+    resolve_backend,
+    tile_size,
+)
+from seqfam.sequences import MSequence
 
-needs_compiled = pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled kernel not built")
+# |R| <= period <= 48 here. Summing 48 unit-modulus float64 terms, by a
+# matrix product or a transform of that length, errs by well under
+# 48 * 48 * eps ~ 5e-13; the bound leaves a hundredfold margin.
+PROPERTY_ATOL = 100 * 48 * 48 * np.finfo(np.float64).eps
 
 
 def _random_case(rng, n, period, M):
     symbols = rng.integers(0, M, (n, period))
-    left = rng.integers(0, n, 64).astype(np.int64)
-    right = rng.integers(0, n, 64).astype(np.int64)
-    return symbols, left, right
+    rows = rng.integers(0, n, 8).astype(np.int64)
+    cols = rng.integers(0, n, 8).astype(np.int64)
+    return symbols, rows, cols
 
 
 @pytest.mark.parametrize("period,M", [(15, 5), (12, 4), (31, 31), (40, 8), (7, 2)])
 def test_fft_matches_reference(period, M):
     rng = np.random.default_rng(period * M)
-    symbols, left, right = _random_case(rng, 40, period, M)
-    a = PairScanner(symbols, M, backend="fft").correlations_abs(left, right)
-    b = PairScanner(symbols, M, backend="reference").correlations_abs(left, right)
+    symbols, rows, cols = _random_case(rng, 40, period, M)
+    a = PairScanner(symbols, M, backend="fft").correlations_abs(rows, cols)
+    b = PairScanner(symbols, M, backend="reference").correlations_abs(rows, cols)
+    assert a.shape == (rows.size, cols.size, period)
     assert np.abs(a - b).max() < 1e-6
 
 
-@needs_compiled
-@pytest.mark.parametrize("period,M", [(15, 5), (12, 4), (31, 31), (40, 8), (7, 2)])
-def test_compiled_matches_reference(period, M):
+@pytest.mark.parametrize("period,M", [(15, 5), (12, 4), (31, 31), (40, 8), (7, 2), (255, 15)])
+def test_gemm_matches_reference(period, M):
     rng = np.random.default_rng(period * M + 1)
-    symbols, left, right = _random_case(rng, 40, period, M)
-    a = PairScanner(symbols, M, backend="compiled", jobs=2).correlations_abs(left, right)
-    b = PairScanner(symbols, M, backend="reference").correlations_abs(left, right)
-    c = PairScanner(symbols, M, backend="fft").correlations_abs(left, right)
+    symbols, rows, cols = _random_case(rng, 40, period, M)
+    a = PairScanner(symbols, M, backend="gemm").correlations_abs(rows, cols)
+    b = PairScanner(symbols, M, backend="reference").correlations_abs(rows, cols)
+    assert a.shape == (rows.size, cols.size, period)
     assert np.abs(a - b).max() < 1e-6
-    assert np.abs(a - c).max() < 1e-6
 
 
 def test_trivial_correlation_equals_period():
     rng = np.random.default_rng(9)
     symbols = rng.integers(0, 4, (5, 20))
     idx = np.arange(5, dtype=np.int64)
-    for backend in ("fft", "reference") + (("compiled",) if COMPILED_AVAILABLE else ()):
+    for backend in ("gemm", "fft", "reference"):
         vals = PairScanner(symbols, 4, backend=backend).correlations_abs(idx, idx)
-        assert np.allclose(vals[:, 0], 20.0, atol=1e-9)
+        assert np.allclose(vals[idx, idx, 0], 20.0, atol=1e-9)
 
 
-def test_backend_resolution(monkeypatch):
-    assert resolve_backend(None) == default_backend()
-    assert resolve_backend("fft") == "fft"
+def test_backend_resolution():
+    assert resolve_backend(None, 40) == default_backend(40) == "gemm"
+    assert resolve_backend("auto", 255) == default_backend(255) == "fft"
+    assert default_backend(GEMM_MAX_PERIOD) == "gemm"
+    assert default_backend(GEMM_MAX_PERIOD + 1) == "fft"
+    assert default_backend() == "auto"
+    for name in ("gemm", "fft", "reference"):
+        assert resolve_backend(name, 40) == name
     with pytest.raises(ParameterError):
-        resolve_backend("nope")
-    monkeypatch.setenv("SEQFAM_FORCE_FFT", "1")
-    assert default_backend() == "fft"
+        resolve_backend("nope", 40)
+    with pytest.raises(ParameterError):
+        resolve_backend("compiled", 40)
+    assert PairScanner(np.zeros((2, 40), dtype=np.int64), 2).backend == "gemm"
+    assert PairScanner(np.zeros((2, 255), dtype=np.int64), 2).backend == "fft"
+
+
+def test_tile_size_follows_period():
+    assert tile_size(40) == 128
+    assert tile_size(255) == 64
+    for period in (1, 7, 40, 255, 4095):
+        tile = tile_size(period)
+        assert tile * tile * period <= TILE_ELEMENTS < 4 * tile * tile * period
 
 
 def test_bad_shape():
     with pytest.raises(ParameterError):
         PairScanner(np.zeros(5, dtype=np.int64), 2)
+
+
+@st.composite
+def _tile_case(draw):
+    n = draw(st.integers(1, 6))
+    period = draw(st.integers(1, 48))
+    M = draw(st.integers(2, 16))
+    flat = draw(st.lists(st.integers(0, M - 1), min_size=n * period, max_size=n * period))
+    symbols = np.array(flat, dtype=np.int64).reshape(n, period)
+    diagonal = draw(st.booleans())
+    index = st.lists(st.integers(0, n - 1), min_size=1, max_size=5)
+    rows = draw(index)
+    cols = rows if diagonal else draw(index)
+    return symbols, M, rows, cols
+
+
+@pytest.mark.parametrize("backend", ["gemm", "fft"])
+@settings(max_examples=60, deadline=None)
+@given(case=_tile_case())
+def test_tile_matches_cross_correlation(backend, case):
+    symbols, M, rows, cols = case
+    n, period = symbols.shape
+    scanner = PairScanner(symbols, M, backend=backend, jobs=1)
+    seqs = [MSequence(s, period, M, "column", M + 1) for s in symbols]
+    # The column operand is cached between calls: switch it, then reuse it.
+    for left, right in ((rows, cols), (cols, rows), (cols, rows)):
+        vals = scanner.correlations_abs(left, right)
+        assert vals.shape == (len(left), len(right), period)
+        for a, i in enumerate(left):
+            for b, j in enumerate(right):
+                expect = [abs(cross_correlation(seqs[i], seqs[j], tau)) for tau in range(period)]
+                assert np.allclose(vals[a, b], expect, rtol=0.0, atol=PROPERTY_ATOL)
