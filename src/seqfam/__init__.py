@@ -47,7 +47,6 @@ from .fields import ExtensionContext, FieldContext, build_extension, build_field
 from .sequences import (
     Character,
     MSequence,
-    character_value,
     read_sequences,
     sidelnikov_sequence,
     sidelnikov_sequence_ext,
@@ -78,7 +77,6 @@ __all__ = [
     "build_extension",
     "build_family",
     "build_field",
-    "character_value",
     "check_restrictions",
     "column_from_long_sequence",
     "column_polynomial",

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .correlation import cyclic_inequivalence, max_correlation
-from .counting import count_report, lambda_size_formula
+from .counting import asymptotic_size, count_report, lambda_size_formula
 from .errors import InternalCheckError, ParameterError, SeqfamError
 from .family import build_family
 from .fields import build_extension, build_field, table_limit
@@ -130,6 +130,8 @@ def cmd_correlate(args) -> int:
 
 def _count_sweep_csv(args) -> str:
     """Exact vs asymptotic sizes swept over base-field degrees of the same p."""
+    if args.M < 2:
+        raise ParameterError("M must be >= 2")
     limit = table_limit(args.table_limit)
     rows = ["q,d,M,lambda,family_size,asymptotic,ratio"]
     n_prime = 1
@@ -138,7 +140,7 @@ def _count_sweep_csv(args) -> str:
         if (q - 1) % args.M == 0 and q > args.M:
             lam = lambda_size_formula(q, args.d)
             fam = (args.M - 1) * (lam - 1)
-            asym = (args.M - 1) * q ** (args.d - 1) / args.d
+            asym = asymptotic_size(q, args.d, args.M)
             rows.append(f"{q},{args.d},{args.M},{lam},{fam},{asym:.4f},{fam / asym:.6f}")
         n_prime += 1
     return "\n".join(rows)

@@ -41,6 +41,16 @@ def coset(l: int, modulus: int, q: int) -> CyclotomicCoset:
     return CyclotomicCoset(modulus, min(members), tuple(members))
 
 
+def coset_minima(modulus: int, q: int) -> np.ndarray:
+    """Smallest member of the q-cyclotomic coset of each index mod modulus."""
+    idx = np.arange(modulus, dtype=np.int64)
+    reps, cur = idx.copy(), (idx * q) % modulus
+    while not np.array_equal(cur, idx):
+        np.minimum(reps, cur, out=reps)
+        cur = (cur * q) % modulus
+    return reps
+
+
 def column_symbols(ext: ExtensionContext, l: int, M: int) -> np.ndarray:
     """Symbols of column l from its closed form log(N(alpha**l beta**t + 1)) mod M.
 
@@ -80,12 +90,25 @@ def column_from_long_sequence(
     return MSequence(long_seq.symbols[idx], ext.q - 1, M, "column", ext.q, ext.d, l, 1)
 
 
-def _root_product(ext: ExtensionContext, exponents) -> tuple:
-    """Monic product of (x + alpha**(-j)) over the given exponents."""
+def _root_product(ext: ExtensionContext, exponents, scale: int = 1) -> tuple:
+    """Monic product of (x + alpha**(-j) * scale) over the given exponents."""
     out = (1,)
     for j in exponents:
-        out = polys.mul_linear(ext, out, int(ext.exp[(-j) % (ext.size - 1)]))
+        out = polys.mul_linear(ext, out, ext.mul(int(ext.exp[(-j) % (ext.size - 1)]), scale))
     return out
+
+
+def shifted_column_polynomial(ext: ExtensionContext, l: int, tau: int) -> tuple:
+    """Product of (x + alpha**(-j) * beta**(-tau)) over the coset of l mod q**d-1.
+
+    This is min_poly of column l with its roots scaled by beta**-tau, a
+    base-field polynomial for every tau.
+    """
+    members = coset(l, ext.size - 1, ext.q).members
+    shifted = _root_product(ext, members, ext.base.pow_(ext.base.beta, -tau))
+    if any(c >= ext.q for c in shifted):
+        raise InternalCheckError("shifted column polynomial left the base field")
+    return shifted
 
 
 def frobenius_poly(ext: ExtensionContext, poly, k: int = 1) -> tuple:

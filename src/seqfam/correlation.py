@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polys
-from .columns import column_polynomial, coset
+from .columns import column_polynomial, shifted_column_polynomial
 from .errors import InternalCheckError, ParameterError
 from .family import SequenceFamily
 from .fields import ExtensionContext, FieldContext
@@ -299,11 +299,32 @@ def max_correlation(
     )
 
 
+def _least_rotation(symbols: list) -> int:
+    """Start of the lexicographically least rotation, in O(P) comparisons.
+
+    Two-pointer minimum-expression scan (the bound of Booth 1980): at the
+    first mismatch after a common prefix of length k, the larger of the
+    candidates i, j is ruled out with every start inside its prefix.
+    """
+    n, s = len(symbols), symbols * 2
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
+
+
 def _canonical_rotation(symbols: np.ndarray) -> bytes:
-    period = symbols.size
-    rotations = symbols[(np.arange(period)[:, None] + np.arange(period)) % period]
-    order = np.lexsort(rotations.T[::-1])
-    return rotations[order[0]].tobytes()
+    return np.roll(symbols, -_least_rotation(symbols.tolist())).tobytes()
 
 
 def cyclic_inequivalence(family) -> tuple[bool, dict | None]:
@@ -370,19 +391,10 @@ def correlation_via_character_sum(
     """
     base, d, q = ext.base, ext.d, ext.q
     cp1 = column_polynomial(ext, l1)
-    d1 = cp1.min_poly_degree
-    full2 = coset(l2, ext.size - 1, q)
-    d2 = full2.size
-    beta_shift = base.pow_(base.beta, -tau)
-    shifted = (1,)
-    for j in full2.members:
-        root_neg = ext.mul(int(ext.exp[(-j) % (ext.size - 1)]), beta_shift)
-        shifted = polys.mul_linear(ext, shifted, root_neg)
-    if any(c >= q for c in shifted):
-        raise InternalCheckError("shifted column polynomial left the base field")
+    shifted = shifted_column_polynomial(ext, l2, tau)
 
-    k1 = (c1 * (d // d1)) % M
-    k2 = (-c2 * (d // d2)) % M
+    k1 = (c1 * (d // cp1.min_poly_degree)) % M
+    k2 = (-c2 * (d // (len(shifted) - 1))) % M
     phase0 = (c1 * l1 - c2 * l2 - c2 * d * tau) % M
     xs = np.arange(q, dtype=np.int64)
     logs1 = base.log[polys.eval_arr(base, cp1.min_poly, xs)]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polys
+from .columns import coset_minima
 from .errors import InternalCheckError, ParameterError
 from .family import coset_representatives
 from .fields import ExtensionContext, FieldContext, build_field
@@ -86,15 +87,21 @@ def lambda_size_parts(ctx: FieldContext, d: int) -> dict[tuple[int, int], int]:
     return parts
 
 
-def lambda_size_with_ctx(ctx: FieldContext, d: int) -> int:
-    """Column count with the closed form cross-checked against the triple sum."""
+def _checked_lambda(ctx: FieldContext, d: int) -> tuple[int, dict[tuple[int, int], int]]:
+    """Closed-form column count, cross-checked against the triple sum, and its parts."""
     if d < 2:
         raise ParameterError("d must be >= 2")
     formula = lambda_size_formula(ctx.q, d)
-    triple = sum(lambda_size_parts(ctx, d).values())
+    parts = lambda_size_parts(ctx, d)
+    triple = sum(parts.values())
     if formula != triple:
         raise InternalCheckError(f"count mismatch: closed form {formula}, triple sum {triple}")
-    return formula
+    return formula, parts
+
+
+def lambda_size_with_ctx(ctx: FieldContext, d: int) -> int:
+    """Column count with the closed form cross-checked against the triple sum."""
+    return _checked_lambda(ctx, d)[0]
 
 
 def lambda_size(q: int, d: int) -> int:
@@ -161,10 +168,7 @@ def count_report(q: int, d: int, M: int, ctx: FieldContext | None = None) -> Cou
     if ctx is None:
         p, n = as_prime_power(q)
         ctx = build_field(p, n)
-    parts = lambda_size_parts(ctx, d)
-    lam = lambda_size_formula(q, d)
-    if lam != sum(parts.values()):
-        raise InternalCheckError("closed form disagrees with the triple sum")
+    lam, parts = _checked_lambda(ctx, d)
     lam_cosets = len(coset_representatives(q, d))
     if lam != lam_cosets:
         raise InternalCheckError(f"closed form {lam} disagrees with coset count {lam_cosets}")
@@ -262,30 +266,20 @@ def _poly_mul_vec(ctx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def cyclotomic_factors(
-    ext: ExtensionContext,
-    verify_product: bool = False,
-    verify_irreducible: bool = False,
-) -> list[tuple[int, ...]]:
+def cyclotomic_factors(ext: ExtensionContext, deep: bool = False) -> list[tuple[int, ...]]:
     """Monic irreducible factors of x**m - 1 over GF(q), m = (q**d-1)/(q-1).
 
     Each factor is multiplied out from the root orbit of one q-cyclotomic
     coset of exponents of the order-m root of unity alpha**(q-1). The
     construction checks that every factor is monic with base-field
     coefficients, that factors are pairwise distinct, and that degrees sum
-    to m. Optional deeper checks multiply all factors back together and
-    test each for irreducibility (quadratic cost; intended for small m).
+    to m. With deep=True it also tests each factor for irreducibility and
+    multiplies all factors back together (quadratic cost; intended for
+    small m).
     """
     q, size, m = ext.q, ext.size, ext.norm_ratio
     base = ext.base
-    idx = np.arange(m, dtype=np.int64)
-    reps = idx.copy()
-    cur = (idx * q) % m
-    while True:
-        np.minimum(reps, cur, out=reps)
-        if np.array_equal(cur, idx):
-            break
-        cur = (cur * q) % m
+    reps = coset_minima(m, q)
     order = np.argsort(reps, kind="stable")
     sorted_reps = reps[order]
     starts = np.flatnonzero(np.r_[True, sorted_reps[1:] != sorted_reps[:-1]])
@@ -319,11 +313,10 @@ def cyclotomic_factors(
     if sum(len(fac) - 1 for fac in ordered) != m:
         raise InternalCheckError("factor degrees do not sum to m")
 
-    if verify_irreducible:
+    if deep:
         for fac in ordered:
             if not polys.is_irreducible(base, fac):
                 raise InternalCheckError("orbit factor is reducible")
-    if verify_product:
         leaves = [np.array(fac, dtype=np.int64) for fac in ordered]
         while len(leaves) > 1:
             merged = [

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import polys
-from .columns import column_polynomial, column_symbols, coset
+from .columns import column_polynomial, column_symbols, coset, coset_minima, shifted_column_polynomial
 from .errors import ParameterError
 from .fields import ExtensionContext
 from .sequences import MSequence, _check_alphabet
@@ -25,16 +24,7 @@ def coset_representatives(q: int, d: int) -> list[int]:
     """Smallest member of every q-cyclotomic coset mod (q**d-1)/(q-1), sorted."""
     if d < 2:
         raise ParameterError("d must be >= 2")
-    m = (q**d - 1) // (q - 1)
-    idx = np.arange(m, dtype=np.int64)
-    reps = idx.copy()
-    cur = (idx * q) % m
-    while True:
-        np.minimum(reps, cur, out=reps)
-        if np.array_equal(cur, idx):
-            break
-        cur = (cur * q) % m
-    return [int(r) for r in np.unique(reps)]
+    return np.unique(coset_minima((q**d - 1) // (q - 1), q)).tolist()
 
 
 @dataclass(frozen=True)
@@ -203,10 +193,4 @@ def distinct_shift_check(ext: ExtensionContext, l1: int, l2: int, tau: int) -> b
         raise ParameterError("column indices must be nonzero and below the column count")
     if not 0 <= tau <= ext.q - 2:
         raise ParameterError("shift must lie in [0, q-2]")
-    p1 = column_polynomial(ext, l1).min_poly
-    beta_shift = ext.base.pow_(ext.base.beta, -tau)
-    scaled = (1,)
-    for j in coset(l2, ext.size - 1, ext.q).members:
-        root_neg = ext.mul(int(ext.exp[(-j) % (ext.size - 1)]), beta_shift)
-        scaled = polys.mul_linear(ext, scaled, root_neg)
-    return polys.trim(p1) != polys.trim(scaled)
+    return column_polynomial(ext, l1).min_poly != shifted_column_polynomial(ext, l2, tau)

@@ -120,19 +120,6 @@ class Character:
     def value(self, x: int) -> complex:
         return complex(np.exp(2j * np.pi * (self.field.dlog(x) % self.M) / self.M))
 
-    def values(self, xs) -> np.ndarray:
-        logs = self.field.log[np.asarray(xs, dtype=np.int64)]
-        return np.exp(2j * np.pi * (logs % self.M) / self.M)
-
-
-def character_value(chi: Character, x: int) -> complex:
-    return chi.value(x)
-
-
-def unit_root_powers(M: int, exponents) -> np.ndarray:
-    """exp(2*pi*i*e/M) for an integer array of exponents."""
-    return np.exp(2j * np.pi * (np.asarray(exponents) % M) / M)
-
 
 def format_sequence(seq: MSequence) -> str:
     return seq.header() + "\n" + ",".join(str(int(s)) for s in seq.symbols)

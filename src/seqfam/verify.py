@@ -43,14 +43,6 @@ from .sequences import sidelnikov_sequence, sidelnikov_sequence_ext, sidelnikov_
 _DEEP_LIMIT = 1 << 12  # full product/irreducibility checks only below this field size
 
 
-def _autocorrelation_max(seq) -> float:
-    phases = np.exp(2j * np.pi * (seq.symbols % seq.M) / seq.M)
-    best = 0.0
-    for tau in range(1, seq.period):
-        best = max(best, abs(np.sum(phases * np.conj(np.roll(phases, -tau)))))
-    return best
-
-
 def run_verification(
     p: int,
     n: int,
@@ -144,8 +136,9 @@ def run_verification(
     record("column-q-multiple-identity", shift_ok, "v_l equals the column at index l*q")
 
     root_cols = range(1, m) if m <= 2048 else list(range(1, 1025)) + [m - 1]
+    field_elements = np.arange(q, dtype=np.int64)
     root_free = all(
-        all(polys.eval_at(ctx, column_polynomial(ext, l).min_poly, x) != 0 for x in range(q))
+        polys.eval_arr(ctx, column_polynomial(ext, l).min_poly, field_elements).all()
         for l in root_cols
     )
     record("column-polynomial-root-free", root_free,
@@ -162,7 +155,7 @@ def run_verification(
            "mirrored column index equals the column shifted by l-1")
 
     base_seq = sidelnikov_sequence(ctx, M)
-    auto_max = _autocorrelation_max(base_seq)
+    auto_max = max(abs(cross_correlation(base_seq, base_seq, tau)) for tau in range(1, q - 1))
     record("base-autocorrelation-bound", auto_max <= 4.0 + TOLERANCE,
            f"max out-of-phase autocorrelation {auto_max:.6f}")
 
@@ -201,9 +194,7 @@ def run_verification(
            f"injected duplicate detected: {dup_wit}")
 
     creport = count_report(q, d, M, ctx)
-    factors = cyclotomic_factors(
-        ext, verify_product=size <= _DEEP_LIMIT, verify_irreducible=size <= _DEEP_LIMIT
-    )
+    factors = cyclotomic_factors(ext, deep=size <= _DEEP_LIMIT)
     record("count-cross-validation",
            creport.lambda_formula == creport.lambda_cosets == len(factors),
            f"closed form {creport.lambda_formula} = cosets {creport.lambda_cosets} "

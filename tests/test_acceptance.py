@@ -42,6 +42,19 @@ BOUND_SETS = [
     (41, 1, 3, 8),
 ]
 
+# delta_max to 6 decimals and the first argmax witness (c1, l1, c2, l2, tau)
+# of each BOUND_SETS scan, so that drift in field construction, family
+# order or the scan shows up even while every bound still holds.
+GOLDEN_SCANS = {
+    (2, 4, 2, 3): ("10.816654", (1, 1, 2, 4, 9)),
+    (2, 4, 2, 5): ("10.207522", (1, 1, 4, 3, 0)),
+    (2, 4, 2, 15): ("11.384121", (1, 3, 4, 1, 0)),
+    (2, 5, 3, 31): ("21.083810", (1, 87, 18, 461, 18)),
+    (41, 1, 3, 2): ("24.000000", (1, 1, 1, 455, 32)),
+    (41, 1, 3, 4): ("24.000000", (2, 1, 2, 455, 32)),
+    (41, 1, 3, 8): ("24.285215", (1, 413, 5, 457, 3)),
+}
+
 
 def conclude(number: int, description: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
@@ -79,6 +92,13 @@ def test_criterion_1_family_correlation_bound(family_reports):
         ok &= good
         details.append(f"q={fam.q},d={d},M={M}: {report.delta_max:.4f}<={bound:.4f}")
     conclude(1, "family correlation bound", ok, "; ".join(details))
+
+
+def test_golden_delta_max_and_first_witness(family_reports):
+    for key, (_, report, _, _) in family_reports.items():
+        w = report.argmax[0]
+        got = (f"{report.delta_max:.6f}", (w["c1"], w["l1"], w["c2"], w["l2"], w["tau"]))
+        assert got == GOLDEN_SCANS[key], key
 
 
 def test_criterion_2_per_pair_tight_bound(family_reports):

@@ -118,6 +118,14 @@ def test_count_sweep_csv(capsys):
     assert len(lines) >= 3  # q=16 and q=256 rows at least
 
 
+@pytest.mark.parametrize("M", ["0", "1", "-3"])
+def test_count_sweep_csv_rejects_small_alphabet(capsys, M):
+    code, out, err = run(capsys, "count", "--p", "2", "--d", "2", "--M", M, "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "M must be >= 2" in err
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(
         capsys, "verify", "--p", "2", "--n", "4", "--d", "2", "--M", "5", "--format", "json"

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqfam import correlation, kernels
@@ -245,6 +245,34 @@ def test_cyclic_inequivalence(fam16_m5):
     ref = fam16_m5.sequences[5].symbols
     dup = corrupted[-1].symbols
     assert np.array_equal(ref, np.roll(dup, -witness["tau"]))
+
+
+def _brute_least_rotation(symbols: list) -> list:
+    return min(symbols[r:] + symbols[:r] for r in range(len(symbols)))
+
+
+def _check_least_rotation(symbols: list) -> None:
+    start = correlation._least_rotation(symbols)
+    assert 0 <= start < len(symbols)
+    assert symbols[start:] + symbols[:start] == _brute_least_rotation(symbols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+@example([7])
+@example([2, 2, 2, 2, 2])
+def test_least_rotation_matches_brute_force(symbols):
+    _check_least_rotation(symbols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=6), st.integers(1, 8), st.integers(0, 47))
+@example([1, 0], 6, 0)
+@example([0, 1, 0], 3, 1)
+def test_least_rotation_periodic_inputs(block, repeats, shift):
+    tiled = block * repeats
+    shift %= len(tiled)
+    _check_least_rotation(tiled[shift:] + tiled[:shift])
 
 
 def test_weil_bound_values():

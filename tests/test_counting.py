@@ -115,7 +115,7 @@ def test_lambda_estimate_gap():
 
 def test_cyclotomic_factors_verified(gf25, gf256, gf64_over4):
     for ext in (gf25, gf256, gf64_over4):
-        facs = cyclotomic_factors(ext, verify_product=True, verify_irreducible=True)
+        facs = cyclotomic_factors(ext, deep=True)
         assert len(facs) == lambda_size_formula(ext.q, ext.d)
         assert sum(len(f) - 1 for f in facs) == ext.norm_ratio
         assert all(f[-1] == 1 for f in facs)

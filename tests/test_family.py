@@ -126,7 +126,7 @@ def test_irreducible_factor_constant_terms(gf256, gf64_over4):
     # has e dividing d and b^(d/e) = 1
     for ext in (gf256, gf64_over4):
         base = ext.base
-        for fac in cyclotomic_factors(ext, verify_irreducible=True):
+        for fac in cyclotomic_factors(ext, deep=True):
             e = len(fac) - 1
             assert ext.d % e == 0
             b = fac[0] if e % 2 == 0 else base.neg(fac[0])

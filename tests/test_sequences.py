@@ -7,7 +7,6 @@ from seqfam.errors import ParameterError
 from seqfam.sequences import (
     Character,
     MSequence,
-    character_value,
     format_sequence,
     read_sequences,
     sidelnikov_sequence,
@@ -115,7 +114,7 @@ def test_extension_sequence_against_independent_gf25_model(gf25):
 
 def test_character_values(gf16):
     chi = Character(5, gf16)
-    assert character_value(chi, 0) == pytest.approx(1.0)
+    assert chi.value(0) == pytest.approx(1.0)
     assert chi.value(gf16.beta) == pytest.approx(np.exp(2j * np.pi / 5))
     total = sum(chi.value(x) for x in range(1, 16))
     assert abs(total) < 1e-9  # nontrivial character sums to zero over the units
