@@ -3,7 +3,8 @@
 Subcommands: generate (sequences in the export format), family (manifest
 plus payload), correlate (exhaustive scan report), count (size report or
 sweep table), verify (the full per-parameter-set verification suite).
-Exit codes: 0 success, 1 verification failure, 2 parameter/usage error.
+Exit codes: 0 success, 1 verification failure, 2 parameter/usage error
+(including an --out path that cannot be written).
 """
 
 import argparse
@@ -15,6 +16,7 @@ from .counting import asymptotic_size, count_report, lambda_size_formula
 from .errors import InternalCheckError, ParameterError, SeqfamError
 from .family import build_family
 from .fields import build_extension, build_field, table_limit
+from .intmath import is_prime
 from .sequences import format_sequence, sidelnikov_sequence, sidelnikov_sequence_ext
 from .columns import column_sequence
 from .verify import format_verification, run_verification
@@ -132,6 +134,8 @@ def _count_sweep_csv(args) -> str:
     """Exact vs asymptotic sizes swept over base-field degrees of the same p."""
     if args.M < 2:
         raise ParameterError("M must be >= 2")
+    if not is_prime(args.p):
+        raise ParameterError(f"p={args.p} is not prime")
     limit = table_limit(args.table_limit)
     rows = ["q,d,M,lambda,family_size,asymptotic,ratio"]
     n_prime = 1
@@ -201,7 +205,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalCheckError as exc:

@@ -139,10 +139,6 @@ class ColumnPolynomial:
     def min_poly_degree(self) -> int:
         return self.full_coset.size
 
-    @property
-    def orbit_degree(self) -> int:
-        return self.reduced_coset.size
-
 
 def column_polynomial(ext: ExtensionContext, l: int) -> ColumnPolynomial:
     """Build and cross-verify the polynomials attached to column l.

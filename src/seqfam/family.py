@@ -40,10 +40,6 @@ class RestrictionReport:
     relaxation_available: bool
     dropped_column: int | None
 
-    @property
-    def strict_ok(self) -> bool:
-        return self.gcd_ok and self.bound_ok
-
     def to_dict(self) -> dict:
         return {
             "q": self.q,

@@ -31,7 +31,12 @@ def table_limit(override: int | None = None) -> int:
     if override is not None:
         return int(override)
     env = os.environ.get("SEQFAM_TABLE_LIMIT")
-    return int(env) if env else DEFAULT_TABLE_LIMIT
+    if not env:
+        return DEFAULT_TABLE_LIMIT
+    try:
+        return int(env)
+    except ValueError:
+        raise ParameterError(f"SEQFAM_TABLE_LIMIT={env!r} is not an integer") from None
 
 
 def _unpack(values: np.ndarray, p: int, digits: int) -> np.ndarray:
@@ -54,64 +59,40 @@ class _TableField:
     log: np.ndarray
 
     # -- additive structure (digitwise mod p) --------------------------------
+    # add and neg take Python ints or int64 arrays: every step below is an
+    # operator that both support.
 
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
+    def add(self, a, b):
+        p = self.p
+        if p == 2:
             return a ^ b
         if self.digits == 1:
-            return (a + b) % self.p
-        p, out, shift = self.p, 0, 1
+            return (a + b) % p
+        out, shift = 0, 1
         for _ in range(self.digits):
-            out += ((a + b) % p) * shift
-            a //= p
-            b //= p
+            out = out + (a + b) % p * shift
+            a, b = a // p, b // p
             shift *= p
         return out
 
-    def neg(self, a: int) -> int:
-        if self.p == 2:
+    def neg(self, a):
+        p = self.p
+        if p == 2:
             return a
         if self.digits == 1:
-            return (-a) % self.p
-        p, out, shift = self.p, 0, 1
+            return (-a) % p
+        out, shift = 0, 1
         for _ in range(self.digits):
-            out += ((p - a % p) % p) * shift
-            a //= p
+            out = out + (-a) % p * shift
+            a = a // p
             shift *= p
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def add_arr(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.p == 2:
-            return a ^ b
-        if self.digits == 1:
-            return (a + b) % self.p
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        shift = 1
-        for _ in range(self.digits):
-            out += ((a + b) % self.p) * shift
-            a = a // self.p
-            b = b // self.p
-            shift *= self.p
-        return out
+        return self.add(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
     def neg_arr(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        if self.p == 2:
-            return a.copy()
-        if self.digits == 1:
-            return (-a) % self.p
-        out = np.zeros(a.shape, dtype=np.int64)
-        shift = 1
-        for _ in range(self.digits):
-            out += ((-a) % self.p) * shift
-            a = a // self.p
-            shift *= self.p
-        return out
+        return self.neg(np.array(a, dtype=np.int64))  # a copy even where neg is the identity
 
     # -- multiplicative structure (log tables) --------------------------------
 
@@ -154,48 +135,35 @@ class _TableField:
             raise ZeroDivisionError("order of 0")
         return (self.size - 1) // math.gcd(int(self.log[a]), self.size - 1)
 
-    def elements(self) -> range:
-        return range(self.size)
+    def _check_tables(self) -> None:
+        """Generator of order size-1, log inverting exp, and log(0) = 0."""
+        if np.unique(self.exp).size != self.size - 1:
+            raise InternalCheckError(f"generator order is not {self.size - 1}")
+        if not np.array_equal(self.log[self.exp], np.arange(self.size - 1)):
+            raise InternalCheckError("log table does not invert exp table")
+        if self.log[0] != 0:
+            raise InternalCheckError("log(0) must be 0")
 
 
-def _mul_const_digit_matrix(raw_mul, c: int, p: int, digits: int) -> np.ndarray:
-    """Matrix over GF(p) of the multiply-by-c map in the packed-digit basis."""
-    cols = np.empty((digits, digits), dtype=np.int64)
-    basis = 1
-    for j in range(digits):
-        prod = raw_mul(c, basis)
-        for i in range(digits):
-            cols[i, j] = prod % p
-            prod //= p
-        basis *= p
-    return cols
-
-
-def _exp_table(size: int, beta: int, raw_mul, raw_pow, p: int, digits: int) -> np.ndarray:
+def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray:
     """exp[t] = beta**t for 0 <= t < size-1, filled by block doubling.
 
-    Each round multiplies the known block by the constant beta**filled,
+    Each round multiplies the known block by the constant c = beta**filled,
     which is a GF(p)-linear map on packed digits, so the whole block is
-    one integer matmul.
+    one integer matmul: row j of its matrix holds the digits of c * p**j.
     """
     n = size - 1
     exp = np.empty(n, dtype=np.int64)
     exp[0] = 1
     filled = 1
     while filled < n:
-        c = raw_pow(beta, filled)
-        mat = _mul_const_digit_matrix(raw_mul, c, p, digits)
+        c = raw_mul(int(exp[filled - 1]), beta)
+        mat = _unpack(np.array([raw_mul(c, p**j) for j in range(digits)], dtype=np.int64), p, digits)
         take = min(filled, n - filled)
         block = _unpack(exp[:take], p, digits)
-        exp[filled : filled + take] = _pack((block @ mat.T) % p, p)
+        exp[filled : filled + take] = _pack((block @ mat) % p, p)
         filled += take
     return exp
-
-
-def _log_table(size: int, exp: np.ndarray) -> np.ndarray:
-    log = np.zeros(size, dtype=np.int64)
-    log[exp] = np.arange(size - 1, dtype=np.int64)
-    return log
 
 
 def _raw_pow(raw_mul, a: int, k: int) -> int:
@@ -208,15 +176,34 @@ def _raw_pow(raw_mul, a: int, k: int) -> int:
     return out
 
 
-def _smallest_generator(size: int, raw_mul) -> int:
-    """Smallest-encoding element of multiplicative order size-1."""
+def _generator_tables(raw_mul, p: int, digits: int, ratio: int, target: int):
+    """(g, exp, log) for the smallest-encoding primitive g with g**ratio == target.
+
+    ratio = size-1 with target 1 asks only for a unit of the group order, a
+    guard against broken ring arithmetic; an extension asks for norm(g) = beta.
+    """
+    size = p**digits
     primes = prime_factors(size - 1)
     for g in range(1, size):
-        if _raw_pow(raw_mul, g, size - 1) != 1:
-            continue  # not even a unit of the right exponent: broken ring guard
+        if _raw_pow(raw_mul, g, ratio) != target:
+            continue
         if all(_raw_pow(raw_mul, g, (size - 1) // r) != 1 for r in primes):
-            return g
-    raise InternalCheckError("no generator found; field arithmetic is broken")
+            exp = _exp_table(size, g, raw_mul, p, digits)
+            log = np.zeros(size, dtype=np.int64)
+            log[exp] = np.arange(size - 1, dtype=np.int64)
+            return g, exp, log
+    raise InternalCheckError("no primitive element found; field arithmetic is broken")
+
+
+def _poly_mul(ctx, modulus):
+    """Product of packed polynomials over ctx (radix ctx.size), reduced mod the modulus."""
+    radix, deg = ctx.size, polys.degree(modulus)
+
+    def raw_mul(a, b):
+        prod = polys.mul(ctx, _to_coeffs(a, radix, deg), _to_coeffs(b, radix, deg))
+        return _from_coeffs(polys.mod(ctx, prod, modulus), radix)
+
+    return raw_mul
 
 
 class FieldContext(_TableField):
@@ -247,12 +234,7 @@ class FieldContext(_TableField):
 
     def validate(self) -> None:
         """Recheck the construction invariants from first principles."""
-        if np.unique(self.exp).size != self.q - 1:
-            raise InternalCheckError("generator order is not q-1")
-        if not np.array_equal(self.log[self.exp], np.arange(self.q - 1)):
-            raise InternalCheckError("log table does not invert exp table")
-        if self.log[0] != 0:
-            raise InternalCheckError("log(0) must be 0")
+        self._check_tables()
         if self.n > 1:
             _check_irreducible_by_trial_division(_prime_context(self.p), self.modulus)
 
@@ -282,9 +264,7 @@ class ExtensionContext(_TableField):
 
     def norm(self, x: int) -> int:
         """Norm down to GF(q): x**((q**d-1)/(q-1)), with norm(0) = 0."""
-        if x == 0:
-            return 0
-        return int(self.exp[(int(self.log[x]) * self.norm_ratio) % (self.size - 1)])
+        return int(self.norm_arr(x))
 
     def norm_arr(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
@@ -316,16 +296,13 @@ class ExtensionContext(_TableField):
         )
         return out
 
-    def validate(self, samples: int = 64) -> None:
-        if np.unique(self.exp).size != self.size - 1:
-            raise InternalCheckError("alpha order is not q**d - 1")
+    def validate(self) -> None:
+        self._check_tables()
         if self.derived_beta != self.base.beta:
             raise InternalCheckError("norm(alpha) != beta")
-        if int(self.exp[self.norm_ratio % (self.size - 1)]) != self.base.beta:
-            raise InternalCheckError("alpha**((q**d-1)/(q-1)) != beta")
         _check_irreducible_by_trial_division(self.base, self.modulus)
         rng = np.random.default_rng(0)
-        xs = rng.integers(0, self.size, size=samples)
+        xs = rng.integers(0, self.size, size=64)
         for x in map(int, xs):
             if not self.in_base_field(self.norm(x)):
                 raise InternalCheckError("norm left the base field")
@@ -335,9 +312,8 @@ class ExtensionContext(_TableField):
 
 def _prime_context(p: int) -> FieldContext:
     """GF(p) with modulus x and beta the smallest primitive root."""
-    beta = _smallest_generator(p, lambda a, b: (a * b) % p)
-    exp = _exp_table(p, beta, lambda a, b: (a * b) % p, lambda a, k: pow(a, k, p), p, 1)
-    return FieldContext(p, 1, (0, 1), beta, exp, _log_table(p, exp))
+    beta, exp, log = _generator_tables(lambda a, b: (a * b) % p, p, 1, p - 1, 1)
+    return FieldContext(p, 1, (0, 1), beta, exp, log)
 
 
 def _to_coeffs(x: int, radix: int, length: int) -> tuple:
@@ -394,16 +370,9 @@ def build_field(p: int, n: int, limit: int | None = None) -> FieldContext:
     prime_ctx = _prime_context(p)
     if n == 1:
         return prime_ctx
-
     modulus = _smallest_irreducible(prime_ctx, n)
-
-    def raw_mul(a, b):
-        prod = polys.mul(prime_ctx, _to_coeffs(a, p, n), _to_coeffs(b, p, n))
-        return _from_coeffs(polys.mod(prime_ctx, prod, modulus), p)
-
-    beta = _smallest_generator(q, raw_mul)
-    exp = _exp_table(q, beta, raw_mul, lambda a, k: _raw_pow(raw_mul, a, k), p, n)
-    return FieldContext(p, n, modulus, beta, exp, _log_table(q, exp))
+    beta, exp, log = _generator_tables(_poly_mul(prime_ctx, modulus), p, n, q - 1, 1)
+    return FieldContext(p, n, modulus, beta, exp, log)
 
 
 def build_extension(base: FieldContext, d: int, limit: int | None = None) -> ExtensionContext:
@@ -415,31 +384,13 @@ def build_extension(base: FieldContext, d: int, limit: int | None = None) -> Ext
     """
     if d < 2:
         raise ParameterError("extension degree d must be >= 2")
-    q = base.q
-    size = q**d
+    size = base.q**d
     if size > table_limit(limit):
         raise TableLimitError(f"q**d={size} exceeds the table limit {table_limit(limit)}")
-
     modulus = _smallest_irreducible(base, d)
-
-    def raw_mul(a, b):
-        prod = polys.mul(base, _to_coeffs(a, q, d), _to_coeffs(b, q, d))
-        return _from_coeffs(polys.mod(base, prod, modulus), q)
-
-    ratio = (size - 1) // (q - 1)
-    primes = prime_factors(size - 1)
-    alpha = 0
-    for cand in range(2, size):
-        if _raw_pow(raw_mul, cand, ratio) != base.beta:
-            continue
-        if all(_raw_pow(raw_mul, cand, (size - 1) // r) != 1 for r in primes):
-            alpha = cand
-            break
-    if alpha == 0:
-        raise InternalCheckError("no primitive element with norm beta found")
-
-    exp = _exp_table(size, alpha, raw_mul, lambda a, k: _raw_pow(raw_mul, a, k), base.p, base.n * d)
-    ext = ExtensionContext(base, d, modulus, alpha, exp, _log_table(size, exp))
+    ratio = (size - 1) // (base.q - 1)
+    alpha, exp, log = _generator_tables(_poly_mul(base, modulus), base.p, base.n * d, ratio, base.beta)
+    ext = ExtensionContext(base, d, modulus, alpha, exp, log)
     if int(ext.exp[ratio % (size - 1)]) != base.beta:
         raise InternalCheckError("norm(alpha) disagrees with beta after table build")
     return ext

@@ -50,7 +50,6 @@ def run_verification(
     M: int,
     policy: str = "strict",
     jobs: int | None = None,
-    backend: str | None = "auto",
     table_limit: int | None = None,
 ) -> dict:
     start = time.perf_counter()
@@ -164,7 +163,7 @@ def run_verification(
     record("family-size-identity", family.size == expected,
            f"{family.size} sequences")
 
-    report = max_correlation(family, backend=backend, jobs=jobs)
+    report = max_correlation(family, jobs=jobs)
     record("correlation-bound", report.bound_ok,
            f"delta_max {report.delta_max:.6f} vs bound {report.bound:.6f}")
     record("correlation-pair-bounds", report.pair_bound_ok,

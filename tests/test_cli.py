@@ -126,6 +126,32 @@ def test_count_sweep_csv_rejects_small_alphabet(capsys, M):
     assert "M must be >= 2" in err
 
 
+@pytest.mark.parametrize("p", ["0", "1", "6", "-2"])
+def test_count_sweep_csv_rejects_non_prime(capsys, p):
+    code, out, err = run(capsys, "count", "--p", p, "--d", "2", "--M", "3", "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert f"p={p} is not prime" in err
+
+
+@pytest.mark.parametrize("command", ["generate", "family"])
+def test_out_into_missing_directory(tmp_path, capsys, command):
+    target = str(tmp_path / "missing" / "out")
+    code, out, err = run(
+        capsys, command, "--p", "2", "--n", "4", "--d", "2", "--M", "5", "--out", target
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
+def test_table_limit_env_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("SEQFAM_TABLE_LIMIT", "abc")
+    code, out, err = run(capsys, "generate", "--p", "5", "--M", "4")
+    assert code == 2
+    assert out == ""
+    assert "SEQFAM_TABLE_LIMIT" in err and "Traceback" not in err
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(
         capsys, "verify", "--p", "2", "--n", "4", "--d", "2", "--M", "5", "--format", "json"

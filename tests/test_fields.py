@@ -1,8 +1,25 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqfam.errors import ParameterError, TableLimitError
-from seqfam.fields import build_extension, build_field
+from seqfam.errors import InternalCheckError, ParameterError, TableLimitError
+from seqfam.fields import ExtensionContext, FieldContext, build_extension, build_field
+
+# (p, n) or (p, n, d) -> (modulus, generator, sha256 prefix of exp as little-endian int64).
+# Pinned so that any change to the modulus or generator search shows up here;
+# test_determinism only compares two builds made by the same code.
+GOLDEN_CONSTRUCTIONS = {
+    (2, 8): ((1, 0, 0, 0, 1, 1, 0, 1, 1), 6, "3e59f1480d282a65"),
+    (3, 6): ((1, 0, 0, 0, 1, 1, 1), 4, "28064ffad714122f"),
+    (2, 1, 8): ((1, 0, 0, 0, 1, 1, 0, 1, 1), 6, "3e59f1480d282a65"),
+    (5, 1, 2): ((1, 1, 1), 13, "18d1ba5c0e359c7f"),
+    (2, 2, 3): ((1, 0, 1, 1), 7, "874b128dbe8f8a64"),
+    (13, 1, 2): ((1, 3, 1), 43, "680dde87a4405b41"),
+    (2, 4, 2): ((1, 3, 1), 68, "d4c0058e450b53ac"),
+}
 
 
 def test_gf5_smallest_primitive_root(gf5):
@@ -56,6 +73,34 @@ def test_validate(gf16, gf256, gf25):
     gf16.validate()
     gf256.validate()
     gf25.validate()
+
+
+@pytest.mark.parametrize("kind", ["field", "extension"])
+@pytest.mark.parametrize("corrupt", ["log0", "swap"])
+def test_validate_rejects_corrupt_log_table(gf16, gf256, kind, corrupt):
+    ctx = gf16 if kind == "field" else gf256
+    log = ctx.log.copy()
+    if corrupt == "log0":
+        log[0] = 1
+    else:
+        log[[2, 3]] = log[[3, 2]]
+    if kind == "field":
+        bad = FieldContext(ctx.p, ctx.n, ctx.modulus, ctx.beta, ctx.exp, log)
+    else:
+        bad = ExtensionContext(ctx.base, ctx.d, ctx.modulus, ctx.alpha, ctx.exp, log)
+    with pytest.raises(InternalCheckError, match="log"):
+        bad.validate()
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_CONSTRUCTIONS))
+def test_golden_construction(key):
+    ctx = build_field(*key[:2])
+    if len(key) == 3:
+        ctx = build_extension(ctx, key[2])
+    modulus, generator, exp_sha = GOLDEN_CONSTRUCTIONS[key]
+    assert tuple(ctx.modulus) == modulus
+    assert (ctx.alpha if len(key) == 3 else ctx.beta) == generator
+    assert hashlib.sha256(ctx.exp.astype("<i8").tobytes()).hexdigest()[:16] == exp_sha
 
 
 def test_norm_of_alpha_is_beta(gf25, gf256, gf64_over4):
@@ -130,3 +175,39 @@ def test_inverse_and_order(gf16):
         assert gf16.pow_(a, gf16.order(a)) == 1
     with pytest.raises(ZeroDivisionError):
         gf16.inv(0)
+
+
+@pytest.fixture(scope="module", params=["gf25", "gf729", "gf256", "gf64_over4"])
+def axiom_field(request):
+    if request.param == "gf729":
+        return build_field(3, 6)
+    return request.getfixturevalue(request.param)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_field_axioms(axiom_field, data):
+    f = axiom_field
+    a, b, c = data.draw(st.tuples(*[st.integers(0, f.size - 1)] * 3))
+    assert f.add(a, b) == f.add(b, a)
+    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+    assert f.add(a, f.neg(a)) == 0
+    assert f.add(a, 0) == a
+    # ties the digitwise add to the log-table mul
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_array_ops_match_scalar_ops(axiom_field, data):
+    f = axiom_field
+    elements = st.lists(st.integers(0, f.size - 1), min_size=1, max_size=20)
+    xs = data.draw(elements)
+    ys = data.draw(st.lists(st.integers(0, f.size - 1), min_size=len(xs), max_size=len(xs)))
+    a, b = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+    neg = f.neg_arr(a)
+    assert not np.shares_memory(neg, a)
+    assert neg.tolist() == [f.neg(x) for x in xs]
+    assert f.add_arr(a, b).tolist() == [f.add(x, y) for x, y in zip(xs, ys)]
+    assert f.add_arr(a, 1).tolist() == [f.add(x, 1) for x in xs]
+    assert f.mul_arr(a, b).tolist() == [f.mul(x, y) for x, y in zip(xs, ys)]
