@@ -104,9 +104,16 @@ def lambda_size_with_ctx(ctx: FieldContext, d: int) -> int:
     return _checked_lambda(ctx, d)[0]
 
 
+def _field_of_order(q: int) -> FieldContext:
+    try:
+        p, n = as_prime_power(q)
+    except ValueError:
+        raise ParameterError(f"q={q} is not a prime power") from None
+    return build_field(p, n)
+
+
 def lambda_size(q: int, d: int) -> int:
-    p, n = as_prime_power(q)
-    return lambda_size_with_ctx(build_field(p, n), d)
+    return lambda_size_with_ctx(_field_of_order(q), d)
 
 
 def asymptotic_size(q: int, d: int, M: int) -> float:
@@ -166,8 +173,7 @@ def count_report(q: int, d: int, M: int, ctx: FieldContext | None = None) -> Cou
     if M < 2 or (q - 1) % M:
         raise ParameterError(f"M must divide q-1 (q={q}, M={M})")
     if ctx is None:
-        p, n = as_prime_power(q)
-        ctx = build_field(p, n)
+        ctx = _field_of_order(q)
     lam, parts = _checked_lambda(ctx, d)
     lam_cosets = len(coset_representatives(q, d))
     if lam != lam_cosets:
@@ -195,11 +201,13 @@ def constant_term_counts(ctx: FieldContext, f: int, limit: int = 1 << 20) -> dic
 
     Candidates are filtered with a batched x**(q**f) == x test (Frobenius
     steps use the freshman's-dream p-th power plus a vectorized reduction
-    against each candidate modulus), then survivors are confirmed
-    individually with the gcd conditions. Returns {b: count} keyed by the
-    element b with constant term (-1)**f * b. Independent of the counting
-    formulas above.
+    against each candidate modulus), then all survivors are confirmed at
+    once with the gcd conditions by polys.coprime_rows. Returns {b: count},
+    sorted by b, keyed by the element b with constant term (-1)**f * b.
+    Independent of the counting formulas above.
     """
+    if f < 1:
+        raise ParameterError("f must be >= 1")
     q = ctx.q
     if q**f > limit:
         raise ParameterError(f"q**f = {q**f} exceeds the oracle limit {limit}")
@@ -235,22 +243,16 @@ def constant_term_counts(ctx: FieldContext, f: int, limit: int = 1 << 20) -> dic
 
     unit = np.zeros(f, dtype=np.int64)
     unit[1] = 1
-    candidates = np.flatnonzero((x_power == unit).all(axis=1))
-
-    counts: dict[int, int] = {}
-    x = (0, 1)
-    for idx in candidates:
-        modulus = tuple(int(c) for c in coeffs[idx]) + (1,)
-        ok = True
-        for r in prime_factors(f):
-            h = polys.sub(ctx, tuple(int(c) for c in snapshots[r][idx]), x)
-            if polys.degree(polys.gcd(ctx, h, modulus)) != 0:
-                ok = False
-                break
-        if ok:
-            b = modulus[0] if f % 2 == 0 else ctx.neg(modulus[0])
-            counts[b] = counts.get(b, 0) + 1
-    return counts
+    survivors = np.flatnonzero((x_power == unit).all(axis=1))
+    moduli = np.concatenate([coeffs[survivors], np.ones((survivors.size, 1), dtype=np.int64)], axis=1)
+    irreducible = np.ones(survivors.size, dtype=bool)
+    for r in prime_factors(f):
+        h = snapshots[r][survivors]
+        h[:, 1] = ctx.add_arr(h[:, 1], ctx.neg(1))  # x**(q**(f/r)) - x
+        irreducible &= polys.coprime_rows(ctx, h, moduli)
+    c0 = coeffs[survivors[irreducible], 0]
+    values, counts = np.unique(c0 if f % 2 == 0 else ctx.neg_arr(c0), return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 # -- explicit factor construction for x**m - 1 --------------------------------

@@ -179,20 +179,41 @@ def _raw_pow(raw_mul, a: int, k: int) -> int:
 def _generator_tables(raw_mul, p: int, digits: int, ratio: int, target: int):
     """(g, exp, log) for the smallest-encoding primitive g with g**ratio == target.
 
-    ratio = size-1 with target 1 asks only for a unit of the group order, a
-    guard against broken ring arithmetic; an extension asks for norm(g) = beta.
+    ratio = size-1 with target 1 asks only for a primitive element; an
+    extension asks for norm(g) = beta. The smallest primitive g0 is found by
+    raw arithmetic and its tables built once; every primitive element is
+    g0**k with gcd(k, size-1) = 1, so one pass over log_g0 finds the
+    smallest encoding x = g0**k with k*ratio = log_g0(target), and its
+    tables are g0's re-indexed by k. g is then rechecked by raw arithmetic.
     """
     size = p**digits
-    primes = prime_factors(size - 1)
-    for g in range(1, size):
-        if _raw_pow(raw_mul, g, ratio) != target:
-            continue
-        if all(_raw_pow(raw_mul, g, (size - 1) // r) != 1 for r in primes):
-            exp = _exp_table(size, g, raw_mul, p, digits)
-            log = np.zeros(size, dtype=np.int64)
-            log[exp] = np.arange(size - 1, dtype=np.int64)
-            return g, exp, log
-    raise InternalCheckError("no primitive element found; field arithmetic is broken")
+    n = size - 1
+    primes = prime_factors(n)
+    for g0 in range(1, size):
+        if all(_raw_pow(raw_mul, g0, n // r) != 1 for r in primes) and _raw_pow(raw_mul, g0, n) == 1:
+            break
+    else:
+        raise InternalCheckError("no primitive element found; field arithmetic is broken")
+    exp = _exp_table(size, g0, raw_mul, p, digits)
+    log = np.zeros(size, dtype=np.int64)
+    log[exp] = np.arange(n, dtype=np.int64)
+    g = g0
+    if not (target == 1 and ratio == n):
+        ks = log[1:]  # ks[x-1] = log_g0(x); k*ratio < 2**48 at the 2**24 table cap
+        hits = np.flatnonzero((ks * (ratio % n) - log[target]) % n == 0)
+        hits = hits[np.gcd(ks[hits], n) == 1]
+        if hits.size == 0:
+            raise InternalCheckError(f"no primitive element with g**{ratio} == {target}")
+        g, k = int(hits[0]) + 1, int(ks[hits[0]])
+        exp = exp[np.arange(n, dtype=np.int64) * k % n]
+        log[exp] = np.arange(n, dtype=np.int64)
+    if (
+        _raw_pow(raw_mul, g, ratio) != target
+        or exp[0] != 1
+        or any(raw_mul(int(exp[t]), g) != int(exp[(t + 1) % n]) for t in (0, n // 2, n - 1))
+    ):
+        raise InternalCheckError("generator tables disagree with raw field arithmetic")
+    return g, exp, log
 
 
 def _poly_mul(ctx, modulus):

@@ -3,11 +3,14 @@
 Polynomials are tuples of element encodings, constant term first.
 Degrees stay tiny (bounded by the extension degree or the coset size),
 so everything is schoolbook. The context only needs scalar add/neg/mul/inv
-and its element count ``size``.
+and its element count ``size``; coprime_rows works on many polynomials at
+once, as rows of an int64 array, and also uses the array ops and the
+exp/log tables.
 """
 
 import numpy as np
 
+from .errors import InternalCheckError
 from .intmath import prime_factors
 
 ZERO_POLY = (0,)
@@ -119,6 +122,44 @@ def gcd(ctx, a, b) -> tuple:
     while not is_zero(b):
         a, b = b, mod(ctx, a, b)
     return monic(ctx, a)
+
+
+def coprime_rows(ctx, a, b) -> np.ndarray:
+    """Row-wise degree(gcd(a[i], b[i])) == 0 for coefficient rows, constant term first.
+
+    A batched Euclid: each round swaps the rows where deg a < deg b, then
+    cancels the leading term of a with a shifted multiple of b. Every
+    round lowers deg a + deg b of each row with b != 0, so it ends within
+    2 * width rounds; needing more raises InternalCheckError. The one-pair
+    reference is gcd().
+    """
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    width = max(a.shape[1], b.shape[1])
+    a = np.pad(a, ((0, 0), (0, width - a.shape[1])))
+    b = np.pad(b, ((0, 0), (0, width - b.shape[1])))
+    cols = np.arange(width)
+    n = ctx.size - 1
+
+    def degrees(rows):
+        nonzero = rows != 0
+        return np.where(nonzero.any(axis=1), width - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
+
+    for _ in range(2 * width):
+        da, db = degrees(a), degrees(b)
+        swap = da < db
+        a[swap], b[swap] = b[swap], a[swap]
+        da, db = np.where(swap, db, da), np.where(swap, da, db)
+        live = db >= 0
+        if not live.any():
+            return da == 0
+        lead_a = np.take_along_axis(a, np.maximum(da, 0)[:, None], axis=1)[:, 0]
+        lead_b = np.take_along_axis(b, np.maximum(db, 0)[:, None], axis=1)[:, 0]
+        factor = ctx.exp[(ctx.log[lead_a] - ctx.log[lead_b]) % n]  # lead_a / lead_b
+        factor = np.where(live, ctx.neg_arr(factor), 0)
+        source = cols - (da - db)[:, None]  # b shifted up by da - db places
+        shifted = np.where(source >= 0, np.take_along_axis(b, np.maximum(source, 0), axis=1), 0)
+        a = ctx.add_arr(a, ctx.mul_arr(factor[:, None], shifted))
+    raise InternalCheckError("batched Euclid did not lower the degrees")
 
 
 def eval_at(ctx, poly, x):

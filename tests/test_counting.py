@@ -126,6 +126,22 @@ def test_constant_term_counts_limit(gf16):
         constant_term_counts(gf16, 10, limit=1 << 16)
 
 
+@pytest.mark.parametrize("f", [0, -1])
+def test_constant_term_counts_rejects_degree(gf13, f):
+    with pytest.raises(ParameterError, match="f must be >= 1"):
+        constant_term_counts(gf13, f)
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [(lambda_size, (6, 2)), (lambda_size, (1, 2)), (count_report, (6, 2, 5))],
+    ids=["lambda_size-6", "lambda_size-1", "count_report-6"],
+)
+def test_not_a_prime_power(func, args):
+    with pytest.raises(ParameterError, match=f"q={args[0]} is not a prime power"):
+        func(*args)
+
+
 def test_oracle_degree_one(gf13):
     counts = constant_term_counts(gf13, 1)
     # x + c has constant c = -b, every nonzero b appears exactly once

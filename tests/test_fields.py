@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqfam import fields
 from seqfam.errors import InternalCheckError, ParameterError, TableLimitError
 from seqfam.fields import ExtensionContext, FieldContext, build_extension, build_field
 
@@ -19,6 +20,8 @@ GOLDEN_CONSTRUCTIONS = {
     (2, 2, 3): ((1, 0, 1, 1), 7, "874b128dbe8f8a64"),
     (13, 1, 2): ((1, 3, 1), 43, "680dde87a4405b41"),
     (2, 4, 2): ((1, 3, 1), 68, "d4c0058e450b53ac"),
+    (977, 1, 2): ((1, 1, 1), 9863, "d174aaafbce8f8c3"),
+    (2, 1, 20): ((1,) + (0,) * 16 + (1, 0, 0, 1), 2, "4cb1763d286d33f4"),
 }
 
 
@@ -101,6 +104,41 @@ def test_golden_construction(key):
     assert tuple(ctx.modulus) == modulus
     assert (ctx.alpha if len(key) == 3 else ctx.beta) == generator
     assert hashlib.sha256(ctx.exp.astype("<i8").tobytes()).hexdigest()[:16] == exp_sha
+
+
+@pytest.mark.parametrize(
+    "p, modulus, ratio, target, message",
+    [
+        (5, (4, 0, 1), 24, 1, "no primitive element found"),  # x^2 - 1 = (x - 1)(x + 1)
+        (2, (1, 0, 1), 3, 1, "no primitive element found"),  # (x + 1)^2
+        (5, (1, 1, 1), 6, 4, "no primitive element with"),  # a norm of order 2 is never a primitive's
+        (5, (1, 1, 1), 24, 0, "raw field arithmetic"),  # g**24 == 0 fits log(0) = 0 only
+    ],
+)
+def test_generator_search_rejects(p, modulus, ratio, target, message):
+    raw_mul = fields._poly_mul(build_field(p, 1), modulus)
+    with pytest.raises(InternalCheckError, match=message):
+        fields._generator_tables(raw_mul, p, 2, ratio, target)
+
+
+def test_generator_search_checks_tables_by_raw_arithmetic(monkeypatch, gf25):
+    build_exp, base = fields._exp_table, build_field(5, 1)
+
+    def patched(corrupt):
+        monkeypatch.setattr(fields, "_exp_table", lambda *args: corrupt(build_exp(*args)))
+
+    # exp[t] = g**-t: a primitive's table, not g's; the search re-indexes any primitive's table
+    patched(lambda exp: np.r_[exp[:1], exp[:0:-1]])
+    with pytest.raises(InternalCheckError, match="raw field arithmetic"):
+        build_field(2, 4)
+    again = build_extension(base, 2)
+    assert again.alpha == gf25.alpha and np.array_equal(again.exp, gf25.exp)
+    # exp[t] = g**(t+1): every step multiplies by g, but exp[0] is not 1
+    patched(lambda exp: np.roll(exp, -1))
+    with pytest.raises(InternalCheckError, match="raw field arithmetic"):
+        build_field(2, 4)
+    with pytest.raises(InternalCheckError):  # log is off by one, so the search finds no g here
+        build_extension(base, 2)
 
 
 def test_norm_of_alpha_is_beta(gf25, gf256, gf64_over4):
