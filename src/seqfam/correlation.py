@@ -5,6 +5,13 @@ included once) at every shift, excluding only the trivial same-sequence
 zero-shift case. It tracks the family-wide maximum with argmax witnesses,
 a histogram of magnitudes, and per-pair bounds that use the actual
 irreducible-part degrees of the two columns involved.
+
+|R| is the same on every orbit of the group generated by decimation
+t -> p*t and negation c -> -c, so only one member per orbit is scanned
+as a row; each value is weighted by what it stands for, and each witness
+is expanded through its orbit. The group is found from the symbols; a
+family without symmetry gets the trivial group, whose scan is the plain
+upper triangle.
 """
 
 import math
@@ -18,12 +25,16 @@ from .columns import column_polynomial, shifted_column_polynomial
 from .errors import InternalCheckError, ParameterError
 from .family import SequenceFamily
 from .fields import ExtensionContext, FieldContext
+from .intmath import prime_factors
 from .kernels import PairScanner
 from .sequences import MSequence
 
 TOLERANCE = 1e-6
 WITNESS_CAP = 100
 _MATCH_TOL = 1e-9
+SPOT_CHECKS = 16  # seeded (i, j, tau) samples per symmetry generator
+_SPOT_CHECK_SEED = 2010
+_EXPAND_CHUNK = 1 << 16  # hits expanded through their orbits at a time
 
 # Histograms bin |R| rounded to 6 decimals. Large alphabets can make nearly
 # every correlation value distinct at that resolution, so once the exact
@@ -82,6 +93,7 @@ class CorrelationReport:
     pair_bound_violations: list[dict]
     same_column_bound_ok: bool
     backend: str
+    scan: dict
     elapsed: float
 
     def to_dict(self) -> dict:
@@ -101,6 +113,7 @@ class CorrelationReport:
             "histogram": {f"{k:.6f}": v for k, v in sorted(self.histogram.items())},
             "histogram_resolution": self.histogram_resolution,
             "backend": self.backend,
+            "scan": self.scan,
             "elapsed": self.elapsed,
         }
 
@@ -136,17 +149,17 @@ class _HistogramAccumulator:
         self._coarse_len = (period + 2) * _COARSE_SCALE
         self._dense = None
 
-    def add(self, values: np.ndarray) -> None:
-        """Count values; a contiguous array is overwritten, to spare a copy."""
+    def add(self, values: np.ndarray, weight: int = 1) -> None:
+        """Count each value `weight` times; a contiguous array is overwritten, to spare a copy."""
         scaled = values.reshape(-1)
         scaled *= _FINE_SCALE
         keys = np.rint(scaled, out=scaled).astype(self._dtype)
         if self._dense is not None:
-            self._dense += np.bincount(_coarse_keys(keys), minlength=self._coarse_len)
+            self._dense += np.bincount(_coarse_keys(keys), minlength=self._coarse_len) * weight
             return
         keys.sort()
         starts = _run_starts(keys)
-        self._batch.append((keys[starts], np.diff(starts, append=keys.size)))
+        self._batch.append((keys[starts], np.diff(starts, append=keys.size) * weight))
         self._batch_keys += starts.size
         if self._batch_keys >= max(self.keys.size, HISTOGRAM_EXACT_LIMIT):
             self._merge()
@@ -190,16 +203,249 @@ def _first(entries: list[tuple]) -> list[tuple]:
     return sorted(entries)[:WITNESS_CAP]
 
 
-def _mask_diagonal_tile(vals: np.ndarray, period: int) -> None:
-    """On a tile whose rows are its columns, drop pairs j < i and each trivial shift.
+@dataclass(frozen=True, eq=False)
+class _TripleMap:
+    """(i, j, tau) -> (perm[i], perm[j], mult*tau + offset[j] - offset[i] mod P), keeping |R|.
 
-    Dropped entries are set to -1, below every magnitude.
+    Built from a member map y_i(t) = x_perm[i](t + offset[i]). For a
+    decimation y_i(t) = x_i(k*t), substituting t -> k*t gives
+    R_ij(tau) = R_{perm i, perm j}(tau/k + offset[j] - offset[i]), so
+    mult = 1/k mod P. For the negation y_i = -x_i, mult = 1 and R is
+    conjugated, which keeps |R|.
     """
-    diag = np.arange(vals.shape[0])
-    if np.any(np.abs(vals[diag, diag, 0] - period) > TOLERANCE):
-        raise InternalCheckError("trivial correlation does not equal the period")
-    vals[diag, diag, 0] = -1.0
-    vals[np.tril_indices(vals.shape[0], -1)] = -1.0
+
+    perm: np.ndarray
+    mult: int
+    offset: np.ndarray
+
+    def apply(self, i, j, tau, period: int):
+        return self.perm[i], self.perm[j], (self.mult * tau + self.offset[j] - self.offset[i]) % period
+
+    def then(self, other: "_TripleMap", period: int) -> "_TripleMap":
+        """This map followed by `other`."""
+        return _TripleMap(
+            other.perm[self.perm],
+            other.mult * self.mult % period,
+            (other.mult * self.offset + other.offset[self.perm]) % period,
+        )
+
+    def key(self, period: int) -> tuple:
+        # Only offset differences act, so offsets are compared up to a constant.
+        return self.perm.tobytes(), self.mult, ((self.offset - self.offset[0]) % period).tobytes()
+
+
+def _find_generators(symbols: np.ndarray, M: int, degs: np.ndarray, p: int) -> list[_TripleMap]:
+    """Decimation t -> p*t and negation c -> -c, each kept if it maps the family onto itself.
+
+    Each member's image is looked up by its least-rotation key, which also
+    gives the shift offset. A generator is kept only if every image is a
+    shift of a member with the same pair-bound degree. None is kept when two
+    members are shifts of one another, as the lookup is then ambiguous.
+    """
+    period = symbols.shape[1]
+    keys, starts = _rotation_keys(symbols)
+    index: dict[bytes, int] = {}
+    for i, key in enumerate(keys):
+        if index.setdefault(key, i) != i:
+            return []
+    candidates = []
+    if p % period != 1:  # for prime q the decimation is the identity
+        candidates.append((symbols[:, p * np.arange(period) % period], pow(p, -1, period)))
+    if M > 2:  # for M = 2 the negation is the identity
+        candidates.append(((-symbols) % M, 1))
+    generators = []
+    for images, mult in candidates:
+        image_keys, image_starts = _rotation_keys(images)
+        perm = np.array([index.get(key, -1) for key in image_keys], dtype=np.int64)
+        if perm.min() >= 0 and np.array_equal(degs[perm], degs):
+            generators.append(_TripleMap(perm, mult, (starts[perm] - image_starts) % period))
+    return generators
+
+
+def _spot_check(sequences, generators: list[_TripleMap], period: int) -> None:
+    """Recompute both sides of every generator's symmetry on seeded (i, j, tau) samples."""
+    rng = np.random.default_rng(_SPOT_CHECK_SEED)
+    n = len(sequences)
+    for g in generators:
+        for i, j, tau in rng.integers(0, [n, n, period], size=(SPOT_CHECKS, 3)).tolist():
+            a, b, t = (int(x) for x in g.apply(i, j, tau, period))
+            lhs = abs(cross_correlation(sequences[i], sequences[j], tau))
+            rhs = abs(cross_correlation(sequences[a], sequences[b], t))
+            if abs(lhs - rhs) > TOLERANCE:
+                raise InternalCheckError(
+                    f"symmetry check failed: |R({i}, {j}, {tau})| = {lhs:.6f} "
+                    f"but |R({a}, {b}, {t})| = {rhs:.6f}"
+                )
+
+
+def _group(generators: list[_TripleMap], n: int, period: int) -> list[_TripleMap]:
+    """Every product of the generators, identity first.
+
+    <decimation, negation> has at most 2 * ord_P(p) < 2 * P elements; maps
+    that do not close within that fall back to the identity alone.
+    """
+    identity = _TripleMap(np.arange(n), 1, np.zeros(n, dtype=np.int64))
+    elements, seen, frontier = [identity], {identity.key(period)}, [identity]
+    while frontier:
+        new = []
+        for g in frontier:
+            for h in generators:
+                product = g.then(h, period)
+                if product.key(period) not in seen:
+                    seen.add(product.key(period))
+                    new.append(product)
+        elements += new
+        if len(elements) > 2 * period:
+            return [identity]
+        frontier = new
+    return elements
+
+
+class _OrbitScan:
+    """Block source of the scan: one row per member orbit of a symmetry group.
+
+    The members are ordered orbit by orbit, each orbit led by its smallest
+    member, its representative r. Row r is scanned against every member of
+    its own orbit and of the orbits after it. Each value carries a weight in
+    doubled units: 2*|O_r| in a later orbit or in r's own column (the
+    trivial shift excluded), |O_r| in another member of r's orbit. Since
+    |G r| * |Stab r| = |G| and |R_ij(tau)| = |R_ji(-tau)|, the weighted
+    values are the multiset of the upper-triangle scan, twice over. With
+    the trivial group the blocks are the upper triangle's, all of weight 2.
+    """
+
+    def __init__(self, generators: list[_TripleMap], n: int, period: int):
+        self.period = period
+        self.elements = _group(generators, n, period)
+        rep = np.min([g.perm for g in self.elements], axis=0)  # smallest member of each orbit
+        reps, sizes = np.unique(rep, return_counts=True)
+        # Largest orbits first: the fewest pairs, and the rows of a band mostly share a weight.
+        by_size = np.argsort(-sizes, kind="stable")
+        self.reps, self.sizes = reps[by_size], sizes[by_size]
+        rank = np.empty(n, dtype=np.int64)
+        rank[self.reps] = np.arange(self.reps.size)
+        self.order = np.argsort(rank[rep], kind="stable")  # orbit by orbit, representative first
+        self.starts = np.cumsum(self.sizes) - self.sizes  # position of each orbit in self.order
+        self.blocks_scanned = self.pairs_scanned = 0
+
+    def blocks(self, tile: int):
+        """(rows, cols, weights): representatives, members and each pair's weight (0: skip)."""
+        n = self.order.size
+        for j0 in range(0, n, tile):
+            j1 = min(j0 + tile, n)
+            position = np.arange(j0, j1)
+            reached = int(np.searchsorted(self.starts, j1))  # orbits that start before j1
+            for i0 in range(0, reached, tile):
+                band = slice(i0, min(i0 + tile, reached))
+                start, size = self.starts[band, None], self.sizes[band, None]
+                weights = size * np.where(
+                    position < start, 0, np.where((position == start) | (position >= start + size), 2, 1)
+                )
+                rows, cols = self.reps[band], self.order[j0:j1]
+                self.blocks_scanned += 1
+                self.pairs_scanned += rows.size * cols.size
+                yield rows, cols, weights
+
+    def expand(self, i: np.ndarray, j: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """Rows (i, j, tau, k): every triple with i <= j in the orbit of triple k, sorted, once each.
+
+        A triple that was itself given keeps its own k: the identity comes first.
+        """
+        k = np.arange(i.size)
+        parts = []
+        for g in self.elements:
+            a, b, t = g.apply(i, j, tau, self.period)
+            parts += [np.stack([a, b, t, k], axis=1), np.stack([b, a, -t % self.period, k], axis=1)]
+        triples = np.concatenate(parts)
+        triples = triples[triples[:, 0] <= triples[:, 1]]
+        _, first = np.unique(triples[:, :3], axis=0, return_index=True)
+        return triples[first]
+
+
+class _ScanReducer:
+    """Folds weighted blocks into delta_max, witnesses, pair-bound hits and the histogram."""
+
+    def __init__(self, scan: _OrbitScan, degs: np.ndarray, sqrt_q: float, period: int):
+        self.scan = scan
+        self.degs = degs
+        self.sqrt_q = sqrt_q
+        self.period = period
+        self.delta_max = -1.0
+        self.witnesses: list[tuple] = []  # (i, j, tau, value)
+        self.violations: list[tuple] = []  # (i, j, tau, value, pair bound)
+        self.histogram = _HistogramAccumulator(period)
+
+    def add(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, weights: np.ndarray) -> None:
+        """One block: vals[a, b, tau] = |R(rows[a], cols[b], tau)|, counted weights[a, b] times.
+
+        Skipped pairs and each trivial shift are set to -1, below every magnitude.
+        """
+        own_a, own_b = np.nonzero(rows[:, None] == cols)
+        if np.any(np.abs(vals[own_a, own_b, 0] - self.period) > TOLERANCE):
+            raise InternalCheckError("trivial correlation does not equal the period")
+        vals[own_a, own_b, 0] = -1.0
+        skipped = weights == 0
+        vals[skipped] = -1.0
+        tile_max = float(vals.max())
+
+        pair_bound = (self.degs[rows][:, None] + self.degs[cols] - 1) * self.sqrt_q + 1.0
+        if tile_max > pair_bound.min() + TOLERANCE:
+            hits = np.argwhere(vals > (pair_bound + TOLERANCE)[:, :, None])
+            self.violations = _first(self.violations + self._expanded(rows, cols, vals, hits, pair_bound))
+
+        self.delta_max = max(self.delta_max, tile_max)
+        threshold = self.delta_max - _MATCH_TOL
+        if tile_max >= threshold:
+            hits = np.argwhere(vals >= threshold)
+            kept = [w for w in self.witnesses if w[3] >= threshold]
+            self.witnesses = _first(kept + self._expanded(rows, cols, vals, hits))
+
+        distinct = [w for w in np.flatnonzero(np.bincount(weights.ravel())).tolist() if w]
+        if len(distinct) == 1 and not own_a.size and not skipped.any():
+            self.histogram.add(vals, distinct[0])  # last use: overwrites vals
+            return
+        for weight in distinct:
+            picked = vals[weights == weight]
+            self.histogram.add(picked[picked >= 0.0] if own_a.size else picked, weight)
+
+    def _expanded(self, rows, cols, vals, hits, pair_bound=None) -> list[tuple]:
+        """The first WITNESS_CAP triples in the orbits of the hits, with their hit's value (and bound)."""
+        out: list[tuple] = []
+        for lo in range(0, len(hits), _EXPAND_CHUNK):
+            a, b, tau = hits[lo:lo + _EXPAND_CHUNK].T
+            triples = self.scan.expand(rows[a], cols[b], tau)[:WITNESS_CAP]
+            for i, j, t, k in triples.tolist():
+                entry = (i, j, t, float(vals[a[k], b[k], tau[k]]))
+                out.append(entry if pair_bound is None else entry + (float(pair_bound[a[k], b[k]]),))
+            out = _first(out)
+        return out
+
+    def histogram_counts(self) -> dict[float, int]:
+        doubled = self.histogram.result()
+        if any(count % 2 for count in doubled.values()):
+            raise InternalCheckError("symmetric correlation values fell into different histogram bins")
+        return {key: count // 2 for key, count in doubled.items()}
+
+
+def _same_column_ok(family: SequenceFamily, symbols: np.ndarray, degs: np.ndarray, sqrt_q: float) -> bool:
+    """Shift-0 correlation of every two members of one column, by one dot product each.
+
+    Members c*v_l and c'*v_l (c != c') reduce to a single polynomial, so the
+    bound is (d_l - 1) * sqrt(q) + 1.
+    """
+    c_arr = np.array([s.c for s in family.sequences], dtype=np.int64)
+    l_arr = np.array([s.l for s in family.sequences], dtype=np.int64)
+    by_column = np.argsort(l_arr, kind="stable")
+    starts = _run_starts(l_arr[by_column])
+    for members in np.split(by_column, starts[1:]):
+        if members.size < 2:
+            continue
+        phases = np.exp(2j * np.pi * (symbols[members] % family.M) / family.M)
+        dots = np.abs(phases @ phases.conj().T)
+        sharp = (degs[members[0]] - 1) * sqrt_q + 1.0
+        if np.any((c_arr[members][:, None] != c_arr[members]) & (dots > sharp + TOLERANCE)):
+            return False
+    return True
 
 
 def max_correlation(
@@ -209,11 +455,12 @@ def max_correlation(
 ) -> CorrelationReport:
     """Exhaustive scan of all nontrivial auto- and cross-correlations.
 
-    Deduplicates by conjugate symmetry: only ordered pairs with
-    (c1, l1) <= (c2, l2) are scanned, autocorrelations once. The scan runs
-    over (row tile x column tile) blocks of the upper triangle. The argmax
-    and pair_bound_violations lists are deterministic (lexicographic on
-    (c1, l1, c2, l2, tau)) and each capped at WITNESS_CAP entries.
+    Covers every unordered pair (autocorrelations once) at every shift, but
+    computes one member per orbit of the family's symmetry group (see
+    _OrbitScan) and weights its values. The argmax and
+    pair_bound_violations lists are the full scan's: each hit is expanded
+    through its orbit before the lists are sorted lexicographically on
+    (c1, l1, c2, l2, tau) in member order and capped at WITNESS_CAP entries.
     """
     if family.size < 1:
         raise ParameterError("family is empty")
@@ -223,62 +470,20 @@ def max_correlation(
     scanner = PairScanner(symbols, family.M, backend=backend, jobs=jobs)
     sqrt_q = math.sqrt(family.q)
     degs = family.degree_per_sequence()
-    c_arr = np.array([s.c for s in family.sequences], dtype=np.int64)
-    l_arr = np.array([s.l for s in family.sequences], dtype=np.int64)
-
-    delta_max = -1.0
-    witnesses: list[tuple] = []  # (i, j, tau, value)
-    violations: list[tuple] = []  # (i, j, tau, value, pair bound)
-    histogram = _HistogramAccumulator(period)
-    same_col_ok = True
-    tile = scanner.tile
-
-    for j0 in range(0, n, tile):
-        cols = np.arange(j0, min(j0 + tile, n))
-        for i0 in range(0, j0 + 1, tile):
-            rows = np.arange(i0, min(i0 + tile, n))
-            vals = scanner.correlations_abs(rows, cols)
-            diagonal = i0 == j0
-            if diagonal:
-                _mask_diagonal_tile(vals, period)
-            tile_max = float(vals.max())
-
-            pair_bound = (degs[rows][:, None] + degs[cols] - 1) * sqrt_q + 1.0
-            if tile_max > pair_bound.min() + TOLERANCE:
-                hits = np.argwhere(vals > (pair_bound + TOLERANCE)[:, :, None])[:WITNESS_CAP]
-                violations = _first(violations + [
-                    (int(rows[a]), int(cols[b]), int(tau), float(vals[a, b, tau]), float(pair_bound[a, b]))
-                    for a, b, tau in hits
-                ])
-
-            same_col = (l_arr[rows][:, None] == l_arr[cols]) & (c_arr[rows][:, None] != c_arr[cols])
-            if same_col_ok and same_col.any():
-                sharp = (degs[rows] - 1) * sqrt_q + 1.0
-                same_col_ok = not np.any(same_col & (vals[:, :, 0] > sharp[:, None] + TOLERANCE))
-
-            delta_max = max(delta_max, tile_max)
-            threshold = delta_max - _MATCH_TOL
-            if tile_max >= threshold:
-                new = [
-                    (int(rows[a]), int(cols[b]), int(tau), float(vals[a, b, tau]))
-                    for a, b, tau in np.argwhere(vals >= threshold)[:WITNESS_CAP]
-                ]
-                witnesses = _first([w for w in witnesses if w[3] >= threshold] + new)
-
-            histogram.add(vals[vals >= 0.0] if diagonal else vals)  # last use: overwrites vals
+    generators = _find_generators(symbols, family.M, degs, prime_factors(family.q)[0])
+    _spot_check(family.sequences, generators, period)
+    scan = _OrbitScan(generators, n, period)
+    reducer = _ScanReducer(scan, degs, sqrt_q, period)
+    for rows, cols, weights in scan.blocks(scanner.tile):
+        reducer.add(rows, cols, scanner.correlations_abs(rows, cols), weights)
 
     def labelled(i: int, j: int, tau: int, value: float) -> dict:
-        return {
-            "c1": int(c_arr[i]),
-            "l1": int(l_arr[i]),
-            "c2": int(c_arr[j]),
-            "l2": int(l_arr[j]),
-            "tau": tau,
-            "value": value,
-        }
+        a, b = family.sequences[i], family.sequences[j]
+        return {"c1": int(a.c), "l1": int(a.l), "c2": int(b.c), "l2": int(b.l), "tau": tau, "value": value}
 
     bound = (2 * family.d - 1) * sqrt_q + 1.0
-    counts = histogram.result()  # the last merge decides the resolution
+    counts = reducer.histogram_counts()  # the last merge decides the resolution
+    delta_max = reducer.delta_max
     return CorrelationReport(
         q=family.q,
         d=family.d,
@@ -288,43 +493,55 @@ def max_correlation(
         delta_max=delta_max,
         bound=bound,
         bound_ok=delta_max <= bound + TOLERANCE,
-        argmax=[labelled(*w) for w in witnesses],
+        argmax=[labelled(*w) for w in reducer.witnesses],
         histogram=counts,
-        histogram_resolution=1.0 / histogram.scale,
-        pair_bound_ok=not violations,
-        pair_bound_violations=[{**labelled(*v[:4]), "pair_bound": v[4]} for v in violations],
-        same_column_bound_ok=same_col_ok,
+        histogram_resolution=1.0 / reducer.histogram.scale,
+        pair_bound_ok=not reducer.violations,
+        pair_bound_violations=[{**labelled(*v[:4]), "pair_bound": v[4]} for v in reducer.violations],
+        same_column_bound_ok=_same_column_ok(family, symbols, degs, sqrt_q),
         backend=scanner.backend,
+        scan={
+            "symmetry_order": len(scan.elements),
+            "member_orbits": int(scan.reps.size),
+            "pairs_scanned": scan.pairs_scanned,
+            "pairs_represented": n * (n + 1) // 2,
+            "blocks": scan.blocks_scanned,
+        },
         elapsed=time.perf_counter() - start,
     )
 
 
-def _least_rotation(symbols: list) -> int:
-    """Start of the lexicographically least rotation, in O(P) comparisons.
+def _least_rotations(rows: np.ndarray) -> np.ndarray:
+    """Start of the lexicographically least rotation of every row, in O(P) steps.
 
-    Two-pointer minimum-expression scan (the bound of Booth 1980): at the
-    first mismatch after a common prefix of length k, the larger of the
-    candidates i, j is ruled out with every start inside its prefix.
+    Two-pointer minimum-expression scan (the bound of Booth 1980), run on
+    all rows in lockstep: at the first mismatch after a common prefix of
+    length k, the larger of the candidates i, j is ruled out with every
+    start inside its prefix.
     """
-    n, s = len(symbols), symbols * 2
-    i, j, k = 0, 1, 0
-    while i < n and j < n and k < n:
-        a, b = s[i + k], s[j + k]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            i += k + 1
-        else:
-            j += k + 1
-        if i == j:
-            j += 1
-        k = 0
-    return min(i, j)
+    count, n = rows.shape
+    doubled = np.concatenate([rows, rows], axis=1)
+    i, j, k = np.zeros(count, dtype=np.int64), np.ones(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
+    live = np.arange(count if n > 1 else 0)
+    while live.size:
+        ii, jj, kk = i[live], j[live], k[live]
+        a, b = doubled[live, ii + kk], doubled[live, jj + kk]
+        step = kk + 1
+        ii = np.where(a > b, ii + step, ii)
+        jj = np.where(a < b, jj + step, jj)
+        jj += ii == jj
+        kk = np.where(a == b, step, 0)
+        i[live], j[live], k[live] = ii, jj, kk
+        live = live[(ii < n) & (jj < n) & (kk < n)]
+    return np.minimum(i, j)
 
 
-def _canonical_rotation(symbols: np.ndarray) -> bytes:
-    return np.roll(symbols, -_least_rotation(symbols.tolist())).tobytes()
+def _rotation_keys(rows: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+    """Each row's least rotation as bytes, equal for exactly the shifts of a row, and its start."""
+    starts = _least_rotations(rows)
+    period = rows.shape[1]
+    canonical = np.take_along_axis(rows, (starts[:, None] + np.arange(period)) % period, axis=1)
+    return [row.tobytes() for row in canonical], starts
 
 
 def cyclic_inequivalence(family) -> tuple[bool, dict | None]:
@@ -335,9 +552,11 @@ def cyclic_inequivalence(family) -> tuple[bool, dict | None]:
     machinery.
     """
     sequences = family.sequences if isinstance(family, SequenceFamily) else tuple(family)
+    if not sequences:
+        return True, None
+    keys, _ = _rotation_keys(np.vstack([np.asarray(s.symbols, dtype=np.int64) for s in sequences]))
     buckets: dict[bytes, int] = {}
-    for idx, seq in enumerate(sequences):
-        key = _canonical_rotation(np.asarray(seq.symbols, dtype=np.int64))
+    for idx, (seq, key) in enumerate(zip(sequences, keys)):
         if key not in buckets:
             buckets[key] = idx
             continue

@@ -174,6 +174,8 @@ def count_report(q: int, d: int, M: int, ctx: FieldContext | None = None) -> Cou
         raise ParameterError(f"M must divide q-1 (q={q}, M={M})")
     if ctx is None:
         ctx = _field_of_order(q)
+    elif ctx.q != q:
+        raise ParameterError(f"field context has q={ctx.q}, not q={q}")
     lam, parts = _checked_lambda(ctx, d)
     lam_cosets = len(coset_representatives(q, d))
     if lam != lam_cosets:

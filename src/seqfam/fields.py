@@ -176,7 +176,7 @@ def _raw_pow(raw_mul, a: int, k: int) -> int:
     return out
 
 
-def _generator_tables(raw_mul, p: int, digits: int, ratio: int, target: int):
+def _generator_tables(raw_mul, p: int, digits: int, ratio: int, target: int, first: int = 1):
     """(g, exp, log) for the smallest-encoding primitive g with g**ratio == target.
 
     ratio = size-1 with target 1 asks only for a primitive element; an
@@ -185,11 +185,14 @@ def _generator_tables(raw_mul, p: int, digits: int, ratio: int, target: int):
     g0**k with gcd(k, size-1) = 1, so one pass over log_g0 finds the
     smallest encoding x = g0**k with k*ratio = log_g0(target), and its
     tables are g0's re-indexed by k. g is then rechecked by raw arithmetic.
+    The search for g0 starts at `first`: over a polynomial modulus the
+    encodings below the radix are the coefficient field, a proper subfield,
+    so none of them is primitive.
     """
     size = p**digits
     n = size - 1
     primes = prime_factors(n)
-    for g0 in range(1, size):
+    for g0 in range(first, size):
         if all(_raw_pow(raw_mul, g0, n // r) != 1 for r in primes) and _raw_pow(raw_mul, g0, n) == 1:
             break
     else:
@@ -392,7 +395,7 @@ def build_field(p: int, n: int, limit: int | None = None) -> FieldContext:
     if n == 1:
         return prime_ctx
     modulus = _smallest_irreducible(prime_ctx, n)
-    beta, exp, log = _generator_tables(_poly_mul(prime_ctx, modulus), p, n, q - 1, 1)
+    beta, exp, log = _generator_tables(_poly_mul(prime_ctx, modulus), p, n, q - 1, 1, first=p)
     return FieldContext(p, n, modulus, beta, exp, log)
 
 
@@ -410,7 +413,9 @@ def build_extension(base: FieldContext, d: int, limit: int | None = None) -> Ext
         raise TableLimitError(f"q**d={size} exceeds the table limit {table_limit(limit)}")
     modulus = _smallest_irreducible(base, d)
     ratio = (size - 1) // (base.q - 1)
-    alpha, exp, log = _generator_tables(_poly_mul(base, modulus), base.p, base.n * d, ratio, base.beta)
+    alpha, exp, log = _generator_tables(
+        _poly_mul(base, modulus), base.p, base.n * d, ratio, base.beta, first=base.q
+    )
     ext = ExtensionContext(base, d, modulus, alpha, exp, log)
     if int(ext.exp[ratio % (size - 1)]) != base.beta:
         raise InternalCheckError("norm(alpha) disagrees with beta after table build")

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import pytest
 
+from seqfam import correlation
 from seqfam.family import build_family
 from seqfam.fields import build_extension, build_field
 
@@ -47,3 +50,36 @@ def gf169(gf13):
 @pytest.fixture(scope="session")
 def fam16_m5(gf256):
     return build_family(gf256, 5)
+
+
+def _triangle_scan(family, **kwargs):
+    """max_correlation with no symmetry found: the plain upper-triangle scan."""
+    with mock.patch.object(correlation, "_find_generators", lambda *args: []):
+        return correlation.max_correlation(family, **kwargs)
+
+
+def _entry_keys(entries: list[dict]) -> list[tuple]:
+    return [(w["c1"], w["l1"], w["c2"], w["l2"], w["tau"], w.get("pair_bound")) for w in entries]
+
+
+def _assert_same_scan(orbit, triangle) -> None:
+    """The orbit scan reports what the triangle does; witness values may differ in the last bits."""
+    assert orbit.histogram == triangle.histogram
+    assert orbit.histogram_resolution == triangle.histogram_resolution
+    assert _entry_keys(orbit.argmax) == _entry_keys(triangle.argmax)
+    assert _entry_keys(orbit.pair_bound_violations) == _entry_keys(triangle.pair_bound_violations)
+    for a, b in zip(orbit.argmax + orbit.pair_bound_violations, triangle.argmax + triangle.pair_bound_violations):
+        assert abs(a["value"] - b["value"]) < 1e-12
+    assert f"{orbit.delta_max:.6f}" == f"{triangle.delta_max:.6f}"
+    verdicts = ("bound_ok", "pair_bound_ok", "same_column_bound_ok")
+    assert [getattr(orbit, v) for v in verdicts] == [getattr(triangle, v) for v in verdicts]
+
+
+@pytest.fixture(scope="session")
+def triangle_scan():
+    return _triangle_scan
+
+
+@pytest.fixture(scope="session")
+def assert_same_scan():
+    return _assert_same_scan

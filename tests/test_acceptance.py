@@ -101,6 +101,22 @@ def test_golden_delta_max_and_first_witness(family_reports):
         assert got == GOLDEN_SCANS[key], key
 
 
+def test_histogram_counts_every_pair_at_every_shift(family_reports):
+    for fam, report, _, _ in family_reports.values():
+        n = fam.size
+        assert sum(report.histogram.values()) == fam.period * n * (n + 1) // 2 - n
+
+
+# The orbit scan against the plain upper triangle. q=32 (about 23 s as a
+# triangle) is left to scripts; q=41 M=2 has no symmetry (M=2, prime q).
+@pytest.mark.parametrize("key", [(2, 4, 2, 3), (2, 4, 2, 5), (2, 4, 2, 15), (41, 1, 3, 4), (41, 1, 3, 8)])
+def test_orbit_scan_equals_triangle(family_reports, key, triangle_scan, assert_same_scan):
+    fam, report, _, _ = family_reports[key]
+    assert report.scan["symmetry_order"] == (8 if fam.q == 16 else 2)
+    assert report.scan["pairs_scanned"] < report.scan["pairs_represented"]
+    assert_same_scan(report, triangle_scan(fam))
+
+
 def test_criterion_2_per_pair_tight_bound(family_reports):
     ok = all(
         report.pair_bound_ok and report.same_column_bound_ok

@@ -20,8 +20,9 @@ from seqfam.correlation import (
     weil_bound,
 )
 from seqfam.columns import column_polynomial
-from seqfam.errors import ParameterError
+from seqfam.errors import InternalCheckError, ParameterError
 from seqfam.family import build_family
+from seqfam.fields import build_extension, build_field
 from seqfam.sequences import MSequence, sidelnikov_sequence
 
 
@@ -252,9 +253,11 @@ def _brute_least_rotation(symbols: list) -> list:
 
 
 def _check_least_rotation(symbols: list) -> None:
-    start = correlation._least_rotation(symbols)
-    assert 0 <= start < len(symbols)
-    assert symbols[start:] + symbols[:start] == _brute_least_rotation(symbols)
+    # The row, a rotation and the reversal, scanned in lockstep.
+    rows = [symbols, symbols[1:] + symbols[:1], symbols[::-1]]
+    for row, start in zip(rows, correlation._least_rotations(np.array(rows)).tolist()):
+        assert 0 <= start < len(row)
+        assert row[start:] + row[:start] == _brute_least_rotation(row)
 
 
 @settings(max_examples=300, deadline=None)
@@ -336,3 +339,105 @@ def test_coarse_bin_does_not_depend_on_when_a_value_is_scanned(monkeypatch):
             acc.add(np.array(batch))
         results.append(acc.result())
     assert results[0] == results[1] == {0.25: 1, 0.5: 1, 1.001: 1}
+
+
+def _histogram_total(family) -> int:
+    """P * N(N+1)/2 - N: every unordered pair at every shift, less the trivial ones."""
+    n = family.size
+    return family.period * n * (n + 1) // 2 - n
+
+
+def test_scan_counters(fam16_m5):
+    # D_2 has order 4 on t mod 15 and negation doubles it: 32 members, 4 orbits of 8.
+    report = max_correlation(fam16_m5)
+    assert report.to_dict()["scan"] == {
+        "symmetry_order": 8,
+        "member_orbits": 4,
+        "pairs_scanned": 4 * 32,
+        "pairs_represented": 32 * 33 // 2,
+        "blocks": 1,
+    }
+    assert sum(report.histogram.values()) == _histogram_total(fam16_m5)
+
+
+@pytest.mark.parametrize("p, n, M, order", [(3, 3, 13, 6), (3, 3, 26, 6), (13, 1, 12, 2), (13, 1, 4, 2)])
+def test_orbit_scan_equals_triangle_relaxed_d2(p, n, M, order, triangle_scan, assert_same_scan):
+    family = build_family(build_extension(build_field(p, n), 2), M, "relaxed-d2")
+    report = max_correlation(family)
+    assert report.scan["symmetry_order"] == order
+    assert sum(report.histogram.values()) == _histogram_total(family)
+    assert_same_scan(report, triangle_scan(family))
+
+
+def _relabelled(family, seed: int, tamper: bool):
+    """Seeded member order and per-column shifts; optionally one member and its negation altered."""
+    rng = np.random.default_rng(seed)
+    shifts = {l: int(rng.integers(family.period)) for l in family.used_columns}
+    members = [family.sequences[i] for i in rng.permutation(family.size)]
+    members = [s.shifted(shifts[s.l]) for s in members]
+    if tamper:
+        k = int(rng.integers(family.size))
+        x = members[k].symbols
+        mate = next(i for i, s in enumerate(members) if np.array_equal(s.symbols, -x % family.M))
+        altered = x.copy()
+        altered[int(rng.integers(family.period))] += 1
+        altered %= family.M
+        members[k] = dataclasses.replace(members[k], symbols=altered)
+        members[mate] = dataclasses.replace(members[mate], symbols=-altered % family.M)
+    return _with_members(family, members)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), tamper=st.booleans())
+@example(seed=0, tamper=True)
+def test_orbit_scan_equals_triangle_on_relabelled_families(fam16_m5, seed, tamper, triangle_scan, assert_same_scan):
+    family = _relabelled(fam16_m5, seed, tamper)
+    report = max_correlation(family)
+    # An altered member and its negation break the decimation but keep the negation.
+    assert report.scan["symmetry_order"] == (2 if tamper else 8)
+    assert sum(report.histogram.values()) == _histogram_total(family)
+    assert_same_scan(report, triangle_scan(family))
+
+
+def test_orbit_scan_expands_pair_bound_violations(fam16_m5, triangle_scan, assert_same_scan):
+    # Degree 1 everywhere: the pair bound drops to 5 and most pairs break it.
+    family = dataclasses.replace(fam16_m5, coset_sizes={l: 1 for l in fam16_m5.used_columns})
+    report = max_correlation(family)
+    assert report.scan["symmetry_order"] == 8
+    assert len(report.pair_bound_violations) == WITNESS_CAP
+    assert not report.same_column_bound_ok
+    assert_same_scan(report, triangle_scan(family))
+    _assert_first_violation_recomputes(family, report)
+
+
+def test_offset_off_by_one_fails_the_spot_check(fam16_m5, monkeypatch):
+    find = correlation._find_generators
+
+    def skewed(*args):
+        first, *rest = find(*args)
+        offset = first.offset.copy()
+        offset[::2] = (offset[::2] + 1) % fam16_m5.period  # every other member
+        return [dataclasses.replace(first, offset=offset)] + rest
+
+    monkeypatch.setattr(correlation, "_find_generators", skewed)
+    with pytest.raises(InternalCheckError, match="symmetry check failed"):
+        max_correlation(fam16_m5)
+
+
+@pytest.mark.parametrize("extra", [1, 2])
+def test_weight_off_by_one_fails_the_histogram_total(fam16_m5, monkeypatch, extra):
+    # One pair's weight off by one in doubled units (extra=1) or in pairs (extra=2).
+    blocks = correlation._OrbitScan.blocks
+
+    def skewed(self, tile):
+        for rows, cols, weights in blocks(self, tile):
+            weights = weights.copy()
+            weights[0, -1] += extra
+            yield rows, cols, weights
+
+    monkeypatch.setattr(correlation._OrbitScan, "blocks", skewed)
+    try:
+        total = sum(max_correlation(fam16_m5).histogram.values())
+    except InternalCheckError:
+        total = None
+    assert total != _histogram_total(fam16_m5)

@@ -146,3 +146,8 @@ def test_oracle_degree_one(gf13):
     counts = constant_term_counts(gf13, 1)
     # x + c has constant c = -b, every nonzero b appears exactly once
     assert counts == {b: 1 for b in range(1, 13)}
+
+
+def test_count_report_rejects_a_field_of_another_order(gf13):
+    with pytest.raises(ParameterError, match="q=13, not q=16"):
+        count_report(16, 2, 5, gf13)

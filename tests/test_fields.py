@@ -121,6 +121,18 @@ def test_generator_search_rejects(p, modulus, ratio, target, message):
         fields._generator_tables(raw_mul, p, 2, ratio, target)
 
 
+def test_extension_generator_search_skips_the_base_field(monkeypatch):
+    # Encodings 1..976 of GF(977^2) are GF(977) itself, which holds no primitive.
+    base = build_field(977, 1)
+    candidates = []
+    raw_pow = fields._raw_pow
+    monkeypatch.setattr(fields, "_raw_pow", lambda raw_mul, a, k: candidates.append(a) or raw_pow(raw_mul, a, k))
+    ext = build_extension(base, 2)
+    assert ext.alpha == GOLDEN_CONSTRUCTIONS[(977, 1, 2)][1]
+    assert min(candidates) >= 977
+    assert len(candidates) == 15  # 991 when the search started at 1
+
+
 def test_generator_search_checks_tables_by_raw_arithmetic(monkeypatch, gf25):
     build_exp, base = fields._exp_table, build_field(5, 1)
 

@@ -33,17 +33,32 @@ def test_run_reads_kernel_names():
     assert isinstance(seqfam.kernels.default_backend(), str)
 
 
-def test_traced_scan_counts_every_tile(fam16_m5, monkeypatch):
-    monkeypatch.setattr(seqfam.kernels, "TILE_ELEMENTS", 15 * 8 * 8)  # tiles of 8 rows
-    original = seqfam.correlation.max_correlation
+def _traced_scan(family):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        report = seqfam.correlation.max_correlation(fam16_m5)
+        report = seqfam.correlation.max_correlation(family)
     finally:
         tracer.uninstall()
+    return tracer, report
+
+
+def test_traced_scan_counts_every_tile(fam16_m5, monkeypatch):
+    monkeypatch.setattr(seqfam.kernels, "TILE_ELEMENTS", 15 * 8 * 8)  # tiles of 8 rows
+    original = seqfam.correlation.max_correlation
+    tracer, report = _traced_scan(fam16_m5)
+    # The orbit scan: 4 orbits of 8, one column tile each; column tile k
+    # meets the representatives of orbits 0..k. The tracer sees exactly the
+    # blocks the report counts.
+    assert (report.scan["symmetry_order"], report.scan["member_orbits"]) == (8, 4)
+    assert tracer.counts["kernels.blocks"] == report.scan["blocks"] == 4
+    assert tracer.counts["kernels.shifts"] == report.scan["pairs_scanned"] * 15 == (1 + 2 + 3 + 4) * 8 * 15
+    assert tracer.counts["correlation.witnesses"] == len(report.argmax)
+    # The trivial group: the plain upper triangle.
+    monkeypatch.setattr(seqfam.correlation, "_find_generators", lambda *args: [])
+    tracer, report = _traced_scan(fam16_m5)
     tiles = 4 * 5 // 2  # 32 members: 4 tiles a side, upper triangle
-    assert tracer.counts["kernels.blocks"] == tiles
+    assert tracer.counts["kernels.blocks"] == report.scan["blocks"] == tiles
     assert tracer.counts["kernels.shifts"] == tiles * 8 * 8 * 15
     assert tracer.counts["correlation.witnesses"] == len(report.argmax)
     assert seqfam.correlation.max_correlation is original

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqfam.errors import ParameterError
 from seqfam.sequences import (
@@ -159,3 +161,34 @@ def test_shifted():
     seq = MSequence(np.array([0, 1, 2, 3]), 4, 4, "column", 5)
     assert list(seq.shifted(1).symbols) == [1, 2, 3, 0]
     assert list(seq.shifted(4).symbols) == [0, 1, 2, 3]
+
+
+@st.composite
+def _exported(draw):
+    M = draw(st.integers(2, 1000))
+    length = draw(st.integers(1, 300))
+    return MSequence(
+        np.array(draw(st.lists(st.integers(0, M - 1), min_size=length, max_size=length))),
+        length,
+        M,
+        "imported",
+        draw(st.integers(2, 1 << 24)),
+        draw(st.integers(1, 8)),
+        draw(st.one_of(st.just(-1), st.integers(0, 1 << 20))),
+        draw(st.integers(0, M - 1)),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_exported(), min_size=1, max_size=4))
+@example([MSequence(np.array([0]), 1, 2, "imported", 2, 1, -1, 1)])
+def test_export_roundtrip_random(seqs):
+    buf = io.StringIO()
+    write_sequences(buf, seqs)
+    back = read_sequences(io.StringIO(buf.getvalue()))
+    assert len(back) == len(seqs)
+    for orig, parsed in zip(seqs, back):
+        assert np.array_equal(orig.symbols, parsed.symbols)
+        assert (parsed.period, parsed.q, parsed.d, parsed.M, parsed.l, parsed.c) == (
+            orig.period, orig.q, orig.d, orig.M, orig.l, orig.c,
+        )
