@@ -32,7 +32,7 @@ from .sequences import MSequence
 TOLERANCE = 1e-6
 WITNESS_CAP = 100
 _MATCH_TOL = 1e-9
-SPOT_CHECKS = 16  # seeded (i, j, tau) samples per symmetry generator
+_SPOT_CHECKS = 16  # seeded (i, j, tau) samples per symmetry generator
 _SPOT_CHECK_SEED = 2010
 _EXPAND_CHUNK = 1 << 16  # hits expanded through their orbits at a time
 
@@ -267,7 +267,7 @@ def _spot_check(sequences, generators: list[_TripleMap], period: int) -> None:
     rng = np.random.default_rng(_SPOT_CHECK_SEED)
     n = len(sequences)
     for g in generators:
-        for i, j, tau in rng.integers(0, [n, n, period], size=(SPOT_CHECKS, 3)).tolist():
+        for i, j, tau in rng.integers(0, [n, n, period], size=(_SPOT_CHECKS, 3)).tolist():
             a, b, t = (int(x) for x in g.apply(i, j, tau, period))
             lhs = abs(cross_correlation(sequences[i], sequences[j], tau))
             rhs = abs(cross_correlation(sequences[a], sequences[b], t))
