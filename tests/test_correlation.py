@@ -410,6 +410,17 @@ def test_orbit_scan_expands_pair_bound_violations(fam16_m5, triangle_scan, asser
     _assert_first_violation_recomputes(family, report)
 
 
+def test_generator_that_changes_a_pair_bound_degree_is_dropped(fam16_m5, triangle_scan, assert_same_scan):
+    # One column of degree 1: the decimation moves it onto columns of degree 2,
+    # the negation keeps it. Its low pair bound makes hits the decimation must not spread.
+    first = fam16_m5.used_columns[0]
+    family = dataclasses.replace(fam16_m5, coset_sizes={**fam16_m5.coset_sizes, first: 1})
+    report = max_correlation(family)
+    assert report.scan["symmetry_order"] == 2
+    assert report.pair_bound_violations
+    assert_same_scan(report, triangle_scan(family))
+
+
 def test_offset_off_by_one_fails_the_spot_check(fam16_m5, monkeypatch):
     find = correlation._find_generators
 
