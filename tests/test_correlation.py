@@ -410,6 +410,39 @@ def test_orbit_scan_expands_pair_bound_violations(fam16_m5, triangle_scan, asser
     _assert_first_violation_recomputes(family, report)
 
 
+@pytest.mark.parametrize("tile_elements", [60, 240])
+def test_orbits_that_cross_column_tiles_report_each_triple_once(
+    fam16_m5, tile_elements, triangle_scan, assert_same_scan
+):
+    # Tiles of 2 or 4 columns split the orbits of 8, so triples of one orbit
+    # are hits in several blocks and each expands to the whole orbit.
+    family = dataclasses.replace(fam16_m5, coset_sizes={l: 1 for l in fam16_m5.used_columns})
+    with mock.patch.object(kernels, "TILE_ELEMENTS", tile_elements):
+        report = max_correlation(family)
+        assert report.scan["blocks"] > 1
+        assert_same_scan(report, triangle_scan(family))
+    assert len(report.pair_bound_violations) == WITNESS_CAP
+
+
+@pytest.mark.parametrize("p, n, M, policy", [(2, 4, 5, "strict"), (3, 3, 26, "relaxed-d2")])
+def test_histogram_total_survives_last_bit_noise(p, n, M, policy, monkeypatch):
+    # Noise across the 1e-6 bin edges: a value and the orbit mate that the
+    # scan does not compute may round to different keys, so the total must
+    # not rely on the two landing in one bin. q=27 M=26 has orbits of 3.
+    family = build_family(build_extension(build_field(p, n), 2), M, policy)
+    rng = np.random.default_rng(7)
+    exact = kernels.PairScanner.correlations_abs
+
+    def noisy(self, rows, cols):
+        vals = exact(self, rows, cols)
+        return vals + rng.uniform(0.0, 1e-6, size=vals.shape)  # |R| stays >= 0
+
+    monkeypatch.setattr(kernels.PairScanner, "correlations_abs", noisy)
+    report = max_correlation(family)
+    assert report.scan["symmetry_order"] > 1
+    assert sum(report.histogram.values()) == _histogram_total(family)
+
+
 def test_generator_that_changes_a_pair_bound_degree_is_dropped(fam16_m5, triangle_scan, assert_same_scan):
     # One column of degree 1: the decimation moves it onto columns of degree 2,
     # the negation keeps it. Its low pair bound makes hits the decimation must not spread.
@@ -437,7 +470,7 @@ def test_offset_off_by_one_fails_the_spot_check(fam16_m5, monkeypatch):
 
 @pytest.mark.parametrize("extra", [1, 2])
 def test_weight_off_by_one_fails_the_histogram_total(fam16_m5, monkeypatch, extra):
-    # One pair's weight off by one in doubled units (extra=1) or in pairs (extra=2).
+    # One pair's weight off by one (extra=1) or by two (extra=2).
     blocks = correlation._OrbitScan.blocks
 
     def skewed(self, tile):
