@@ -424,6 +424,30 @@ def test_orbits_that_cross_column_tiles_report_each_triple_once(
     assert len(report.pair_bound_violations) == WITNESS_CAP
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_representative_with_a_stabilizer_reports_each_triple_once(seed, triangle_scan, assert_same_scan):
+    # q=25, period 24: r is fixed by the negation, j by the decimation t -> 5t,
+    # so (r, j, tau) and (r, -j, tau') lie in one orbit. With tiles of one
+    # column both are hits in different blocks and expand to the same triples.
+    fam = build_family(build_extension(build_field(5, 2), 2), 8, "relaxed-d2")
+    P, M = fam.period, fam.M
+    rng = np.random.default_rng(seed)
+    half = rng.integers(0, M, P // 2)
+    r = np.concatenate([half, -half % M])
+    t = np.arange(P)
+    j = rng.integers(0, M, P)[np.minimum(t, 5 * t % P)]
+    rows = [r, r[5 * t % P], j, -j % M]
+    members = [dataclasses.replace(fam.sequences[0], symbols=s, c=1, l=l) for s, l in zip(rows, fam.used_columns)]
+    family = dataclasses.replace(
+        fam, sequences=tuple(members), coset_sizes={l: 1 for l in fam.used_columns}
+    )
+    with mock.patch.object(kernels, "TILE_ELEMENTS", P):
+        report = max_correlation(family)
+        assert report.scan["symmetry_order"] == 4 and report.scan["member_orbits"] == 2
+        assert report.pair_bound_violations
+        assert_same_scan(report, triangle_scan(family))
+
+
 @pytest.mark.parametrize("p, n, M, policy", [(2, 4, 5, "strict"), (3, 3, 26, "relaxed-d2")])
 def test_histogram_total_survives_last_bit_noise(p, n, M, policy, monkeypatch):
     # Noise across the 1e-6 bin edges: a value and the orbit mate that the
