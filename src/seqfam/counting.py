@@ -198,15 +198,27 @@ def count_report(q: int, d: int, M: int, ctx: FieldContext | None = None) -> Cou
 # -- brute-force oracle: enumerate and test every monic polynomial -----------
 
 
+def _operation_tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q x q addition and multiplication tables and the p-th power map of ctx.
+
+    Built once from the context's own array arithmetic, so a gather
+    add[a, b] is ctx.add_arr(a, b), and likewise for mul and pow_arr(a, p).
+    """
+    elements = np.arange(ctx.q, dtype=np.int64)
+    rows, cols = elements[:, None], elements[None, :]
+    return ctx.add_arr(rows, cols), ctx.mul_arr(rows, cols), ctx.pow_arr(elements, ctx.p)
+
+
 def constant_term_counts(ctx: FieldContext, f: int, limit: int = 1 << 20) -> dict[int, int]:
     """Count monic irreducibles of degree f by constant term, by enumeration.
 
     Candidates are filtered with a batched x**(q**f) == x test (Frobenius
     steps use the freshman's-dream p-th power plus a vectorized reduction
-    against each candidate modulus), then all survivors are confirmed at
-    once with the gcd conditions by polys.coprime_rows. Returns {b: count},
-    sorted by b, keyed by the element b with constant term (-1)**f * b.
-    Independent of the counting formulas above.
+    against each candidate modulus, both as gathers into the tables of
+    _operation_tables), then all survivors are confirmed at once with the
+    gcd conditions by polys.coprime_rows. Returns {b: count}, sorted by b,
+    keyed by the element b with constant term (-1)**f * b. Independent of
+    the counting formulas above.
     """
     if f < 1:
         raise ParameterError("f must be >= 1")
@@ -222,6 +234,7 @@ def constant_term_counts(ctx: FieldContext, f: int, limit: int = 1 << 20) -> dic
     coeffs = coeffs[coeffs[:, 0] != 0]  # zero constant term means divisible by x
     rows = coeffs.shape[0]
     neg_coeffs = ctx.neg_arr(coeffs)
+    add, mul, frobenius = _operation_tables(ctx)
 
     width = (f - 1) * p + 1
     x_power = np.zeros((rows, f), dtype=np.int64)
@@ -230,15 +243,12 @@ def constant_term_counts(ctx: FieldContext, f: int, limit: int = 1 << 20) -> dic
     snapshots: dict[int, np.ndarray] = {}
     for step in range(1, n * f + 1):
         spread = np.zeros((rows, width), dtype=np.int64)
-        spread[:, ::p] = ctx.pow_arr(x_power, p)
+        spread[:, ::p] = frobenius[x_power]
         for k in range(width - 1, f - 1, -1):
             lead = spread[:, k]
             if not lead.any():
                 continue
-            spread[:, k - f : k] = ctx.add_arr(
-                spread[:, k - f : k], ctx.mul_arr(lead[:, None], neg_coeffs)
-            )
-            spread[:, k] = 0
+            spread[:, k - f : k] = add[spread[:, k - f : k], mul[lead[:, None], neg_coeffs]]
         x_power = spread[:, :f].copy()
         if step in snapshot_steps:
             snapshots[snapshot_steps[step]] = x_power.copy()
@@ -308,8 +318,8 @@ def cyclotomic_factors(ext: ExtensionContext, deep: bool = False) -> list[tuple[
             raise InternalCheckError("orbit factor is not monic")
         if coeff.max() >= q:
             raise InternalCheckError("orbit factor has coefficients outside the base field")
-        for row, rep in zip(coeff, sorted_reps[starts[sel]]):
-            factors[int(rep)] = tuple(int(c) for c in row)
+        for row, rep in zip(coeff.tolist(), sorted_reps[starts[sel]].tolist()):
+            factors[rep] = tuple(row)
 
     ordered = [factors[rep] for rep in sorted(factors)]
     if len(set(ordered)) != len(ordered):

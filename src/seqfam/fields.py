@@ -11,6 +11,12 @@ to 1 at zero). Construction is deterministic: the modulus polynomial is
 the lexicographically smallest monic irreducible (coefficients compared
 low-degree first) and the generator is the smallest-encoding element that
 satisfies the required order (and norm, for extensions) conditions.
+
+The tables are built without per-element polynomial arithmetic: exp is
+filled by block doubling, each round a GF(p)-linear map applied through
+lookup tables of at most 2**12 entries (see _exp_table), and log is its
+inverse permutation. Raw polynomial arithmetic finds the generator and
+rechecks it against the finished tables.
 """
 
 import itertools
@@ -49,6 +55,23 @@ def _pack(digit_rows: np.ndarray, p: int) -> np.ndarray:
     return digit_rows @ powers
 
 
+def _add_digits(a, b, p: int, digits: int):
+    """Digitwise sum mod p of packed elements: Python ints or integer arrays.
+
+    Every step is an operator that both support; for p = 2 it is one XOR.
+    """
+    if p == 2:
+        return a ^ b
+    if digits == 1:
+        return (a + b) % p
+    out, shift = 0, 1
+    for _ in range(digits):
+        out = out + (a + b) % p * shift
+        a, b = a // p, b // p
+        shift *= p
+    return out
+
+
 class _TableField:
     """Shared scalar/vector arithmetic over precomputed exp/log tables."""
 
@@ -59,21 +82,10 @@ class _TableField:
     log: np.ndarray
 
     # -- additive structure (digitwise mod p) --------------------------------
-    # add and neg take Python ints or int64 arrays: every step below is an
-    # operator that both support.
+    # add and neg take Python ints or int64 arrays.
 
     def add(self, a, b):
-        p = self.p
-        if p == 2:
-            return a ^ b
-        if self.digits == 1:
-            return (a + b) % p
-        out, shift = 0, 1
-        for _ in range(self.digits):
-            out = out + (a + b) % p * shift
-            a, b = a // p, b // p
-            shift *= p
-        return out
+        return _add_digits(a, b, self.p, self.digits)
 
     def neg(self, a):
         p = self.p
@@ -123,8 +135,11 @@ class _TableField:
 
     def pow_arr(self, a, k: int):
         a = np.asarray(a, dtype=np.int64)
+        zero = a == 0
+        if k < 0 and zero.any():
+            raise ZeroDivisionError("negative power of 0")
         idx = (self.log[a] * (k % (self.size - 1))) % (self.size - 1)
-        return np.where(a != 0, self.exp[idx], 0)
+        return np.where(zero, int(k == 0), self.exp[idx])
 
     def dlog(self, x: int) -> int:
         """Discrete log of x base the context generator, with dlog(0) = 0."""
@@ -145,23 +160,49 @@ class _TableField:
             raise InternalCheckError("log(0) must be 0")
 
 
+_CHUNK = 1 << 12  # entries per lookup table in _exp_table
+
+
 def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray:
     """exp[t] = beta**t for 0 <= t < size-1, filled by block doubling.
 
-    Each round multiplies the known block by the constant c = beta**filled,
-    which is a GF(p)-linear map on packed digits, so the whole block is
-    one integer matmul: row j of its matrix holds the digits of c * p**j.
+    Each round multiplies the known block by the constant c = beta**filled.
+    That map is GF(p)-linear on packed digits, so it is applied by lookup:
+    the digits are cut into slices of w digits, w as large as keeps
+    p**w <= 2**12, and the value v of the slice at digit lo is read in
+    radix-2**12 chunks u (one chunk unless a single digit exceeds 2**12,
+    and then w = 1, so v is a scalar mod p). Chunk k maps through a table
+    of c * ((u * 2**(12k) mod p**w) * p**lo), built from the images
+    c * p**j of the digit basis. The block's image is one gather per chunk,
+    summed with the field's digitwise add in a small integer type.
     """
+    width = 1
+    while width < digits and p ** (width + 1) <= _CHUNK:
+        width += 1
+    keys = []  # (lo, w, k, digit rows of the slice values the chunk's entries stand for)
+    for lo in range(0, digits, width):
+        w = min(width, digits - lo)
+        k = 0
+        while _CHUNK**k < p**w:
+            values = np.arange(min(_CHUNK, -(-(p**w) // _CHUNK**k)), dtype=np.int64) * _CHUNK**k
+            keys.append((lo, w, k, _unpack(values, p, w)))  # w = 1 when k > 0: digit mod p
+            k += 1
+    small = np.min_scalar_type(-2 * max(size, _CHUNK))  # holds a + b and every chunk
     n = size - 1
     exp = np.empty(n, dtype=np.int64)
     exp[0] = 1
     filled = 1
     while filled < n:
         c = raw_mul(int(exp[filled - 1]), beta)
-        mat = _unpack(np.array([raw_mul(c, p**j) for j in range(digits)], dtype=np.int64), p, digits)
+        basis = _unpack(np.array([raw_mul(c, p**j) for j in range(digits)], dtype=np.int64), p, digits)
         take = min(filled, n - filled)
-        block = _unpack(exp[:take], p, digits)
-        exp[filled : filled + take] = _pack((block @ mat) % p, p)
+        block = exp[:take].astype(small)
+        image = 0
+        for lo, w, k, span in keys:
+            table = _pack((span @ basis[lo : lo + w]) % p, p).astype(small)
+            chunk = block % p ** (lo + w) // (p**lo * _CHUNK**k) % _CHUNK
+            image = _add_digits(image, table[chunk], p, digits)
+        exp[filled : filled + take] = image
         filled += take
     return exp
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from seqfam.counting import (
+    _operation_tables,
     a_f_set,
     asymptotic_size,
     constant_term_counts,
@@ -151,3 +152,14 @@ def test_oracle_degree_one(gf13):
 def test_count_report_rejects_a_field_of_another_order(gf13):
     with pytest.raises(ParameterError, match="q=13, not q=16"):
         count_report(16, 2, 5, gf13)
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (2, 4)])
+def test_oracle_operation_tables(p, n):
+    ctx = build_field(p, n)
+    add, mul, frobenius = _operation_tables(ctx)
+    for a in range(ctx.q):
+        assert frobenius[a] == ctx.pow_(a, p)
+        for b in range(ctx.q):
+            assert add[a, b] == ctx.add(a, b)
+            assert mul[a, b] == ctx.mul(a, b)

@@ -106,6 +106,43 @@ def test_golden_construction(key):
     assert hashlib.sha256(ctx.exp.astype("<i8").tobytes()).hexdigest()[:16] == exp_sha
 
 
+# sha256 of exp as little-endian int64, in full, for two of the benchmark's fields.
+EXP_DIGESTS = {
+    (2, 1, 20): "4cb1763d286d33f42814e96b18116a3f53b823240feed3677dbcb0bcef577222",
+    (3, 6, 2): "0b5eec8bacf50621c9b9b637df62a88281cadf3bb76ed675ea7a8137e8f8227a",
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXP_DIGESTS))
+def test_exp_table_digest(key):
+    ext = build_extension(build_field(*key[:2]), key[2])
+    assert hashlib.sha256(ext.exp.astype("<i8").tobytes()).hexdigest() == EXP_DIGESTS[key]
+
+
+@pytest.mark.parametrize(
+    "p, n, d",
+    [
+        (2, 13, 1),  # p = 2: slices of 12 digits and 1, summed by XOR
+        (3, 4, 2),  # 8 digits over GF(81): slices of 7 and 1
+        (97, 1, 2),  # one-digit slices with 97-entry tables
+        (32749, 1, 1),  # a digit above 2**12, read in two chunks; a + b overflows int16
+    ],
+)
+def test_exp_table_equals_raw_multiplication_chain(p, n, d):
+    ctx = build_field(p, n)
+    if d > 1:
+        ctx = build_extension(ctx, d)
+        g, raw_mul = ctx.alpha, fields._poly_mul(ctx.base, ctx.modulus)
+    elif n > 1:
+        g, raw_mul = ctx.beta, fields._poly_mul(build_field(p, 1), ctx.modulus)
+    else:
+        g, raw_mul = ctx.beta, lambda a, b: a * b % p
+    chain = [1]
+    for _ in range(ctx.size - 2):
+        chain.append(raw_mul(chain[-1], g))
+    assert fields._exp_table(ctx.size, g, raw_mul, p, ctx.digits).tolist() == chain
+
+
 @pytest.mark.parametrize(
     "p, modulus, ratio, target, message",
     [
@@ -217,6 +254,16 @@ def test_scalar_and_array_ops_agree(gf25):
         assert add_vec[i] == ext.add(int(a[i]), int(b[i]))
         assert mul_vec[i] == ext.mul(int(a[i]), int(b[i]))
         assert neg_vec[i] == ext.neg(int(a[i]))
+    a[0] = 0
+    for k in (-1, 0, 1, ext.p, ext.size - 2):
+        if k < 0:
+            with pytest.raises(ZeroDivisionError):
+                ext.pow_arr(a, k)
+            with pytest.raises(ZeroDivisionError):
+                ext.pow_(0, k)
+        xs = a[a != 0] if k < 0 else a
+        assert ext.pow_arr(xs, k).tolist() == [ext.pow_(int(x), k) for x in xs]
+    assert ext.pow_arr([0], 0).tolist() == [1]
 
 
 def test_inverse_and_order(gf16):
