@@ -5,7 +5,7 @@ closed form sums Euler-phi values over divisor sets of q**e - 1, and a
 second route goes through the per-constant-term irreducible counts. Both
 are computed independently and compared; a disagreement is an internal
 bug, never a valid outcome. The independent oracle enumerates every monic
-polynomial and tests irreducibility outright.
+polynomial and sieves out the products of lower-degree irreducibles.
 """
 
 import math
@@ -18,7 +18,7 @@ from .columns import coset_minima
 from .errors import InternalCheckError, ParameterError
 from .family import coset_representatives
 from .fields import ExtensionContext, FieldContext, build_field
-from .intmath import as_prime_power, divisors, euler_phi, mobius, prime_factors
+from .intmath import as_prime_power, divisors, euler_phi, mobius
 
 
 def a_f_set(q: int, f: int) -> list[tuple[int, int, int]]:
@@ -42,8 +42,8 @@ def a_f_set(q: int, f: int) -> list[tuple[int, int, int]]:
 
 def yucas_count(ctx: FieldContext, f: int, b: int) -> int:
     """Number of monic irreducible degree-f polynomials with constant term (-1)**f * b."""
-    if b == 0:
-        raise ParameterError("b must be a nonzero field element")
+    if not 1 <= b < ctx.q:
+        raise ParameterError(f"b must be a nonzero field element, in [1, {ctx.q}), not {b}")
     m = ctx.order(b)
     total = sum(euler_phi(r) for r, _, mrf in a_f_set(ctx.q, f) if mrf == m)
     denom = f * euler_phi(m)
@@ -195,74 +195,80 @@ def count_report(q: int, d: int, M: int, ctx: FieldContext | None = None) -> Cou
     )
 
 
-# -- brute-force oracle: enumerate and test every monic polynomial -----------
+# -- brute-force oracle: sieve every monic polynomial by its factors ---------
 
 
-def _operation_tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """q x q addition and multiplication tables and the p-th power map of ctx.
+def _operation_tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
+    """q x q addition and multiplication tables of ctx.
 
-    Built once from the context's own array arithmetic, so a gather
-    add[a, b] is ctx.add_arr(a, b), and likewise for mul and pow_arr(a, p).
+    Built from the context's own array arithmetic, so a gather add[a, b]
+    is ctx.add_arr(a, b), and likewise for mul.
     """
     elements = np.arange(ctx.q, dtype=np.int64)
     rows, cols = elements[:, None], elements[None, :]
-    return ctx.add_arr(rows, cols), ctx.mul_arr(rows, cols), ctx.pow_arr(elements, ctx.p)
+    return ctx.add_arr(rows, cols), ctx.mul_arr(rows, cols)
+
+
+def _monic_coefficients(encodings: np.ndarray, degree: int, q: int) -> np.ndarray:
+    """Coefficients of monic polynomials of this degree from their low-coefficient encodings.
+
+    Row i holds the coefficient of x**i (the last row is the leading 1),
+    one column per base-q encoding, constant term least significant.
+    """
+    coeffs = np.ones((degree + 1, encodings.size), dtype=np.int64)
+    for i in range(degree):  # row by row, so no temporary is degree rows tall
+        coeffs[i] = encodings // q**i % q
+    return coeffs
+
+
+def _reducible_mask(ctx: FieldContext, g: int, irreducible: dict[int, np.ndarray]) -> np.ndarray:
+    """Mask over the base-q encodings of the monic degree-g polynomials.
+
+    Marks every product a*b of a monic irreducible a of degree k <= g/2,
+    read from irreducible[k], and a monic b of degree g-k; these are
+    exactly the reducible ones.
+    """
+    q = ctx.q
+    # built per sieved degree: q*q <= q**f <= limit, and a sieve of several
+    # degrees has f >= 4, so there q*q <= limit**0.5
+    add, mul = _operation_tables(ctx)
+    reducible = np.zeros(q**g, dtype=bool)
+    for k in range(1, g // 2 + 1):
+        a = _monic_coefficients(np.flatnonzero(irreducible[k]), k, q)
+        b = _monic_coefficients(np.arange(q ** (g - k)), g - k, q)
+        encoding = np.zeros((a.shape[1], b.shape[1]), dtype=np.int64)
+        for i in range(g):  # coefficient i of a*b; coefficient g is the leading 1
+            coeff = np.zeros_like(encoding)
+            for j in range(max(0, i - (g - k)), min(k, i) + 1):
+                coeff = add[coeff, mul[a[j][:, None], b[i - j][None, :]]]
+            encoding += coeff * q**i
+        reducible[encoding] = True
+    return reducible
 
 
 def constant_term_counts(ctx: FieldContext, f: int, limit: int = 1 << 20) -> dict[int, int]:
     """Count monic irreducibles of degree f by constant term, by enumeration.
 
-    Candidates are filtered with a batched x**(q**f) == x test (Frobenius
-    steps use the freshman's-dream p-th power plus a vectorized reduction
-    against each candidate modulus, both as gathers into the tables of
-    _operation_tables), then all survivors are confirmed at once with the
-    gcd conditions by polys.coprime_rows. Returns {b: count}, sorted by b,
-    keyed by the element b with constant term (-1)**f * b. Independent of
-    the counting formulas above.
+    A sieve over the base-q encodings of the low coefficients: every
+    monic of degree 1 is irreducible, and a monic of degree g is
+    irreducible iff no product of a degree-k irreducible (k <= g/2) and a
+    monic of degree g-k equals it. Products are formed by gathers into
+    the q x q tables of _operation_tables; only the degrees k <= f/2 and
+    f itself are sieved. Returns {b: count}, sorted by b, keyed by the
+    element b with constant term (-1)**f * b. Independent of the counting
+    formulas above.
     """
     if f < 1:
         raise ParameterError("f must be >= 1")
     q = ctx.q
     if q**f > limit:
         raise ParameterError(f"q**f = {q**f} exceeds the oracle limit {limit}")
-    if f == 1:
-        return {ctx.neg(c0): 1 for c0 in range(1, q)}
-
-    p, n = ctx.p, ctx.n
-    enc = np.arange(q**f, dtype=np.int64)
-    coeffs = (enc[:, None] // (q ** np.arange(f, dtype=np.int64))) % q
-    coeffs = coeffs[coeffs[:, 0] != 0]  # zero constant term means divisible by x
-    rows = coeffs.shape[0]
-    neg_coeffs = ctx.neg_arr(coeffs)
-    add, mul, frobenius = _operation_tables(ctx)
-
-    width = (f - 1) * p + 1
-    x_power = np.zeros((rows, f), dtype=np.int64)
-    x_power[:, 1] = 1
-    snapshot_steps = {n * (f // r): r for r in prime_factors(f)}
-    snapshots: dict[int, np.ndarray] = {}
-    for step in range(1, n * f + 1):
-        spread = np.zeros((rows, width), dtype=np.int64)
-        spread[:, ::p] = frobenius[x_power]
-        for k in range(width - 1, f - 1, -1):
-            lead = spread[:, k]
-            if not lead.any():
-                continue
-            spread[:, k - f : k] = add[spread[:, k - f : k], mul[lead[:, None], neg_coeffs]]
-        x_power = spread[:, :f].copy()
-        if step in snapshot_steps:
-            snapshots[snapshot_steps[step]] = x_power.copy()
-
-    unit = np.zeros(f, dtype=np.int64)
-    unit[1] = 1
-    survivors = np.flatnonzero((x_power == unit).all(axis=1))
-    moduli = np.concatenate([coeffs[survivors], np.ones((survivors.size, 1), dtype=np.int64)], axis=1)
-    irreducible = np.ones(survivors.size, dtype=bool)
-    for r in prime_factors(f):
-        h = snapshots[r][survivors]
-        h[:, 1] = ctx.add_arr(h[:, 1], ctx.neg(1))  # x**(q**(f/r)) - x
-        irreducible &= polys.coprime_rows(ctx, h, moduli)
-    c0 = coeffs[survivors[irreducible], 0]
+    irreducible = {1: np.ones(q, dtype=bool)}
+    for g in range(2, f + 1):
+        if 2 * g <= f or g == f:
+            irreducible[g] = ~_reducible_mask(ctx, g, irreducible)
+    c0 = np.flatnonzero(irreducible[f]) % q
+    c0 = c0[c0 != 0]  # x itself
     values, counts = np.unique(c0 if f % 2 == 0 else ctx.neg_arr(c0), return_counts=True)
     return dict(zip(values.tolist(), counts.tolist()))
 

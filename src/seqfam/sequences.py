@@ -131,8 +131,35 @@ def write_sequences(fp, sequences) -> None:
         fp.write(format_sequence(seq) + "\n")
 
 
+def _ints(tokens: list[str], what: str) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError as exc:  # its message names the bad token
+        raise ParameterError(f"non-integer {what}: {exc}") from None
+
+
+def _parse_header(line: str) -> dict[str, int]:
+    keys, values = [], []
+    for token in line[1:].split():
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ParameterError(f"header token {token!r} is not key=value")
+        keys.append(key)
+        values.append(value)
+    header = dict(zip(keys, _ints(values, "header value")))
+    missing = [key for key in ("q", "d", "M", "l", "c") if key not in header]
+    if missing:
+        raise ParameterError(f"header lacks {', '.join(missing)}: {line}")
+    return header
+
+
 def read_sequences(fp) -> list[MSequence]:
-    """Parse the export format back into MSequence values."""
+    """Parse the export format back into MSequence values.
+
+    Malformed input (a header token without '=', a missing or
+    non-integer header value, a non-integer symbol, a symbol line with
+    no header or a header with no symbol line) raises ParameterError.
+    """
     out = []
     header = None
     for line in fp:
@@ -140,16 +167,20 @@ def read_sequences(fp) -> list[MSequence]:
         if not line:
             continue
         if line.startswith("#"):
-            header = dict(part.split("=") for part in line[1:].split())
+            if header is not None:
+                raise ParameterError("header without a symbol line")
+            header = _parse_header(line)
             continue
         if header is None:
             raise ParameterError("symbol line without a preceding header")
-        symbols = np.array([int(tok) for tok in line.split(",")], dtype=np.int64)
+        symbols = np.array(_ints(line.split(","), "symbol"), dtype=np.int64)
         out.append(
             MSequence(
-                symbols, len(symbols), int(header["M"]), "imported",
-                int(header["q"]), int(header["d"]), int(header["l"]), int(header["c"]),
+                symbols, len(symbols), header["M"], "imported",
+                header["q"], header["d"], header["l"], header["c"],
             )
         )
         header = None
+    if header is not None:
+        raise ParameterError("header without a symbol line")
     return out

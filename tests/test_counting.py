@@ -1,8 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
+from seqfam import polys
 from seqfam.counting import (
     _operation_tables,
+    _reducible_mask,
     a_f_set,
     asymptotic_size,
     constant_term_counts,
@@ -35,8 +39,9 @@ def test_yucas_count_basics(gf13, gf16):
     for ctx in (gf13, gf16):
         for b in range(1, ctx.q):
             assert yucas_count(ctx, 1, b) == 1
-    with pytest.raises(ParameterError):
-        yucas_count(gf13, 2, 0)
+    for b in (0, -1, 13):  # b must be a nonzero element, an encoding in [1, q)
+        with pytest.raises(ParameterError, match="b must be a nonzero field element"):
+            yucas_count(gf13, 2, b)
 
 
 def test_yucas_against_enumeration_small(gf13, gf16, gf5):
@@ -157,9 +162,31 @@ def test_count_report_rejects_a_field_of_another_order(gf13):
 @pytest.mark.parametrize("p, n", [(3, 2), (2, 4)])
 def test_oracle_operation_tables(p, n):
     ctx = build_field(p, n)
-    add, mul, frobenius = _operation_tables(ctx)
+    add, mul = _operation_tables(ctx)
     for a in range(ctx.q):
-        assert frobenius[a] == ctx.pow_(a, p)
         for b in range(ctx.q):
             assert add[a, b] == ctx.add(a, b)
             assert mul[a, b] == ctx.mul(a, b)
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (5, 1)])
+def test_sieve_matches_rabin_test(p, n):
+    ctx = build_field(p, n)
+    q = ctx.q
+    irreducible = {1: np.ones(q, dtype=bool)}
+    for g in range(2, 5):
+        irreducible[g] = ~_reducible_mask(ctx, g, irreducible)
+    for g, mask in irreducible.items():
+        for enc in range(q**g):
+            poly = tuple((enc // q**i) % q for i in range(g)) + (1,)
+            assert mask[enc] == polys.is_irreducible(ctx, poly), (q, poly)
+
+
+def test_oracle_large_field_degree_two():
+    # q**2 = 1,042,441 is just under the default limit of 2**20
+    q = 1021
+    start = time.perf_counter()
+    counts = constant_term_counts(build_field(q, 1), 2)
+    elapsed = time.perf_counter() - start
+    assert sum(counts.values()) == irreducible_total(q, 2) == (q * q - q) // 2 == 520_710
+    assert elapsed < 5.0, elapsed  # about 0.13 s on 2 vCPUs

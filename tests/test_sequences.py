@@ -150,6 +150,27 @@ def test_export_roundtrip(gf25):
         )
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# q=16 d=2 M=5 l=3\n0,1,2\n", "header lacks c"),
+        ("# q=16 d=2 M=5 l=3 c\n0,1,2\n", "is not key=value"),
+        ("# q=16 d=2 M=x l=3 c=1\n0,1,2\n", "non-integer header value: .*'x'"),
+        ("# q=16 d=2 M=5 l=3 c=1\n0,x,2\n", "non-integer symbol: .*'x'"),
+        ("# q=16 d=2 M=5 l=3 c=1\n0,1,2\n# q=16 d=2 M=5 l=4 c=1\n", "header without a symbol line"),
+        ("# q=16 d=2 M=5 l=3 c=1\n# q=16 d=2 M=5 l=4 c=1\n0,1,2\n", "header without a symbol line"),
+        ("0,1,2\n", "symbol line without a preceding header"),
+    ],
+    ids=[
+        "missing-key", "no-equals", "bad-header-value", "bad-symbol",
+        "trailing-header", "header-then-header", "no-header",
+    ],
+)
+def test_read_sequences_rejects_malformed_input(text, message):
+    with pytest.raises(ParameterError, match=message):
+        read_sequences(io.StringIO(text))
+
+
 def test_msequence_validation():
     with pytest.raises(ParameterError):
         MSequence(np.array([0, 1, 5]), 3, 4, "column", 5)
