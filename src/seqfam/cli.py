@@ -41,8 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tau", type=int, help="cyclic shift applied to generated sequences")
     common.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="text")
     common.add_argument("--out", help="output path (default stdout); family uses it as a prefix")
-    common.add_argument("--jobs", type=int, help="FFT workers of the correlation scan (default: all cores); "
-                        "GEMM threads follow OPENBLAS_NUM_THREADS")
+    common.add_argument("--jobs", type=int, help="has no effect (accepted so older command lines still parse); "
+                        "BLAS threads follow OPENBLAS_NUM_THREADS")
     common.add_argument("--table-limit", dest="table_limit", type=int,
                         help="log-table size cap (overrides SEQFAM_TABLE_LIMIT)")
 
@@ -106,7 +106,7 @@ def cmd_correlate(args) -> int:
     ctx = build_field(args.p, args.n, args.table_limit)
     ext = build_extension(ctx, _require_d(args), args.table_limit)
     fam = build_family(ext, args.M, args.policy)
-    report = max_correlation(fam, jobs=args.jobs)
+    report = max_correlation(fam)
     inequivalent, witness = cyclic_inequivalence(fam)
     payload = report.to_dict()
     payload["cyclically_inequivalent"] = inequivalent
@@ -178,7 +178,6 @@ def cmd_verify(args) -> int:
         _require_d(args),
         args.M,
         policy=args.policy,
-        jobs=args.jobs,
         table_limit=args.table_limit,
     )
     if args.fmt == "json":

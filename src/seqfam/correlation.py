@@ -469,7 +469,6 @@ def _same_column_ok(family: SequenceFamily, symbols: np.ndarray, degs: np.ndarra
 def max_correlation(
     family: SequenceFamily,
     backend: str | None = "auto",
-    jobs: int | None = None,
 ) -> CorrelationReport:
     """Exhaustive scan of all nontrivial auto- and cross-correlations.
 
@@ -485,7 +484,7 @@ def max_correlation(
     start = time.perf_counter()
     symbols = family.symbols_matrix()
     n, period = symbols.shape
-    scanner = PairScanner(symbols, family.M, backend=backend, jobs=jobs)
+    scanner = PairScanner(symbols, family.M, backend=backend)
     sqrt_q = math.sqrt(family.q)
     degs = family.degree_per_sequence()
     generators = _find_generators(symbols, family.M, degs, prime_factors(family.q)[0])
@@ -567,11 +566,16 @@ def cyclic_inequivalence(family) -> tuple[bool, dict | None]:
 
     Works by exact symbol comparison (canonical-rotation bucketing plus a
     direct shift search on collisions), independent of the correlation
-    machinery.
+    machinery. Raises ParameterError when the sequences differ in period
+    or in M.
     """
     sequences = family.sequences if isinstance(family, SequenceFamily) else tuple(family)
     if not sequences:
         return True, None
+    if len({s.period for s in sequences}) > 1:
+        raise ParameterError("period mismatch")
+    if len({s.M for s in sequences}) > 1:
+        raise ParameterError("alphabet mismatch")
     keys, _ = _rotation_keys(np.vstack([np.asarray(s.symbols, dtype=np.int64) for s in sequences]))
     buckets: dict[bytes, int] = {}
     for idx, (seq, key) in enumerate(zip(sequences, keys)):

@@ -215,7 +215,7 @@ def _monic_coefficients(encodings: np.ndarray, degree: int, q: int) -> np.ndarra
     Row i holds the coefficient of x**i (the last row is the leading 1),
     one column per base-q encoding, constant term least significant.
     """
-    coeffs = np.ones((degree + 1, encodings.size), dtype=np.int64)
+    coeffs = np.ones((degree + 1, encodings.size), dtype=np.min_scalar_type(q - 1))
     for i in range(degree):  # row by row, so no temporary is degree rows tall
         coeffs[i] = encodings // q**i % q
     return coeffs

@@ -13,10 +13,11 @@ low-degree first) and the generator is the smallest-encoding element that
 satisfies the required order (and norm, for extensions) conditions.
 
 The tables are built without per-element polynomial arithmetic: exp is
-filled by block doubling, each round a GF(p)-linear map applied through
-lookup tables of at most 2**12 entries (see _exp_table), and log is its
-inverse permutation. Raw polynomial arithmetic finds the generator and
-rechecks it against the finished tables.
+filled by block doubling, each round one modular product in a prime field
+and otherwise a GF(p)-linear map applied through lookup tables (see
+_exp_table), and log is its inverse permutation. Raw polynomial
+arithmetic finds the generator and rechecks it against the finished
+tables.
 """
 
 import itertools
@@ -160,48 +161,46 @@ class _TableField:
             raise InternalCheckError("log(0) must be 0")
 
 
-_CHUNK = 1 << 12  # entries per lookup table in _exp_table
+_SLICE = 1 << 12  # p**w bound of a digit slice in _exp_table
 
 
 def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray:
     """exp[t] = beta**t for 0 <= t < size-1, filled by block doubling.
 
     Each round multiplies the known block by the constant c = beta**filled.
-    That map is GF(p)-linear on packed digits, so it is applied by lookup:
-    the digits are cut into slices of w digits, w as large as keeps
-    p**w <= 2**12, and the value v of the slice at digit lo is read in
-    radix-2**12 chunks u (one chunk unless a single digit exceeds 2**12,
-    and then w = 1, so v is a scalar mod p). Chunk k maps through a table
-    of c * ((u * 2**(12k) mod p**w) * p**lo), built from the images
-    c * p**j of the digit basis. The block's image is one gather per chunk,
-    summed with the field's digitwise add in a small integer type.
+    In a prime field that is one modular product. Otherwise the map is
+    GF(p)-linear on packed digits, so it is applied by lookup: the digits
+    are cut into slices of w digits, w as large as keeps p**w <= 2**12
+    (w = 1 when p itself is larger), and slice lo maps through a table of
+    c * (v * p**lo) for every slice value v, built from the images c * p**j
+    of the digit basis. The block's image is one gather per slice, summed
+    with the field's digitwise add in a small integer type.
     """
-    width = 1
-    while width < digits and p ** (width + 1) <= _CHUNK:
-        width += 1
-    keys = []  # (lo, w, k, digit rows of the slice values the chunk's entries stand for)
-    for lo in range(0, digits, width):
-        w = min(width, digits - lo)
-        k = 0
-        while _CHUNK**k < p**w:
-            values = np.arange(min(_CHUNK, -(-(p**w) // _CHUNK**k)), dtype=np.int64) * _CHUNK**k
-            keys.append((lo, w, k, _unpack(values, p, w)))  # w = 1 when k > 0: digit mod p
-            k += 1
-    small = np.min_scalar_type(-2 * max(size, _CHUNK))  # holds a + b and every chunk
     n = size - 1
     exp = np.empty(n, dtype=np.int64)
     exp[0] = 1
+    slices = []  # (lo, w, digit rows of every w-digit slice value); none in a prime field
+    if digits > 1:
+        width = 1
+        while width < digits and p ** (width + 1) <= _SLICE:
+            width += 1
+        for lo in range(0, digits, width):
+            w = min(width, digits - lo)
+            slices.append((lo, w, _unpack(np.arange(p**w, dtype=np.int64), p, w)))
+    small = np.min_scalar_type(-2 * size)  # holds a + b
     filled = 1
     while filled < n:
         c = raw_mul(int(exp[filled - 1]), beta)
-        basis = _unpack(np.array([raw_mul(c, p**j) for j in range(digits)], dtype=np.int64), p, digits)
         take = min(filled, n - filled)
-        block = exp[:take].astype(small)
-        image = 0
-        for lo, w, k, span in keys:
-            table = _pack((span @ basis[lo : lo + w]) % p, p).astype(small)
-            chunk = block % p ** (lo + w) // (p**lo * _CHUNK**k) % _CHUNK
-            image = _add_digits(image, table[chunk], p, digits)
+        if digits == 1:
+            image = exp[:take] * c % p  # exact in int64: p < 2**31 for any table that fits in memory
+        else:
+            basis = _unpack(np.array([raw_mul(c, p**j) for j in range(digits)], dtype=np.int64), p, digits)
+            block = exp[:take].astype(small)
+            image = 0
+            for lo, w, span in slices:
+                table = _pack((span @ basis[lo : lo + w]) % p, p).astype(small)
+                image = _add_digits(image, table[block % p ** (lo + w) // p**lo], p, digits)
         exp[filled : filled + take] = image
         filled += take
     return exp

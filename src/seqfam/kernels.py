@@ -17,16 +17,23 @@ Two kernels compute it:
   Cost grows as period * log(period) per pair.
 
 The kernel is picked from the period alone: GEMM up to GEMM_MAX_PERIOD,
-FFT above it. On 2 cores with OpenBLAS, GEMM takes half the wall time of
-FFT at period 62, the two break even on CPU time near period 80 and on
-wall time near 100, and FFT is ahead from there on. A slow pure-Python
-"reference" path is the independent oracle for tests at tiny sizes.
+FFT above it. Measured on 2 cores, GEMM in OpenBLAS on both cores and
+numpy's FFT on one, in microseconds per pair (wall / CPU, two runs):
+
+    period   GEMM                  FFT
+    62       0.66-0.68 / 1.32      1.23-1.29 / 1.29-1.40
+    80       0.98-1.05 / 1.86-2.05 0.91-1.07 / 0.91-1.10
+    100      1.43-1.60 / 2.78-3.18 1.07-1.33 / 1.11-1.33
+    126      2.29-2.46 / 4.48-4.93 1.53-1.95 / 1.53-1.97
+
+GEMM takes half the wall time of FFT at period 62 for about the same CPU
+time; the two break even on wall time near period 80, where FFT already
+takes half the CPU time, and FFT is ahead from there on. A slow
+pure-Python "reference" path is the independent oracle for tests at tiny
+sizes.
 """
 
-import os
-
 import numpy as np
-import scipy.fft
 
 from .errors import ParameterError
 
@@ -55,12 +62,6 @@ def resolve_backend(name: str | None, period: int) -> str:
     return name
 
 
-def resolve_jobs(jobs: int | None) -> int:
-    if jobs is None or jobs <= 0:
-        return os.cpu_count() or 1
-    return jobs
-
-
 def tile_size(period: int) -> int:
     """Largest power of two t with t * t * period <= TILE_ELEMENTS."""
     tile = 1
@@ -72,18 +73,17 @@ def tile_size(period: int) -> int:
 class PairScanner:
     """Per-kernel state for one symbol matrix; serves (row tile x column tile) blocks."""
 
-    def __init__(self, symbols: np.ndarray, M: int, backend: str | None = "auto", jobs: int | None = None):
+    def __init__(self, symbols: np.ndarray, M: int, backend: str | None = "auto"):
         symbols = np.asarray(symbols)
         if symbols.ndim != 2:
             raise ParameterError("symbols must be a 2-D (sequence, time) array")
         self.count, self.period = symbols.shape
         self.backend = resolve_backend(backend, self.period)
-        self.jobs = resolve_jobs(jobs)
         self.M = M
         self.tile = tile_size(self.period)
         self._phases = np.exp(2j * np.pi * (symbols % M) / M)
         if self.backend == "fft":
-            self._spectra = scipy.fft.fft(self._phases, axis=1, workers=self.jobs)
+            self._spectra = np.fft.fft(self._phases, axis=1)
         self._cols = None
         self._operand = None
 
@@ -100,12 +100,7 @@ class PairScanner:
             vals = self._phases[rows] @ self._operand
             return np.abs(vals).reshape(rows.size, cols.size, self.period)
         spectra = self._spectra[rows][:, None, :] * self._operand[None, :, :]
-        vals = scipy.fft.fft(spectra, axis=2, workers=self.jobs, overwrite_x=True)
-        # Bit for bit vals / period, which numpy computes as a product with
-        # 1 / period; scaling the float view skips the complex division loop.
-        scaled = vals.view(np.float64)
-        scaled *= 1.0 / self.period
-        return np.abs(vals)
+        return np.abs(np.fft.fft(spectra, axis=2, norm="forward", out=spectra))
 
     def _column_operand(self, cols: np.ndarray) -> np.ndarray:
         """What a column tile contributes to every block it meets: Circ(conj A) or conj F."""

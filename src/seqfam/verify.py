@@ -49,7 +49,6 @@ def run_verification(
     d: int,
     M: int,
     policy: str = "strict",
-    jobs: int | None = None,
     table_limit: int | None = None,
 ) -> dict:
     start = time.perf_counter()
@@ -163,7 +162,7 @@ def run_verification(
     record("family-size-identity", family.size == expected,
            f"{family.size} sequences")
 
-    report = max_correlation(family, jobs=jobs)
+    report = max_correlation(family)
     record("correlation-bound", report.bound_ok,
            f"delta_max {report.delta_max:.6f} vs bound {report.bound:.6f}")
     record("correlation-pair-bounds", report.pair_bound_ok,

@@ -69,7 +69,7 @@ def family_reports():
         ctx = build_field(p, n)
         ext = build_extension(ctx, d)
         fam = build_family(ext, M, "strict")
-        report = max_correlation(fam, jobs=None)
+        report = max_correlation(fam)
         inequivalent, _ = cyclic_inequivalence(fam)
         dup_found, _ = cyclic_inequivalence(
             list(fam.sequences) + [fam.sequences[0].shifted(2)]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from unittest import mock
@@ -56,6 +57,18 @@ def test_max_correlation_q16_m5(fam16_m5):
     npairs = 32 * 33 // 2
     assert sum(report.histogram.values()) == npairs * 15 - 32
     assert report.histogram_resolution == 1e-6
+
+
+def test_golden_fft_scan():
+    # q=256 d=2 M=5: period 255, above GEMM_MAX_PERIOD, so the scan runs the
+    # FFT kernel. Pinned bit for bit: any change in the transform's rounding
+    # moves the fine histogram keys or delta_max.
+    fam = build_family(build_extension(build_field(2, 8), 2), 5)
+    report = max_correlation(fam)
+    assert (report.backend, fam.period, fam.size) == ("fft", 255, 512)
+    assert repr(report.delta_max) == "48.416407864998746"
+    histogram = json.dumps(report.to_dict()["histogram"]).encode()
+    assert hashlib.sha256(histogram).hexdigest() == "89aa700245e4771e8ab0516faa81840df94184f4f5123278f8ec0e6f891a3b37"
 
 
 def test_max_correlation_backends_agree(fam16_m5):
@@ -246,6 +259,14 @@ def test_cyclic_inequivalence(fam16_m5):
     ref = fam16_m5.sequences[5].symbols
     dup = corrupted[-1].symbols
     assert np.array_equal(ref, np.roll(dup, -witness["tau"]))
+
+
+@pytest.mark.parametrize("period, M", [(6, 2), (5, 4)])
+def test_cyclic_inequivalence_rejects_mixed_sequences(period, M):
+    a = MSequence(np.array([0, 1, 1, 0, 1]), 5, 2, "column", 5)
+    b = MSequence(np.array([0, 1, 1, 0, 1, 0][:period]), period, M, "column", 5)
+    with pytest.raises(ParameterError):
+        cyclic_inequivalence([a, b])
 
 
 def _brute_least_rotation(symbols: list) -> list:

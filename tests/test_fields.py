@@ -125,7 +125,8 @@ def test_exp_table_digest(key):
         (2, 13, 1),  # p = 2: slices of 12 digits and 1, summed by XOR
         (3, 4, 2),  # 8 digits over GF(81): slices of 7 and 1
         (97, 1, 2),  # one-digit slices with 97-entry tables
-        (32749, 1, 1),  # a digit above 2**12, read in two chunks; a + b overflows int16
+        (3, 9, 1),  # slices of 7 and 2 digits; a + b overflows int16
+        (32749, 1, 1),  # a prime field: one modular product per round
     ],
 )
 def test_exp_table_equals_raw_multiplication_chain(p, n, d):

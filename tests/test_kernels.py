@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqfam
 from seqfam.correlation import cross_correlation
 from seqfam.errors import ParameterError
 from seqfam.kernels import (
@@ -106,7 +112,7 @@ def _tile_case(draw):
 def test_tile_matches_cross_correlation(backend, case):
     symbols, M, rows, cols = case
     n, period = symbols.shape
-    scanner = PairScanner(symbols, M, backend=backend, jobs=1)
+    scanner = PairScanner(symbols, M, backend=backend)
     seqs = [MSequence(s, period, M, "column", M + 1) for s in symbols]
     # The column operand is cached between calls: switch it, then reuse it.
     for left, right in ((rows, cols), (cols, rows), (cols, rows)):
@@ -116,3 +122,11 @@ def test_tile_matches_cross_correlation(backend, case):
             for b, j in enumerate(right):
                 expect = [abs(cross_correlation(seqs[i], seqs[j], tau)) for tau in range(period)]
                 assert np.allclose(vals[a, b], expect, rtol=0.0, atol=PROPERTY_ATOL)
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, seqfam; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(seqfam.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

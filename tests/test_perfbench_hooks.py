@@ -11,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
+import seqfam.cli
 import seqfam.correlation
 import seqfam.kernels
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 tracing = importlib.import_module("tracing")
+workloads = importlib.import_module("workloads")
 
 
 @pytest.mark.parametrize("module_name,attr,span", tracing.TARGETS)
@@ -26,6 +28,13 @@ def test_trace_target_resolves(module_name, attr, span):
         assert method in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, attr))
+
+
+@pytest.mark.parametrize("workload", [workloads.CORRELATE, workloads.VERIFY])
+def test_workload_command_line_parses(workload):
+    # perfbench passes --jobs, which the command line keeps as an inert flag.
+    args = seqfam.cli._build_parser().parse_args(workload["argv"] + ["--jobs", "2"])
+    assert (args.command, args.jobs) == (workload["argv"][0], 2)
 
 
 def test_run_reads_kernel_names():
