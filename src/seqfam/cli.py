@@ -15,7 +15,7 @@ from .correlation import cyclic_inequivalence, max_correlation
 from .counting import asymptotic_size, count_report, lambda_size_formula
 from .errors import InternalCheckError, ParameterError, SeqfamError
 from .family import build_family
-from .fields import build_extension, build_field, table_limit
+from .fields import build_extension, build_field, check_table_size, table_limit
 from .intmath import is_prime
 from .sequences import format_sequence, sidelnikov_sequence, sidelnikov_sequence_ext
 from .columns import column_sequence
@@ -134,6 +134,7 @@ def _count_sweep_csv(args) -> str:
     """Exact vs asymptotic sizes swept over base-field degrees of the same p."""
     if args.M < 2:
         raise ParameterError("M must be >= 2")
+    check_table_size(args.p, args.d, args.table_limit, "q**d")
     if not is_prime(args.p):
         raise ParameterError(f"p={args.p} is not prime")
     limit = table_limit(args.table_limit)
@@ -156,6 +157,7 @@ def cmd_count(args) -> int:
         _emit(_count_sweep_csv(args), args.out)
         return EXIT_OK
     ctx = build_field(args.p, args.n, args.table_limit)
+    check_table_size(ctx.q, d, args.table_limit, "q**d")
     report = count_report(ctx.q, d, args.M, ctx)
     if args.fmt == "json":
         _emit(json.dumps(report.to_dict(), indent=2), args.out)

@@ -90,22 +90,33 @@ def column_from_long_sequence(
     return MSequence(long_seq.symbols[idx], ext.q - 1, M, "column", ext.q, ext.d, l, 1)
 
 
-def _root_product(ext: ExtensionContext, exponents, scale: int = 1) -> tuple:
-    """Monic product of (x + alpha**(-j) * scale) over the given exponents."""
-    out = (1,)
-    for j in exponents:
-        out = polys.mul_linear(ext, out, ext.mul(int(ext.exp[(-j) % (ext.size - 1)]), scale))
-    return out
+def root_products(ext: ExtensionContext, exponents) -> np.ndarray:
+    """Row i: the coefficients of prod_k (x + alpha**e[i, k]), constant term first.
+
+    exponents is (rows, s) and the result (rows, s + 1). Each step multiplies
+    every row by its next linear factor, c * alpha**e read as exp[log(c) + e].
+    """
+    n = ext.size - 1
+    exponents = np.asarray(exponents, dtype=np.int64) % n
+    rows, s = exponents.shape
+    coeff = np.zeros((rows, s + 1), dtype=np.int64)
+    coeff[:, 0] = 1
+    for k in range(s):
+        low = coeff[:, : k + 2]  # coefficient k + 1 is still 0
+        scaled = np.where(low != 0, ext.exp[(ext.log[low] + exponents[:, k, None]) % n], 0)
+        coeff[:, 1 : k + 2] = ext.add_arr(low[:, :-1], scaled[:, 1:])
+        coeff[:, 0] = scaled[:, 0]
+    return coeff
 
 
 def shifted_column_polynomial(ext: ExtensionContext, l: int, tau: int) -> tuple:
     """Product of (x + alpha**(-j) * beta**(-tau)) over the coset of l mod q**d-1.
 
     This is min_poly of column l with its roots scaled by beta**-tau, a
-    base-field polynomial for every tau.
+    base-field polynomial for every tau. beta = alpha**m, m the column count.
     """
-    members = coset(l, ext.size - 1, ext.q).members
-    shifted = _root_product(ext, members, ext.base.pow_(ext.base.beta, -tau))
+    exponents = [(-j - tau * ext.norm_ratio) % (ext.size - 1) for j in coset(l, ext.size - 1, ext.q).members]
+    shifted = tuple(root_products(ext, [exponents])[0].tolist())
     if any(c >= ext.q for c in shifted):
         raise InternalCheckError("shifted column polynomial left the base field")
     return shifted
@@ -158,11 +169,12 @@ def column_polynomial(ext: ExtensionContext, l: int) -> ColumnPolynomial:
 
     full = coset(l % (size - 1), size - 1, ext.q)
     reduced = coset(l % ext.norm_ratio, ext.norm_ratio, ext.q)
-    min_poly = _root_product(ext, full.members)
+    exponents = [-j for j in full.members]  # the factors x + alpha**(-j)
+    min_poly = tuple(root_products(ext, [exponents])[0].tolist())
     # The orbit subproduct needs actual exponents mod q**d-1, not the mod-m
     # residues that index the reduced coset (alpha powers are only defined
     # mod q**d-1); take the first |reduced| conjugate exponents of l.
-    orbit_poly = _root_product(ext, full.members[: reduced.size])
+    orbit_poly = tuple(root_products(ext, [exponents[: reduced.size]])[0].tolist())
 
     if d % full.size != 0:
         raise InternalCheckError("coset size does not divide the extension degree")

@@ -198,21 +198,6 @@ def _coarse_keys(fine_keys: np.ndarray) -> np.ndarray:
     return (fine_keys + ratio // 2) // ratio
 
 
-def _first(entries: list[tuple]) -> list[tuple]:
-    """The WITNESS_CAP triples that come first in (i, j, tau) order, once each, with their least value.
-
-    Two scanned triples can lie in one orbit, so a triple can arrive from
-    several blocks, its values differing in the last bits.
-    """
-    out: list[tuple] = []
-    for entry in sorted(entries):
-        if not out or entry[:3] != out[-1][:3]:
-            out.append(entry)
-            if len(out) == WITNESS_CAP:
-                break
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class _TripleMap:
     """(i, j, tau) -> (perm[i], perm[j], mult*tau + offset[j] - offset[i] mod P), keeping |R|.
@@ -368,20 +353,26 @@ class _OrbitScan:
                 self.pairs_scanned += rows.size * cols.size
                 yield rows, cols, weights
 
-    def expand(self, i: np.ndarray, j: np.ndarray, tau: np.ndarray, value: np.ndarray) -> np.ndarray:
-        """Rows (i, j, tau, k): every triple with i <= j in the orbit of triple k, sorted, once each.
+    def expand(self, i, j, tau, value) -> tuple[np.ndarray, ...]:
+        """(i, j, tau, value): the first WITNESS_CAP triples with i <= j in the orbits of the given ones.
 
-        Of the given triples whose orbits hold a triple, k is the one of least value.
+        Sorted on (i, j, tau), each triple once with the least value among
+        the given triples whose orbits hold it. Two scanned triples can lie
+        in one orbit, so a triple can arrive from several blocks, its values
+        differing in the last bits.
         """
-        k = np.arange(i.size)
         parts = []
         for g in self.elements:
             a, b, t = g.apply(i, j, tau, self.period)
-            parts += [np.stack([a, b, t, k], axis=1), np.stack([b, a, -t % self.period, k], axis=1)]
-        triples = np.concatenate(parts)
-        triples = triples[triples[:, 0] <= triples[:, 1]]
-        triples = triples[np.lexsort((value[triples[:, 3]], triples[:, 2], triples[:, 1], triples[:, 0]))]
-        return triples[np.concatenate(([True], np.any(triples[1:, :3] != triples[:-1, :3], axis=1)))]
+            parts += [(a, b, t, value), (b, a, -t % self.period, value)]
+        a, b, t, v = (np.concatenate(column) for column in zip(*parts))
+        keep = a <= b
+        a, b, t, v = a[keep], b[keep], t[keep], v[keep]
+        order = np.lexsort((v, t, b, a))
+        a, b, t, v = a[order], b[order], t[order], v[order]
+        first = np.flatnonzero(np.concatenate(([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1]) | (t[1:] != t[:-1]))))
+        first = first[:WITNESS_CAP]
+        return a[first], b[first], t[first], v[first]
 
 
 class _ScanReducer:
@@ -393,8 +384,8 @@ class _ScanReducer:
         self.sqrt_q = sqrt_q
         self.period = period
         self.delta_max = -1.0
-        self.witnesses: list[tuple] = []  # (i, j, tau, value)
-        self.violations: list[tuple] = []  # (i, j, tau, value, pair bound)
+        no_hits = (np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)
+        self.witnesses = self.violations = no_hits  # (i, j, tau, value) arrays, as from _OrbitScan.expand
         self.histogram = _HistogramAccumulator(period)
 
     def add(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, weights: np.ndarray) -> None:
@@ -414,14 +405,14 @@ class _ScanReducer:
         pair_bound = (self.degs[rows][:, None] + self.degs[cols] - 1) * self.sqrt_q + 1.0
         if tile_max > pair_bound.min() + TOLERANCE:
             hits = np.argwhere(vals > (pair_bound + TOLERANCE)[:, :, None])
-            self.violations = _first(self.violations + self._expanded(rows, cols, vals, hits, pair_bound))
+            self.violations = self._merged(self.violations, rows, cols, vals, hits)
 
         self.delta_max = max(self.delta_max, tile_max)
         threshold = self.delta_max - _MATCH_TOL
         if tile_max >= threshold:
             hits = np.argwhere(vals >= threshold)
-            kept = [w for w in self.witnesses if w[3] >= threshold]
-            self.witnesses = _first(kept + self._expanded(rows, cols, vals, hits))
+            kept = self.witnesses[3] >= threshold
+            self.witnesses = self._merged(tuple(w[kept] for w in self.witnesses), rows, cols, vals, hits)
 
         distinct = np.unique(weights[weights > 0]).tolist()
         if len(distinct) == 1 and not own_a.size and weights.all():
@@ -432,17 +423,13 @@ class _ScanReducer:
             picked = vals[weights == weight]
             self.histogram.add(picked[picked >= 0.0] if own_a.size else picked, weight)
 
-    def _expanded(self, rows, cols, vals, hits, pair_bound=None) -> list[tuple]:
-        """The first WITNESS_CAP triples in the orbits of the hits, with their hit's value (and bound)."""
-        out: list[tuple] = []
+    def _merged(self, kept, rows, cols, vals, hits) -> tuple[np.ndarray, ...]:
+        """The kept entries merged with the orbits of this block's hits, through _OrbitScan.expand."""
         for lo in range(0, len(hits), _EXPAND_CHUNK):
             a, b, tau = hits[lo:lo + _EXPAND_CHUNK].T
-            triples = self.scan.expand(rows[a], cols[b], tau, vals[a, b, tau])[:WITNESS_CAP]
-            for i, j, t, k in triples.tolist():
-                entry = (i, j, t, float(vals[a[k], b[k], tau[k]]))
-                out.append(entry if pair_bound is None else entry + (float(pair_bound[a[k], b[k]]),))
-            out = _first(out)
-        return out
+            new = (rows[a], cols[b], tau, vals[a, b, tau])
+            kept = self.scan.expand(*(np.concatenate(pair) for pair in zip(kept, new)))
+        return kept
 
 
 def _same_column_ok(family: SequenceFamily, symbols: np.ndarray, degs: np.ndarray, sqrt_q: float) -> bool:
@@ -501,6 +488,9 @@ def max_correlation(
     bound = (2 * family.d - 1) * sqrt_q + 1.0
     counts = reducer.histogram.result()  # the last merge decides the resolution
     delta_max = reducer.delta_max
+    # The group keeps degrees and the pair swap keeps their sum: the bound of the scanned hit.
+    i, j, tau, value = reducer.violations
+    violations = zip(*(c.tolist() for c in (i, j, tau, value, (degs[i] + degs[j] - 1) * sqrt_q + 1.0)))
     return CorrelationReport(
         q=family.q,
         d=family.d,
@@ -510,11 +500,11 @@ def max_correlation(
         delta_max=delta_max,
         bound=bound,
         bound_ok=delta_max <= bound + TOLERANCE,
-        argmax=[labelled(*w) for w in reducer.witnesses],
+        argmax=[labelled(*w) for w in zip(*(c.tolist() for c in reducer.witnesses))],
         histogram=counts,
         histogram_resolution=1.0 / reducer.histogram.scale,
-        pair_bound_ok=not reducer.violations,
-        pair_bound_violations=[{**labelled(*v[:4]), "pair_bound": v[4]} for v in reducer.violations],
+        pair_bound_ok=not i.size,
+        pair_bound_violations=[{**labelled(*v[:4]), "pair_bound": v[4]} for v in violations],
         same_column_bound_ok=_same_column_ok(family, symbols, degs, sqrt_q),
         backend=scanner.backend,
         scan={

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polys
-from .columns import coset_minima
+from .columns import coset_minima, root_products
 from .errors import InternalCheckError, ParameterError
 from .family import coset_representatives
-from .fields import ExtensionContext, FieldContext, build_field
+from .fields import ExtensionContext, FieldContext, build_field, check_table_size
 from .intmath import as_prime_power, divisors, euler_phi, mobius
 
 
@@ -105,6 +105,7 @@ def lambda_size_with_ctx(ctx: FieldContext, d: int) -> int:
 
 
 def _field_of_order(q: int) -> FieldContext:
+    check_table_size(q, 1)  # before factorize's trial division
     try:
         p, n = as_prime_power(q)
     except ValueError:
@@ -297,37 +298,25 @@ def cyclotomic_factors(ext: ExtensionContext, deep: bool = False) -> list[tuple[
     multiplies all factors back together (quadratic cost; intended for
     small m).
     """
-    q, size, m = ext.q, ext.size, ext.norm_ratio
+    q, m = ext.q, ext.norm_ratio
     base = ext.base
-    reps = coset_minima(m, q)
-    order = np.argsort(reps, kind="stable")
-    sorted_reps = reps[order]
-    starts = np.flatnonzero(np.r_[True, sorted_reps[1:] != sorted_reps[:-1]])
-    sizes = np.diff(np.r_[starts, m])
+    reps, sizes = np.unique(coset_minima(m, q), return_counts=True)
+    log_minus_one = int(ext.log[ext.neg(1)])
 
-    factors: dict[int, tuple[int, ...]] = {}
-    for s in np.unique(sizes):
+    ordered: list[tuple[int, ...]] = [()] * reps.size
+    for s in np.unique(sizes).tolist():
         sel = np.flatnonzero(sizes == s)
-        members = order[starts[sel][:, None] + np.arange(s)]
-        roots = ext.exp[(members * (q - 1)) % (size - 1)]
-        neg_roots = ext.neg_arr(roots)
-        coeff = np.zeros((sel.size, s + 1), dtype=np.int64)
-        coeff[:, 0] = 1
-        for k in range(s):
-            shifted = np.zeros_like(coeff)
-            shifted[:, 1 : k + 2] = coeff[:, : k + 1]
-            shifted[:, : k + 1] = ext.add_arr(
-                shifted[:, : k + 1], ext.mul_arr(coeff[:, : k + 1], neg_roots[:, k : k + 1])
-            )
-            coeff = shifted
+        # rep * q**i mod m, every product below m**2
+        members = reps[sel, None] * np.array([pow(q, i, m) for i in range(s)]) % m
+        # x - alpha**((q-1)*e) = x + alpha**((q-1)*e + log(-1))
+        coeff = root_products(ext, (q - 1) * members + log_minus_one)
         if np.any(coeff[:, s] != 1):
             raise InternalCheckError("orbit factor is not monic")
         if coeff.max() >= q:
             raise InternalCheckError("orbit factor has coefficients outside the base field")
-        for row, rep in zip(coeff.tolist(), sorted_reps[starts[sel]].tolist()):
-            factors[rep] = tuple(row)
+        for k, row in zip(sel.tolist(), coeff.tolist()):
+            ordered[k] = tuple(row)
 
-    ordered = [factors[rep] for rep in sorted(factors)]
     if len(set(ordered)) != len(ordered):
         raise InternalCheckError("orbit factors are not pairwise distinct")
     if sum(len(fac) - 1 for fac in ordered) != m:

@@ -46,6 +46,19 @@ def table_limit(override: int | None = None) -> int:
         raise ParameterError(f"SEQFAM_TABLE_LIMIT={env!r} is not an integer") from None
 
 
+def check_table_size(base: int, exponent: int, limit: int | None = None, name: str = "q") -> None:
+    """Raise TableLimitError unless base**exponent fits the table limit.
+
+    A base above the limit, or an exponent above the limit's bit length, is
+    refused without forming the power, so a huge input is turned away before
+    any primality test or table; the message names the size as
+    base**exponent. A base below 2 is left to the caller's own checks.
+    """
+    cap = table_limit(limit)
+    if base >= 2 and (base > cap or exponent > cap.bit_length() or base**exponent > cap):
+        raise TableLimitError(f"{name} = {base}**{exponent} exceeds the table limit {cap}")
+
+
 def _unpack(values: np.ndarray, p: int, digits: int) -> np.ndarray:
     powers = p ** np.arange(digits, dtype=np.int64)
     return (values[:, None] // powers) % p
@@ -424,13 +437,12 @@ def build_field(p: int, n: int, limit: int | None = None) -> FieldContext:
     degree n over GF(p) (constant term compared first) and beta is the
     primitive element with the smallest packed-integer encoding.
     """
-    if not is_prime(p):
-        raise ParameterError(f"p={p} is not prime")
     if n < 1:
         raise ParameterError("n must be >= 1")
+    check_table_size(p, n, limit)
+    if not is_prime(p):
+        raise ParameterError(f"p={p} is not prime")
     q = p**n
-    if q > table_limit(limit):
-        raise TableLimitError(f"q={q} exceeds the table limit {table_limit(limit)}")
     prime_ctx = _prime_context(p)
     if n == 1:
         return prime_ctx
@@ -448,9 +460,8 @@ def build_extension(base: FieldContext, d: int, limit: int | None = None) -> Ext
     """
     if d < 2:
         raise ParameterError("extension degree d must be >= 2")
+    check_table_size(base.q, d, limit, "q**d")
     size = base.q**d
-    if size > table_limit(limit):
-        raise TableLimitError(f"q**d={size} exceeds the table limit {table_limit(limit)}")
     modulus = _smallest_irreducible(base, d)
     ratio = (size - 1) // (base.q - 1)
     alpha, exp, log = _generator_tables(

@@ -68,11 +68,6 @@ def mul(ctx, a, b) -> tuple:
     return trim(out)
 
 
-def mul_linear(ctx, a, root_neg) -> tuple:
-    """Multiply a by the monic linear factor (x + root_neg)."""
-    return mul(ctx, a, (root_neg, 1))
-
-
 def pow_(ctx, a, k: int) -> tuple:
     out = (1,)
     base = trim(a)

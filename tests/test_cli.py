@@ -1,14 +1,31 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import seqfam
 from seqfam.cli import main
+
+CLI_TIMEOUT = 10  # seconds; pytest has no timeout of its own here, so a hang must fail, not stall
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_subprocess(*argv, timeout=CLI_TIMEOUT):
+    """The CLI in a fresh interpreter, killed after `timeout` seconds (subprocess.TimeoutExpired)."""
+    env = {k: v for k, v in os.environ.items() if k != "SEQFAM_TABLE_LIMIT"}
+    env["PYTHONPATH"] = str(Path(seqfam.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "seqfam.cli", *argv], env=env, capture_output=True, text=True, timeout=timeout
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_generate_base_sequence(capsys):
@@ -142,6 +159,24 @@ def test_out_into_missing_directory(tmp_path, capsys, command):
     )
     assert code == 2
     assert err.startswith("error: ") and "No such file or directory" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --p 1000000000000000003 --d 2 --M 2",  # p above the limit: no primality test
+        "count --p 1000000000000000003 --d 2 --M 2 --format csv",
+        "generate --p 2 --n 100000000 --M 5",  # q = p**n far too large to print
+        "correlate --p 2 --n 4 --d 100000000 --M 5",
+        "count --p 2 --n 4 --d 10 --M 5",  # q**d above the limit
+        "count --p 2 --n 4 --d 40 --M 5",
+    ],
+)
+def test_oversized_field_exits_promptly(argv):
+    code, out, err = run_subprocess(*argv.split())
+    assert code == 2
+    assert out == ""
+    assert "exceeds the table limit" in err and "Traceback" not in err
 
 
 def test_table_limit_env_not_an_integer(monkeypatch, capsys):

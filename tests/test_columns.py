@@ -1,5 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqfam import polys
 from seqfam.columns import (
@@ -9,8 +14,12 @@ from seqfam.columns import (
     column_symbols,
     coset,
     frobenius_poly,
+    root_products,
+    shifted_column_polynomial,
 )
 from seqfam.errors import ParameterError
+from seqfam.family import coset_representatives
+from seqfam.fields import build_extension, build_field
 from seqfam.sequences import sidelnikov_sequence, sidelnikov_sequence_ext
 
 
@@ -156,3 +165,52 @@ def test_symbols_from_polynomial(gf25):
         cp = column_polynomial(gf25, l)
         vals = polys.eval_arr(base, cp.norm_poly, base.exp)
         assert np.array_equal(base.log[vals] % 4, column_symbols(gf25, l, 4))
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def gf4096_over16(gf16):
+    return build_extension(gf16, 3)
+
+
+def test_column_polynomials_golden(gf4096_over16):
+    # Pinned from the factor-by-factor tuple products that root_products replaced.
+    ext = gf4096_over16
+    reps = coset_representatives(16, 3)
+    cps = [column_polynomial(ext, l) for l in reps]
+    assert len(reps) == 93
+    assert _digest([[list(cp.norm_poly), list(cp.min_poly), list(cp.orbit_poly)] for cp in cps]) == (
+        "3b7bdd50edf028dc328eea98a48b0b25407c6cc68b65f840b7b61c6aa3766515"
+    )
+    golden_shifted = {
+        0: "fbe0e14785dd66f80fb6a0d49d115dacc6e3cdecce856e6e14f172f9c9b4a69d",
+        1: "5248f3df34d50135c4fa1575a218802288b145ffb11e29a628a322d793a54b8c",
+        7: "8a8c26d765fe3201510245461afb16f73fcc762ed3a14cbf3ab4043e9b079d82",
+    }
+    for tau, digest in golden_shifted.items():
+        assert _digest([list(shifted_column_polynomial(ext, l, tau)) for l in reps]) == digest
+
+
+@pytest.fixture(scope="module")
+def gf125():
+    return build_extension(build_field(5, 1), 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_root_products_match_linear_factor_products(gf256, gf125, data):
+    ext = data.draw(st.sampled_from([gf256, gf125]))
+    rows = data.draw(st.integers(1, 4))
+    s = data.draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3 * ext.size, 3 * ext.size), min_size=s, max_size=s)
+    exponents = data.draw(st.lists(row, min_size=rows, max_size=rows))
+    products = root_products(ext, exponents)
+    assert products.shape == (rows, s + 1)
+    for row, exps in zip(products.tolist(), exponents):
+        expected = (1,)
+        for e in exps:
+            expected = polys.mul(ext, expected, (int(ext.exp[e % (ext.size - 1)]), 1))
+        assert tuple(row) == expected

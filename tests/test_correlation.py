@@ -166,6 +166,9 @@ def test_pair_bound_violations_are_capped_in_order(fam16_m5):
     )
     assert len(expected) > WITNESS_CAP
     assert _key_list(family, report.pair_bound_violations) == expected[:WITNESS_CAP]
+    for w in report.pair_bound_violations:
+        sizes = family.coset_sizes
+        assert w["pair_bound"] == (sizes[w["l1"]] + sizes[w["l2"]] - 1) * math.sqrt(family.q) + 1.0
     _assert_first_violation_recomputes(family, report)
 
 

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from seqfam.counting import (
     lambda_size_parts,
     yucas_count,
 )
-from seqfam.errors import ParameterError
+from seqfam.errors import ParameterError, TableLimitError
 from seqfam.family import coset_representatives
 from seqfam.fields import build_extension, build_field
 from seqfam.intmath import as_prime_power
@@ -125,6 +128,33 @@ def test_cyclotomic_factors_verified(gf25, gf256, gf64_over4):
         assert len(facs) == lambda_size_formula(ext.q, ext.d)
         assert sum(len(f) - 1 for f in facs) == ext.norm_ratio
         assert all(f[-1] == 1 for f in facs)
+
+
+# sha256 of json.dumps of the factor list, pinned from the coset-by-coset
+# construction that root_products replaced.
+GOLDEN_FACTORS = {
+    (2, 2, 10): (34989, "91ea4049ce0045af4c0e9f7fa4cd097bdfe08d75880b69b888e5f65b52afc004"),
+    (2, 10, 2): (513, "a19947a4bda3f6ff3f7f67a2121675e9434528f604830d1549141883042eda6c"),
+    (3, 6, 2): (366, "95ccea5c063ae676d79607f306ce908c70f7f7db68e892dd7359c612953d3cca"),
+    (977, 1, 2): (490, "f4cdf584af0d9c1053c7554f41d1cbe0ab15cbe32a871e70bc55e1ae500ecec0"),
+    (3, 2, 3): (31, "bfcad523c688c8bb48e6836987a5ec07eae26453992937010fe40bcaeee3adc0"),
+    (5, 1, 4): (44, "66f387c562497f085bb25a0c4502c277f51c98f455fef944747222b88e87ed06"),
+}
+
+
+@pytest.mark.parametrize("p, n, d", sorted(GOLDEN_FACTORS))
+def test_cyclotomic_factors_golden(p, n, d):
+    factors = cyclotomic_factors(build_extension(build_field(p, n), d))
+    digest = hashlib.sha256(json.dumps([list(f) for f in factors]).encode()).hexdigest()
+    assert (len(factors), digest) == GOLDEN_FACTORS[(p, n, d)]
+
+
+def test_oversized_order_is_refused_before_factoring():
+    # Trial division of a q near 10**18 would run for minutes.
+    with mock.patch("seqfam.counting.as_prime_power", side_effect=AssertionError("factored")):
+        for call in (lambda: lambda_size(10**18 + 3, 2), lambda: count_report(10**18 + 3, 2, 2)):
+            with pytest.raises(TableLimitError, match="exceeds the table limit"):
+                call()
 
 
 def test_constant_term_counts_limit(gf16):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from seqfam import fields
 from seqfam.errors import InternalCheckError, ParameterError, TableLimitError
-from seqfam.fields import ExtensionContext, FieldContext, build_extension, build_field
+from seqfam.fields import ExtensionContext, FieldContext, build_extension, build_field, check_table_size
 
 # (p, n) or (p, n, d) -> (modulus, generator, sha256 prefix of exp as little-endian int64).
 # Pinned so that any change to the modulus or generator search shows up here;
@@ -53,6 +53,14 @@ def test_parameter_errors():
         build_field(2, 10, limit=512)
     with pytest.raises(ParameterError):
         build_extension(build_field(5, 1), 1)
+
+
+def test_check_table_size_bounds():
+    check_table_size(2, 24, limit=1 << 24)  # exactly at the cap
+    check_table_size(1, 10**9, limit=16)  # a base below 2 is the caller's to reject
+    for base, exponent in ((2, 25), (1 << 24 | 1, 1), (3, 10**12)):
+        with pytest.raises(TableLimitError, match=rf"q = {base}\*\*{exponent} exceeds the table limit"):
+            check_table_size(base, exponent, limit=1 << 24)
 
 
 def test_table_limit_env(monkeypatch):
