@@ -411,8 +411,8 @@ class _ScanReducer:
         threshold = self.delta_max - _MATCH_TOL
         if tile_max >= threshold:
             hits = np.argwhere(vals >= threshold)
-            kept = self.witnesses[3] >= threshold
-            self.witnesses = self._merged(tuple(w[kept] for w in self.witnesses), rows, cols, vals, hits)
+            keep = self.witnesses[3] >= threshold
+            self.witnesses = self._merged(tuple(w[keep] for w in self.witnesses), rows, cols, vals, hits)
 
         distinct = np.unique(weights[weights > 0]).tolist()
         if len(distinct) == 1 and not own_a.size and weights.all():

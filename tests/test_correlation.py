@@ -434,6 +434,23 @@ def test_orbit_scan_expands_pair_bound_violations(fam16_m5, triangle_scan, asser
     _assert_first_violation_recomputes(family, report)
 
 
+def test_expand_keeps_each_triple_once_with_its_least_value():
+    # Trivial group on 3 members, period 5: only the pair swap acts.
+    scan = correlation._OrbitScan([], 3, 5)
+    i, j, tau, value = scan.expand(
+        np.array([0, 1, 2, 0]), np.array([1, 0, 2, 1]), np.array([2, 3, 4, 2]), np.array([3.0, 2.0, 7.0, 4.0])
+    )
+    # (1, 0, 3) swaps to (0, 1, 2); (2, 2, 4) keeps itself and adds (2, 2, 1).
+    assert list(zip(i.tolist(), j.tolist(), tau.tolist(), value.tolist())) == [
+        (0, 1, 2, 2.0), (2, 2, 1, 7.0), (2, 2, 4, 7.0)
+    ]
+    # 198 triples given swapped and in reverse: the first WITNESS_CAP come back in order.
+    triples = sorted((a, b, t) for a in range(12) for b in range(a + 1, 12) for t in range(3))
+    a, b, t = (np.array(x) for x in zip(*triples[::-1]))
+    i, j, tau, _ = correlation._OrbitScan([], 12, 3).expand(b, a, -t % 3, np.ones(len(triples)))
+    assert list(zip(i.tolist(), j.tolist(), tau.tolist())) == triples[:WITNESS_CAP]
+
+
 @pytest.mark.parametrize("tile_elements", [60, 240])
 def test_orbits_that_cross_column_tiles_report_each_triple_once(
     fam16_m5, tile_elements, triangle_scan, assert_same_scan
