@@ -26,32 +26,45 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
+def degree(text: str) -> int:
+    """The --d type: an extension degree, at least 2."""
+    d = int(text)
+    if d < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {d}")
+    return d
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqfam",
         description="Build and verify low-correlation sequence families over finite fields.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, required=True, help="prime characteristic")
-    common.add_argument("--n", type=int, default=1, help="degree over the prime field (q = p**n)")
-    common.add_argument("--d", type=int, help="extension degree of the long sequence")
-    common.add_argument("--M", type=int, required=True, help="alphabet size, must divide q-1")
-    common.add_argument("--policy", choices=("strict", "relaxed-d2"), default="strict")
-    common.add_argument("--column", type=int, help="column index for generate")
-    common.add_argument("--tau", type=int, help="cyclic shift applied to generated sequences")
-    common.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="text")
-    common.add_argument("--out", help="output path (default stdout); family uses it as a prefix")
-    common.add_argument("--jobs", type=int, help="has no effect (accepted so older command lines still parse); "
-                        "BLAS threads follow OPENBLAS_NUM_THREADS")
-    common.add_argument("--table-limit", dest="table_limit", type=int,
-                        help="log-table size cap (overrides SEQFAM_TABLE_LIMIT)")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("generate", parents=[common], help="write sequences in the export format")
-    sub.add_parser("family", parents=[common], help="build the family; write manifest and payload")
-    sub.add_parser("correlate", parents=[common], help="exhaustive correlation and equivalence scan")
-    sub.add_parser("count", parents=[common], help="exact and asymptotic family size")
-    sub.add_parser("verify", parents=[common], help="run the full verification suite")
+    cmds = {}
+    for name, help_text in (
+        ("generate", "write sequences in the export format"),
+        ("family", "build the family; write manifest and payload"),
+        ("correlate", "exhaustive correlation and equivalence scan"),
+        ("count", "exact and asymptotic family size"),
+        ("verify", "run the full verification suite"),
+    ):
+        cmd = cmds[name] = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--p", type=int, required=True, help="prime characteristic")
+        cmd.add_argument("--n", type=int, default=1, help="degree over the prime field (q = p**n)")
+        cmd.add_argument("--d", type=degree, required=name != "generate",
+                         help="extension degree of the long sequence, >= 2")
+        cmd.add_argument("--M", type=int, required=True, help="alphabet size, must divide q-1")
+        cmd.add_argument("--out", help="output path (default stdout); family uses it as a prefix")
+        cmd.add_argument("--table-limit", dest="table_limit", type=int,
+                         help="log-table size cap (overrides SEQFAM_TABLE_LIMIT)")
+    cmds["generate"].add_argument("--column", type=int, help="column index (needs --d)")
+    cmds["generate"].add_argument("--tau", type=int, help="cyclic shift applied to the sequence")
+    for name in ("family", "correlate", "verify"):
+        cmds[name].add_argument("--policy", choices=("strict", "relaxed-d2"), default="strict")
+    for name, formats in (("correlate", "json csv text"), ("count", "json csv text"), ("verify", "json text")):
+        cmds[name].add_argument("--format", dest="fmt", choices=formats.split(), default="text")
+    for name in ("correlate", "verify"):  # the benchmark's command lines pass --jobs to these two
+        cmds[name].add_argument("--jobs", type=int, help="has no effect; BLAS threads follow OPENBLAS_NUM_THREADS")
     return parser
 
 
@@ -63,22 +76,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _require_d(args) -> int:
-    if args.d is None or args.d < 2:
-        raise ParameterError("--d must be given and >= 2 for this command")
-    return args.d
-
-
 def cmd_generate(args) -> int:
     ctx = build_field(args.p, args.n, args.table_limit)
-    if args.column is not None:
-        ext = build_extension(ctx, _require_d(args), args.table_limit)
-        seq = column_sequence(ext, args.column, args.M)
-    elif args.d is not None and args.d >= 2:
-        ext = build_extension(ctx, args.d, args.table_limit)
-        seq = sidelnikov_sequence_ext(ext, args.M)
-    else:
+    if args.d is None:
+        if args.column is not None:
+            raise ParameterError("--column needs --d")
         seq = sidelnikov_sequence(ctx, args.M)
+    else:
+        ext = build_extension(ctx, args.d, args.table_limit)
+        if args.column is None:
+            seq = sidelnikov_sequence_ext(ext, args.M)
+        else:
+            seq = column_sequence(ext, args.column, args.M)
     if args.tau:
         seq = seq.shifted(args.tau % seq.period)
     _emit(format_sequence(seq), args.out)
@@ -87,7 +96,7 @@ def cmd_generate(args) -> int:
 
 def cmd_family(args) -> int:
     ctx = build_field(args.p, args.n, args.table_limit)
-    ext = build_extension(ctx, _require_d(args), args.table_limit)
+    ext = build_extension(ctx, args.d, args.table_limit)
     fam = build_family(ext, args.M, args.policy)
     manifest = json.dumps(fam.manifest(), indent=2)
     payload = "\n".join(format_sequence(s) for s in fam.sequences)
@@ -104,7 +113,7 @@ def cmd_family(args) -> int:
 
 def cmd_correlate(args) -> int:
     ctx = build_field(args.p, args.n, args.table_limit)
-    ext = build_extension(ctx, _require_d(args), args.table_limit)
+    ext = build_extension(ctx, args.d, args.table_limit)
     fam = build_family(ext, args.M, args.policy)
     report = max_correlation(fam)
     inequivalent, witness = cyclic_inequivalence(fam)
@@ -131,34 +140,35 @@ def cmd_correlate(args) -> int:
 
 
 def _count_sweep_csv(args) -> str:
-    """Exact vs asymptotic sizes swept over base-field degrees of the same p."""
+    """Exact vs asymptotic sizes swept over q = p**n, p**(n+1), ... while q**d fits the table limit."""
     if args.M < 2:
         raise ParameterError("M must be >= 2")
-    check_table_size(args.p, args.d, args.table_limit, "q**d")
+    if args.n < 1:
+        raise ParameterError("n must be >= 1")
+    check_table_size(args.p, args.n, args.table_limit)
     if not is_prime(args.p):
         raise ParameterError(f"p={args.p} is not prime")
+    q = args.p**args.n
+    check_table_size(q, args.d, args.table_limit, "q**d")
     limit = table_limit(args.table_limit)
     rows = ["q,d,M,lambda,family_size,asymptotic,ratio"]
-    n_prime = 1
-    while (args.p ** n_prime) ** args.d <= limit:
-        q = args.p**n_prime
+    while q**args.d <= limit:
         if (q - 1) % args.M == 0 and q > args.M:
             lam = lambda_size_formula(q, args.d)
             fam = (args.M - 1) * (lam - 1)
             asym = asymptotic_size(q, args.d, args.M)
             rows.append(f"{q},{args.d},{args.M},{lam},{fam},{asym:.4f},{fam / asym:.6f}")
-        n_prime += 1
+        q *= args.p
     return "\n".join(rows)
 
 
 def cmd_count(args) -> int:
-    d = _require_d(args)
     if args.fmt == "csv":
         _emit(_count_sweep_csv(args), args.out)
         return EXIT_OK
     ctx = build_field(args.p, args.n, args.table_limit)
-    check_table_size(ctx.q, d, args.table_limit, "q**d")
-    report = count_report(ctx.q, d, args.M, ctx)
+    check_table_size(ctx.q, args.d, args.table_limit, "q**d")
+    report = count_report(ctx.q, args.d, args.M, ctx)
     if args.fmt == "json":
         _emit(json.dumps(report.to_dict(), indent=2), args.out)
     else:
@@ -177,7 +187,7 @@ def cmd_verify(args) -> int:
     result = run_verification(
         args.p,
         args.n,
-        _require_d(args),
+        args.d,
         args.M,
         policy=args.policy,
         table_limit=args.table_limit,

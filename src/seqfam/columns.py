@@ -13,7 +13,7 @@ import numpy as np
 from . import polys
 from .errors import InternalCheckError, ParameterError
 from .fields import ExtensionContext
-from .sequences import MSequence, _check_alphabet, sidelnikov_sequence_ext
+from .sequences import MSequence, _check_alphabet
 
 
 @dataclass(frozen=True)
@@ -74,18 +74,14 @@ def column_sequence(ext: ExtensionContext, l: int, M: int) -> MSequence:
     return MSequence(column_symbols(ext, l, M), ext.q - 1, M, "column", ext.q, ext.d, l, 1)
 
 
-def column_from_long_sequence(
-    ext: ExtensionContext, l: int, M: int, long_seq: MSequence | None = None
-) -> MSequence:
-    """Column l extracted by strided indexing of the long sequence.
+def column_from_long_sequence(ext: ExtensionContext, l: int, M: int, long_seq: MSequence) -> MSequence:
+    """Column l extracted by strided indexing of long_seq, the period-(q**d-1) sequence.
 
     Independent of the closed-form route in column_symbols; the two must
     agree symbol for symbol.
     """
     if not 0 <= l < ext.norm_ratio:
         raise ParameterError(f"column index {l} out of range [0, {ext.norm_ratio})")
-    if long_seq is None:
-        long_seq = sidelnikov_sequence_ext(ext, M)
     idx = (np.arange(ext.q - 1, dtype=np.int64) * ext.norm_ratio + l) % (ext.size - 1)
     return MSequence(long_seq.symbols[idx], ext.q - 1, M, "column", ext.q, ext.d, l, 1)
 

@@ -147,14 +147,6 @@ class _TableField:
         idx = (self.log[a] + self.log[b]) % (self.size - 1)
         return np.where((a != 0) & (b != 0), self.exp[idx], 0)
 
-    def pow_arr(self, a, k: int):
-        a = np.asarray(a, dtype=np.int64)
-        zero = a == 0
-        if k < 0 and zero.any():
-            raise ZeroDivisionError("negative power of 0")
-        idx = (self.log[a] * (k % (self.size - 1))) % (self.size - 1)
-        return np.where(zero, int(k == 0), self.exp[idx])
-
     def dlog(self, x: int) -> int:
         """Discrete log of x base the context generator, with dlog(0) = 0."""
         return int(self.log[x])

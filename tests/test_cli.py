@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import seqfam
-from seqfam.cli import main
+from seqfam.cli import _build_parser, main
 
 CLI_TIMEOUT = 10  # seconds; pytest has no timeout of its own here, so a hang must fail, not stall
 
@@ -135,6 +135,20 @@ def test_count_sweep_csv(capsys):
     assert len(lines) >= 3  # q=16 and q=256 rows at least
 
 
+def test_count_sweep_csv_starts_at_q_of_n(capsys):
+    code, out, _ = run(capsys, "count", "--p", "2", "--n", "4", "--d", "2", "--M", "3", "--format", "csv")
+    assert code == 0
+    qs = [int(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+    assert qs == [16, 64, 256, 1024, 4096]  # q = 4 fits M=3 too, but lies below p**n
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_count_sweep_csv_rejects_small_degree(capsys, n):
+    code, out, err = run(capsys, "count", "--p", "2", "--n", n, "--d", "2", "--M", "3", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert "n must be >= 1" in err
+
+
 @pytest.mark.parametrize("M", ["0", "1", "-3"])
 def test_count_sweep_csv_rejects_small_alphabet(capsys, M):
     code, out, err = run(capsys, "count", "--p", "2", "--d", "2", "--M", M, "--format", "csv")
@@ -177,6 +191,65 @@ def test_oversized_field_exits_promptly(argv):
     assert code == 2
     assert out == ""
     assert "exceeds the table limit" in err and "Traceback" not in err
+
+
+SUBCOMMAND_FLAGS = {  # every flag a subcommand accepts, besides --p --n --d --M --out --table-limit
+    "generate": {"--column", "--tau"},
+    "family": {"--policy"},
+    "correlate": {"--policy", "--format", "--jobs"},
+    "count": {"--format"},
+    "verify": {"--policy", "--format", "--jobs"},
+}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    commands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    accepted = {
+        name: {flag for action in cmd._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, cmd in commands.items()
+    }
+    shared = {"--p", "--n", "--d", "--M", "--out", "--table-limit"}
+    assert accepted == {name: shared | extra for name, extra in SUBCOMMAND_FLAGS.items()}
+    assert sum(map(len, accepted.values())) == 40
+
+
+BASE = "--p 2 --n 4 --d 2 --M 5"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(f"generate {BASE} --policy strict", id="generate-policy"),
+        pytest.param(f"generate {BASE} --format json", id="generate-format"),
+        pytest.param(f"generate {BASE} --jobs 2", id="generate-jobs"),
+        pytest.param(f"family {BASE} --column 3", id="family-column"),
+        pytest.param(f"family {BASE} --tau 1", id="family-tau"),
+        pytest.param(f"family {BASE} --format json", id="family-format"),
+        pytest.param(f"family {BASE} --jobs 2", id="family-jobs"),
+        pytest.param(f"correlate {BASE} --column 3", id="correlate-column"),
+        pytest.param(f"correlate {BASE} --tau 1", id="correlate-tau"),
+        # count never read --policy: it printed the strict size 21, where the relaxed family has 18
+        pytest.param("count --p 13 --d 2 --M 4 --policy relaxed-d2", id="count-policy-relaxed-d2"),
+        pytest.param(f"count {BASE} --column 3", id="count-column"),
+        pytest.param(f"count {BASE} --tau 1", id="count-tau"),
+        pytest.param(f"count {BASE} --jobs 2", id="count-jobs"),
+        pytest.param(f"verify {BASE} --column 3", id="verify-column"),
+        pytest.param(f"verify {BASE} --tau 1", id="verify-tau"),
+        pytest.param(f"verify {BASE} --format csv", id="verify-format-csv"),  # printed text
+        pytest.param("generate --p 5 --M 4 --d 0", id="generate-d-0"),  # printed the base sequence
+        pytest.param("generate --p 5 --M 4 --d -3", id="generate-d-negative"),
+    ],
+)
+def test_flag_a_subcommand_does_not_read_is_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: seqfam ") and "Traceback" not in err
+
+
+def test_column_needs_d(capsys):
+    code, out, err = run(capsys, "generate", "--p", "5", "--M", "4", "--column", "1")
+    assert (code, out) == (2, "")
+    assert "--column needs --d" in err
 
 
 def test_table_limit_env_not_an_integer(monkeypatch, capsys):

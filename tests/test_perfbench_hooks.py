@@ -37,6 +37,19 @@ def test_workload_command_line_parses(workload):
     assert (args.command, args.jobs) == (workload["argv"][0], 2)
 
 
+def _readme_command_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines() if line.startswith("seqfam ")]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert len(lines) >= 5
+    for argv in lines:
+        assert seqfam.cli._build_parser().parse_args(argv).command == argv[0]
+
+
 def test_run_reads_kernel_names():
     assert seqfam.kernels.COMPILED_AVAILABLE is False
     assert isinstance(seqfam.kernels.default_backend(), str)
