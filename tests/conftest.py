@@ -48,6 +48,19 @@ def gf169(gf13):
 
 
 @pytest.fixture(scope="session")
+def built():
+    """build(p, n) or build(p, n, d): GF(p**n) or its degree-d extension, built once per session."""
+    cache = {}
+
+    def build(*key):
+        if key not in cache:
+            cache[key] = build_field(*key) if len(key) == 2 else build_extension(build(*key[:2]), key[2])
+        return cache[key]
+
+    return build
+
+
+@pytest.fixture(scope="session")
 def fam16_m5(gf256):
     return build_family(gf256, 5)
 

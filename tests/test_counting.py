@@ -25,7 +25,7 @@ from seqfam.counting import (
 )
 from seqfam.errors import ParameterError, TableLimitError
 from seqfam.family import coset_representatives
-from seqfam.fields import build_extension, build_field
+from seqfam.fields import build_field
 from seqfam.intmath import as_prime_power
 
 
@@ -130,9 +130,13 @@ def test_cyclotomic_factors_verified(gf25, gf256, gf64_over4):
         assert all(f[-1] == 1 for f in facs)
 
 
-# sha256 of json.dumps of the factor list, pinned from the coset-by-coset
-# construction that root_products replaced.
+# sha256 of json.dumps of the factor list. (2, 1, 20), (2, 4, 5) and (2, 5, 4)
+# were pinned from the one-orbit-per-row root_products; the others from the
+# coset-by-coset construction that root_products replaced.
 GOLDEN_FACTORS = {
+    (2, 1, 20): (52487, "a295cce71735faa866656508a613b0015d282cbc45a014a30aa3d87817555182"),
+    (2, 4, 5): (13985, "2eb642a19ba13b3bf3ff3fb846be378041a7e3a31cd14a456f83e19ba81ea108"),
+    (2, 5, 4): (8465, "ba72460220bd4c806bbef951a5319dea859b5cf8721dccac0cf118a47ec20717"),
     (2, 2, 10): (34989, "91ea4049ce0045af4c0e9f7fa4cd097bdfe08d75880b69b888e5f65b52afc004"),
     (2, 10, 2): (513, "a19947a4bda3f6ff3f7f67a2121675e9434528f604830d1549141883042eda6c"),
     (3, 6, 2): (366, "95ccea5c063ae676d79607f306ce908c70f7f7db68e892dd7359c612953d3cca"),
@@ -143,8 +147,8 @@ GOLDEN_FACTORS = {
 
 
 @pytest.mark.parametrize("p, n, d", sorted(GOLDEN_FACTORS))
-def test_cyclotomic_factors_golden(p, n, d):
-    factors = cyclotomic_factors(build_extension(build_field(p, n), d))
+def test_cyclotomic_factors_golden(built, p, n, d):
+    factors = cyclotomic_factors(built(p, n, d))
     digest = hashlib.sha256(json.dumps([list(f) for f in factors]).encode()).hexdigest()
     assert (len(factors), digest) == GOLDEN_FACTORS[(p, n, d)]
 

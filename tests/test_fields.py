@@ -22,6 +22,11 @@ GOLDEN_CONSTRUCTIONS = {
     (2, 4, 2): ((1, 3, 1), 68, "d4c0058e450b53ac"),
     (977, 1, 2): ((1, 1, 1), 9863, "d174aaafbce8f8c3"),
     (2, 1, 20): ((1,) + (0,) * 16 + (1, 0, 0, 1), 2, "4cb1763d286d33f4"),
+    (2, 2, 10): ((1, 0, 0, 0, 0, 0, 0, 2, 1, 0, 1), 8, "c30f5f9325c9b4a8"),
+    (2, 4, 5): ((1, 0, 0, 0, 2, 1), 270, "fb096f99442b0208"),
+    (2, 5, 4): ((1, 0, 0, 1, 1), 40, "6ac3fb3b720063f4"),
+    (2, 10, 2): ((1, 3, 1), 3616, "7dc82f2900729904"),
+    (3, 6, 2): ((1, 3, 1), 9056, "0b5eec8bacf50621"),
 }
 
 
@@ -104,27 +109,32 @@ def test_validate_rejects_corrupt_log_table(gf16, gf256, kind, corrupt):
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_CONSTRUCTIONS))
-def test_golden_construction(key):
-    ctx = build_field(*key[:2])
-    if len(key) == 3:
-        ctx = build_extension(ctx, key[2])
+def test_golden_construction(built, key):
+    ctx = built(*key)
     modulus, generator, exp_sha = GOLDEN_CONSTRUCTIONS[key]
     assert tuple(ctx.modulus) == modulus
     assert (ctx.alpha if len(key) == 3 else ctx.beta) == generator
     assert hashlib.sha256(ctx.exp.astype("<i8").tobytes()).hexdigest()[:16] == exp_sha
 
 
-# sha256 of exp as little-endian int64, in full, for two of the benchmark's fields.
-EXP_DIGESTS = {
-    (2, 1, 20): "4cb1763d286d33f42814e96b18116a3f53b823240feed3677dbcb0bcef577222",
-    (3, 6, 2): "0b5eec8bacf50621c9b9b637df62a88281cadf3bb76ed675ea7a8137e8f8227a",
+# sha256 of exp and of log as little-endian int64, in full, for two of the benchmark's fields.
+TABLE_DIGESTS = {
+    (2, 1, 20): (
+        "4cb1763d286d33f42814e96b18116a3f53b823240feed3677dbcb0bcef577222",
+        "7d2f78c887085a97329e4562fd34ec1029570bc8fc53c3739d8780ec9579b0cf",
+    ),
+    (3, 6, 2): (
+        "0b5eec8bacf50621c9b9b637df62a88281cadf3bb76ed675ea7a8137e8f8227a",
+        "5a65f49509e384b669ab6da1a09bdef68e4240d8f534b4dc21679f0d1a8e87f3",
+    ),
 }
 
 
-@pytest.mark.parametrize("key", sorted(EXP_DIGESTS))
-def test_exp_table_digest(key):
-    ext = build_extension(build_field(*key[:2]), key[2])
-    assert hashlib.sha256(ext.exp.astype("<i8").tobytes()).hexdigest() == EXP_DIGESTS[key]
+@pytest.mark.parametrize("key", sorted(TABLE_DIGESTS))
+def test_exp_table_digest(built, key):
+    ext = built(*key)
+    digests = tuple(hashlib.sha256(t.astype("<i8").tobytes()).hexdigest() for t in (ext.exp, ext.log))
+    assert digests == TABLE_DIGESTS[key]
 
 
 @pytest.mark.parametrize(
