@@ -139,10 +139,8 @@ def cmd_correlate(args) -> int:
     return EXIT_OK if ok else EXIT_FAILURE
 
 
-def _count_sweep_csv(args) -> str:
-    """Exact vs asymptotic sizes swept over q = p**n, p**(n+1), ... while q**d fits the table limit."""
-    if args.M < 2:
-        raise ParameterError("M must be >= 2")
+def _count_field_order(args) -> int:
+    """q = p**n, once n, p**n, the primality of p and q**d have passed, before any table is built."""
     if args.n < 1:
         raise ParameterError("n must be >= 1")
     check_table_size(args.p, args.n, args.table_limit)
@@ -150,6 +148,14 @@ def _count_sweep_csv(args) -> str:
         raise ParameterError(f"p={args.p} is not prime")
     q = args.p**args.n
     check_table_size(q, args.d, args.table_limit, "q**d")
+    return q
+
+
+def _count_sweep_csv(args) -> str:
+    """Exact vs asymptotic sizes swept over q = p**n, p**(n+1), ... while q**d fits the table limit."""
+    if args.M < 2:
+        raise ParameterError("M must be >= 2")
+    q = _count_field_order(args)
     limit = table_limit(args.table_limit)
     rows = ["q,d,M,lambda,family_size,asymptotic,ratio"]
     while q**args.d <= limit:
@@ -166,8 +172,8 @@ def cmd_count(args) -> int:
     if args.fmt == "csv":
         _emit(_count_sweep_csv(args), args.out)
         return EXIT_OK
+    _count_field_order(args)
     ctx = build_field(args.p, args.n, args.table_limit)
-    check_table_size(ctx.q, args.d, args.table_limit, "q**d")
     report = count_report(ctx.q, args.d, args.M, ctx)
     if args.fmt == "json":
         _emit(json.dumps(report.to_dict(), indent=2), args.out)

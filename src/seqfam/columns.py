@@ -42,13 +42,28 @@ def coset(l: int, modulus: int, q: int) -> CyclotomicCoset:
 
 
 def coset_minima(modulus: int, q: int) -> np.ndarray:
-    """Smallest member of the q-cyclotomic coset of each index mod modulus."""
-    idx = np.arange(modulus, dtype=np.int64)
-    reps, cur = idx.copy(), (idx * q) % modulus
-    while not np.array_equal(cur, idx):
+    """Smallest member of the q-cyclotomic coset of each index mod modulus.
+
+    Works in place in int32 while every product index * q stays below 2**31,
+    which the default table cap guarantees, and in int64 above that.
+    """
+    order, power = 1, q % modulus
+    while power != 1 % modulus:
+        order, power = order + 1, power * q % modulus
+    reps = np.arange(modulus, dtype=np.int32 if modulus * q < 1 << 31 else np.int64)
+    cur = reps.copy()
+    for _ in range(order - 1):
+        cur *= q
+        cur %= modulus
         np.minimum(reps, cur, out=reps)
-        cur = (cur * q) % modulus
     return reps
+
+
+def coset_leaders(modulus: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Representatives of the q-cyclotomic cosets mod modulus, ascending, and the coset sizes."""
+    minima = coset_minima(modulus, q)
+    reps = np.flatnonzero(minima == np.arange(modulus, dtype=minima.dtype))
+    return reps, np.bincount(minima, minlength=modulus)[reps]
 
 
 def column_symbols(ext: ExtensionContext, l: int, M: int) -> np.ndarray:
@@ -86,23 +101,39 @@ def column_from_long_sequence(ext: ExtensionContext, l: int, M: int, long_seq: M
     return MSequence(long_seq.symbols[idx], ext.q - 1, M, "column", ext.q, ext.d, l, 1)
 
 
+_ROWS = 4096  # rows of root_products multiplied out together
+
+
 def root_products(ext: ExtensionContext, exponents) -> np.ndarray:
     """Row i: the coefficients of prod_k (x + alpha**e[i, k]), constant term first.
 
-    exponents is (rows, s) and the result (rows, s + 1). Each step multiplies
-    every row by its next linear factor, c * alpha**e read as exp[log(c) + e].
+    exponents is (rows, s) and the result (rows, s + 1). The rows are
+    multiplied out in chunks, coefficient-major, so every pass runs over
+    contiguous memory. Each step multiplies every row by its next linear
+    factor: c * alpha**e is read as exp[log(c) + e], the index wrapped by
+    one conditional subtract, and the coefficients shift up by one.
     """
     n = ext.size - 1
     exponents = np.asarray(exponents, dtype=np.int64) % n
     rows, s = exponents.shape
-    coeff = np.zeros((rows, s + 1), dtype=np.int64)
-    coeff[:, 0] = 1
-    for k in range(s):
-        low = coeff[:, : k + 2]  # coefficient k + 1 is still 0
-        scaled = np.where(low != 0, ext.exp[(ext.log[low] + exponents[:, k, None]) % n], 0)
-        coeff[:, 1 : k + 2] = ext.add_arr(low[:, :-1], scaled[:, 1:])
-        coeff[:, 0] = scaled[:, 0]
-    return coeff
+    out = np.empty((rows, s + 1), dtype=np.int64)
+    for lo in range(0, rows, _ROWS):
+        e = np.ascontiguousarray(exponents[lo : lo + _ROWS].T)
+        coeff = np.zeros((s + 1, e.shape[1]), dtype=np.int64)  # row j: the coefficients of x**j
+        coeff[0] = 1
+        scaled, index = np.empty_like(coeff), np.empty_like(coeff)
+        for k in range(s):
+            low, sc, idx = coeff[: k + 1], scaled[: k + 1], index[: k + 1]
+            np.take(ext.log, low, out=idx)
+            idx += e[k]
+            np.subtract(idx, n, out=idx, where=idx >= n)
+            np.take(ext.exp, idx, out=sc)
+            sc[low == 0] = 0
+            sc[1:] = ext.add(sc[1:], low[:-1])
+            scaled[k + 1] = 1  # the product stays monic
+            coeff, scaled = scaled, coeff
+        out[lo : lo + e.shape[1]] = coeff.T
+    return out
 
 
 def shifted_column_polynomial(ext: ExtensionContext, l: int, tau: int) -> tuple:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polys
-from .columns import coset_minima, root_products
+from .columns import coset_leaders, root_products
 from .errors import InternalCheckError, ParameterError
 from .family import coset_representatives
 from .fields import ExtensionContext, FieldContext, build_field, check_table_size
@@ -300,7 +300,7 @@ def cyclotomic_factors(ext: ExtensionContext, deep: bool = False) -> list[tuple[
     """
     q, m = ext.q, ext.norm_ratio
     base = ext.base
-    reps, sizes = np.unique(coset_minima(m, q), return_counts=True)
+    reps, sizes = coset_leaders(m, q)
     log_minus_one = int(ext.log[ext.neg(1)])
 
     ordered: list[tuple[int, ...]] = [()] * reps.size

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import column_polynomial, column_symbols, coset, coset_minima, shifted_column_polynomial
+from .columns import column_polynomial, column_symbols, coset, coset_leaders, shifted_column_polynomial
 from .errors import ParameterError
 from .fields import ExtensionContext
 from .sequences import MSequence, _check_alphabet
@@ -24,7 +24,7 @@ def coset_representatives(q: int, d: int) -> list[int]:
     """Smallest member of every q-cyclotomic coset mod (q**d-1)/(q-1), sorted."""
     if d < 2:
         raise ParameterError("d must be >= 2")
-    return np.unique(coset_minima((q**d - 1) // (q - 1), q)).tolist()
+    return coset_leaders((q**d - 1) // (q - 1), q)[0].tolist()
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ def _unpack(values: np.ndarray, p: int, digits: int) -> np.ndarray:
 
 
 def _pack(digit_rows: np.ndarray, p: int) -> np.ndarray:
-    powers = p ** np.arange(digit_rows.shape[1], dtype=np.int64)
+    powers = p ** np.arange(digit_rows.shape[-1], dtype=np.int64)
     return digit_rows @ powers
 
 
@@ -169,7 +169,7 @@ class _TableField:
 _SLICE = 1 << 12  # p**w bound of a digit slice in _exp_table
 
 
-def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray:
+def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int, step: int) -> np.ndarray:
     """exp[t] = beta**t for 0 <= t < size-1, filled by block doubling.
 
     Each round multiplies the known block by the constant c = beta**filled.
@@ -177,36 +177,47 @@ def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray
     GF(p)-linear on packed digits, so it is applied by lookup: the digits
     are cut into slices of w digits, w as large as keeps p**w <= 2**12
     (w = 1 when p itself is larger), and slice lo maps through a table of
-    c * (v * p**lo) for every slice value v, built from the images c * p**j
-    of the digit basis. The block's image is one gather per slice, summed
-    with the field's digitwise add in a small integer type.
+    c * (v * p**lo) for every slice value v. The table is built by linear
+    doubling, table[v + k * p**t] = table[v] + k * c * p**(lo+t), one
+    digitwise add per digit. raw_mul multiplies polynomials whose
+    coefficients are `step` digits wide, so only the images c * p**j of the
+    first `step` basis digits are raw products with c; the rest are
+    c * p**(j+step) = (c * p**j) * X, X being the encoding p**step. The
+    block's image is one gather per slice, summed with the field's
+    digitwise add in a small integer type.
     """
     n = size - 1
     exp = np.empty(n, dtype=np.int64)
     exp[0] = 1
-    slices = []  # (lo, w, digit rows of every w-digit slice value); none in a prime field
+    slices = []  # (lo, w); none in a prime field
     if digits > 1:
         width = 1
         while width < digits and p ** (width + 1) <= _SLICE:
             width += 1
-        for lo in range(0, digits, width):
-            w = min(width, digits - lo)
-            slices.append((lo, w, _unpack(np.arange(p**w, dtype=np.int64), p, w)))
+        slices = [(lo, min(width, digits - lo)) for lo in range(0, digits, width)]
     small = np.min_scalar_type(-2 * size)  # holds a + b
+    scalars = np.arange(p)[:, None, None]
     filled = 1
     while filled < n:
         c = raw_mul(int(exp[filled - 1]), beta)
         take = min(filled, n - filled)
         if digits == 1:
-            image = exp[:take] * c % p  # exact in int64: p < 2**31 for any table that fits in memory
+            exp[filled : filled + take] = exp[:take] * c % p  # exact in int64: p < 2**31 for any table that fits in memory
         else:
-            basis = _unpack(np.array([raw_mul(c, p**j) for j in range(digits)], dtype=np.int64), p, digits)
+            images = [raw_mul(c, p**j) for j in range(step)]
+            for j in range(step, digits):
+                images.append(raw_mul(images[j - step], p**step))
+            # multiples[k, j] = k * c * p**j, digit by digit
+            multiples = _pack(scalars * _unpack(np.array(images), p, digits) % p, p).astype(small)
             block = exp[:take].astype(small)
-            image = 0
-            for lo, w, span in slices:
-                table = _pack((span @ basis[lo : lo + w]) % p, p).astype(small)
-                image = _add_digits(image, table[block % p ** (lo + w) // p**lo], p, digits)
-        exp[filled : filled + take] = image
+            image = None
+            for lo, w in slices:
+                table = np.zeros(1, dtype=small)
+                for t in range(lo, lo + w):
+                    table = _add_digits(multiples[:, t, None], table, p, digits).ravel()
+                part = table[block % p ** (lo + w) // p**lo]
+                image = part if image is None else _add_digits(image, part, p, digits)
+            exp[filled : filled + take] = image
         filled += take
     return exp
 
@@ -221,14 +232,16 @@ def _raw_pow(raw_mul, a: int, k: int) -> int:
     return out
 
 
-def _generator_tables(raw_mul, p: int, digits: int, ratio: int, target: int, first: int = 1):
+def _generator_tables(raw_mul, p: int, digits: int, step: int, ratio: int, target: int, first: int = 1):
     """(g, exp, log) for the smallest-encoding primitive g with g**ratio == target.
 
     ratio = size-1 with target 1 asks only for a primitive element; an
     extension asks for norm(g) = beta. The smallest primitive g0 is found by
-    raw arithmetic and its tables built once; every primitive element is
-    g0**k with gcd(k, size-1) = 1, so one pass over log_g0 finds the
-    smallest encoding x = g0**k with k*ratio = log_g0(target), and its
+    raw arithmetic and its exp table built once. Every primitive element is
+    g0**k with gcd(k, size-1) = 1, and g0**k qualifies iff k*ratio = L mod
+    size-1, L = log_g0(target): k runs over one residue class mod
+    (size-1)/gcd(ratio, size-1), gcd(ratio, size-1) candidates in all. The
+    smallest encoding among those with gcd(k, size-1) = 1 is g, whose
     tables are g0's re-indexed by k. g is then rechecked by raw arithmetic.
     The search for g0 starts at `first`: over a polynomial modulus the
     encodings below the radix are the coefficient field, a proper subfield,
@@ -242,19 +255,24 @@ def _generator_tables(raw_mul, p: int, digits: int, ratio: int, target: int, fir
             break
     else:
         raise InternalCheckError("no primitive element found; field arithmetic is broken")
-    exp = _exp_table(size, g0, raw_mul, p, digits)
-    log = np.zeros(size, dtype=np.int64)
-    log[exp] = np.arange(n, dtype=np.int64)
+    exp = _exp_table(size, g0, raw_mul, p, digits, step)
     g = g0
     if not (target == 1 and ratio == n):
-        ks = log[1:]  # ks[x-1] = log_g0(x); k*ratio < 2**48 at the 2**24 table cap
-        hits = np.flatnonzero((ks * (ratio % n) - log[target]) % n == 0)
-        hits = hits[np.gcd(ks[hits], n) == 1]
-        if hits.size == 0:
+        L = int(np.argmax(exp == target))  # 0 where target never occurs, as log(0) = 0
+        share = math.gcd(ratio, n)
+        if L % share:
             raise InternalCheckError(f"no primitive element with g**{ratio} == {target}")
-        g, k = int(hits[0]) + 1, int(ks[hits[0]])
+        period = n // share
+        k0 = L // share * pow(ratio // share, -1, period) % period if period > 1 else 0
+        ks = np.arange(k0, n, period, dtype=np.int64)
+        ks = ks[np.gcd(ks, n) == 1]
+        if ks.size == 0:
+            raise InternalCheckError(f"no primitive element with g**{ratio} == {target}")
+        k = int(ks[np.argmin(exp[ks])])
+        g = int(exp[k])
         exp = exp[np.arange(n, dtype=np.int64) * k % n]
-        log[exp] = np.arange(n, dtype=np.int64)
+    log = np.zeros(size, dtype=np.int64)
+    log[exp] = np.arange(n, dtype=np.int64)
     if (
         _raw_pow(raw_mul, g, ratio) != target
         or exp[0] != 1
@@ -381,7 +399,7 @@ class ExtensionContext(_TableField):
 
 def _prime_context(p: int) -> FieldContext:
     """GF(p) with modulus x and beta the smallest primitive root."""
-    beta, exp, log = _generator_tables(lambda a, b: (a * b) % p, p, 1, p - 1, 1)
+    beta, exp, log = _generator_tables(lambda a, b: (a * b) % p, p, 1, 1, p - 1, 1)
     return FieldContext(p, 1, (0, 1), beta, exp, log)
 
 
@@ -439,7 +457,7 @@ def build_field(p: int, n: int, limit: int | None = None) -> FieldContext:
     if n == 1:
         return prime_ctx
     modulus = _smallest_irreducible(prime_ctx, n)
-    beta, exp, log = _generator_tables(_poly_mul(prime_ctx, modulus), p, n, q - 1, 1, first=p)
+    beta, exp, log = _generator_tables(_poly_mul(prime_ctx, modulus), p, n, 1, q - 1, 1, first=p)
     return FieldContext(p, n, modulus, beta, exp, log)
 
 
@@ -457,7 +475,7 @@ def build_extension(base: FieldContext, d: int, limit: int | None = None) -> Ext
     modulus = _smallest_irreducible(base, d)
     ratio = (size - 1) // (base.q - 1)
     alpha, exp, log = _generator_tables(
-        _poly_mul(base, modulus), base.p, base.n * d, ratio, base.beta, first=base.q
+        _poly_mul(base, modulus), base.p, base.n * d, base.n, ratio, base.beta, first=base.q
     )
     ext = ExtensionContext(base, d, modulus, alpha, exp, log)
     if int(ext.exp[ratio % (size - 1)]) != base.beta:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -191,6 +192,15 @@ def test_oversized_field_exits_promptly(argv):
     assert code == 2
     assert out == ""
     assert "exceeds the table limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_count_refuses_an_oversized_extension_before_building_the_field(capsys, fmt):
+    # GF(2**24) alone would take seconds and hundreds of MB to build
+    with mock.patch("seqfam.cli.build_field", side_effect=AssertionError("GF(q) was built")):
+        code, out, err = run(capsys, "count", "--p", "2", "--n", "24", "--d", "2", "--M", "3", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert "q**d = 16777216**2 exceeds the table limit" in err and "Traceback" not in err
 
 
 SUBCOMMAND_FLAGS = {  # every flag a subcommand accepts, besides --p --n --d --M --out --table-limit

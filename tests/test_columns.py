@@ -13,6 +13,7 @@ from seqfam.columns import (
     column_sequence,
     column_symbols,
     coset,
+    coset_minima,
     frobenius_poly,
     root_products,
     shifted_column_polynomial,
@@ -37,6 +38,17 @@ def test_coset_pairs_for_degree_two():
     for l in range(1, q + 1):
         members = set(coset(l % (q + 1), q + 1, q).members)
         assert members == {l % (q + 1), (q + 1 - l) % (q + 1)}
+
+
+@pytest.mark.parametrize("modulus", [(1 << 20) - 1, (1 << 20) + 1])
+def test_coset_minima_around_the_int32_switch(modulus):
+    # modulus * 2048 is just below 2**31 for the first modulus and just above it for the second
+    q = 2048
+    minima = coset_minima(modulus, q)
+    assert minima.dtype == (np.int32 if modulus * q < 1 << 31 else np.int64)
+    rng = np.random.default_rng(6)
+    sample = np.r_[0, 1, rng.integers(0, modulus, 200), modulus - 200 : modulus]
+    assert [int(minima[l]) for l in sample] == [coset(int(l), modulus, q).representative for l in sample]
 
 
 @pytest.mark.parametrize("M", [2, 4])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from seqfam.columns import column_symbols
+from seqfam.columns import column_symbols, coset, coset_leaders
 from seqfam.counting import cyclotomic_factors
 from seqfam.errors import ParameterError
 from seqfam.family import (
@@ -13,6 +13,7 @@ from seqfam.family import (
     distinct_shift_check,
 )
 from seqfam.fields import build_extension, build_field
+from seqfam.intmath import iter_prime_powers
 
 
 def test_coset_representatives_small():
@@ -34,6 +35,17 @@ def test_coset_representatives_are_orbit_minima():
             orbit.add(cur)
             cur = cur * q % m
         assert rep == min(orbit)
+
+
+def test_coset_representatives_and_sizes_match_orbit_enumeration():
+    cases = [(q, d) for _, _, q in iter_prime_powers(2, 64) for d in range(2, 13) if q**d <= 1 << 12]
+    assert len(cases) == 57
+    for q, d in cases:
+        m = (q**d - 1) // (q - 1)
+        orbits = {c.representative: c.size for c in (coset(l, m, q) for l in range(m))}
+        reps, sizes = coset_leaders(m, q)
+        assert coset_representatives(q, d) == reps.tolist() == sorted(orbits), (q, d)
+        assert sizes.tolist() == [orbits[r] for r in reps.tolist()], (q, d)
 
 
 def test_check_restrictions_examples():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from seqfam import fields
 from seqfam.errors import InternalCheckError, ParameterError, TableLimitError
 from seqfam.fields import ExtensionContext, FieldContext, build_extension, build_field, check_table_size
+from seqfam.intmath import iter_prime_powers, prime_factors
 
 # (p, n) or (p, n, d) -> (modulus, generator, sha256 prefix of exp as little-endian int64).
 # Pinned so that any change to the modulus or generator search shows up here;
@@ -145,6 +146,8 @@ def test_exp_table_digest(built, key):
         (97, 1, 2),  # one-digit slices with 97-entry tables
         (3, 9, 1),  # slices of 7 and 2 digits; a + b overflows int16
         (32749, 1, 1),  # a prime field: one modular product per round
+        (7, 4, 1),  # one 4-digit slice, 7**4 = 2401 table entries
+        (2, 2, 5),  # base step n = 2: images c * p**(j+2) = (c * p**j) * X
     ],
 )
 def test_exp_table_equals_raw_multiplication_chain(p, n, d):
@@ -159,7 +162,8 @@ def test_exp_table_equals_raw_multiplication_chain(p, n, d):
     chain = [1]
     for _ in range(ctx.size - 2):
         chain.append(raw_mul(chain[-1], g))
-    assert fields._exp_table(ctx.size, g, raw_mul, p, ctx.digits).tolist() == chain
+    step = n if d > 1 else 1  # digits per coefficient of raw_mul's polynomials
+    assert fields._exp_table(ctx.size, g, raw_mul, p, ctx.digits, step).tolist() == chain
 
 
 @pytest.mark.parametrize(
@@ -174,7 +178,41 @@ def test_exp_table_equals_raw_multiplication_chain(p, n, d):
 def test_generator_search_rejects(p, modulus, ratio, target, message):
     raw_mul = fields._poly_mul(build_field(p, 1), modulus)
     with pytest.raises(InternalCheckError, match=message):
-        fields._generator_tables(raw_mul, p, 2, ratio, target)
+        fields._generator_tables(raw_mul, p, 2, 1, ratio, target)
+
+
+def _generator_by_full_search(raw_mul, p, digits, step, ratio, target, first):
+    """The search over every log: x = g0**k with k * ratio == log_g0(target) and gcd(k, size-1) == 1."""
+    size = p**digits
+    n = size - 1
+    primes = prime_factors(n)
+    g0 = next(
+        x for x in range(first, size)
+        if all(fields._raw_pow(raw_mul, x, n // r) != 1 for r in primes) and fields._raw_pow(raw_mul, x, n) == 1
+    )
+    exp = fields._exp_table(size, g0, raw_mul, p, digits, step)
+    log = np.zeros(size, dtype=np.int64)
+    log[exp] = np.arange(n, dtype=np.int64)
+    ks = log[1:]  # ks[x-1] = log_g0(x)
+    hits = np.flatnonzero((ks * (ratio % n) - log[target]) % n == 0)
+    hits = hits[np.gcd(ks[hits], n) == 1]
+    g, k = int(hits[0]) + 1, int(ks[hits[0]])
+    exp = exp[np.arange(n, dtype=np.int64) * k % n]
+    log[exp] = np.arange(n, dtype=np.int64)
+    return g, exp, log
+
+
+EXTENSIONS_UP_TO_2_12 = [(p, n, d) for p, n, q in iter_prime_powers(2, 64) for d in range(2, 13) if q**d <= 1 << 12]
+
+
+def test_generator_search_matches_the_search_over_every_log(built):
+    assert len(EXTENSIONS_UP_TO_2_12) == 57
+    for p, n, d in EXTENSIONS_UP_TO_2_12:
+        ext = built(p, n, d)
+        raw_mul = fields._poly_mul(ext.base, ext.modulus)
+        g, exp, log = _generator_by_full_search(raw_mul, p, n * d, n, ext.norm_ratio, ext.base.beta, ext.q)
+        assert ext.alpha == g, (p, n, d)
+        assert np.array_equal(ext.exp, exp) and np.array_equal(ext.log, log), (p, n, d)
 
 
 def test_extension_generator_search_skips_the_base_field(monkeypatch):
