@@ -64,11 +64,6 @@ def _unpack(values: np.ndarray, p: int, digits: int) -> np.ndarray:
     return (values[:, None] // powers) % p
 
 
-def _pack(digit_rows: np.ndarray, p: int) -> np.ndarray:
-    powers = p ** np.arange(digit_rows.shape[-1], dtype=np.int64)
-    return digit_rows @ powers
-
-
 def _add_digits(a, b, p: int, digits: int):
     """Digitwise sum mod p of packed elements: Python ints or integer arrays.
 
@@ -166,59 +161,96 @@ class _TableField:
             raise InternalCheckError("log(0) must be 0")
 
 
-_SLICE = 1 << 12  # p**w bound of a digit slice in _exp_table
+_SLICE_BITS = 12  # a slice table in _exp_table has 2**12 entries at most, or one digit's worth
 
 
-def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int, step: int) -> np.ndarray:
+def _add_spread(a, b, p: int, bits: int, ones: int):
+    """Digitwise sum mod p of elements in _exp_table's spread form.
+
+    Each digit has a field of `bits` bits with 2**(bits-1) >= p, and `ones`
+    holds a 1 in every field. Adding 2**(bits-1) - p to a digit sum sets
+    the field's top bit exactly when the sum is at least p, and no field
+    overflows into the next, so the reduction is a few whole-word
+    operations. For p = 2 the fields are single bits and the sum is XOR.
+    """
+    if p == 2:
+        return a ^ b
+    total = a + b
+    return total - p * ((total + ones * ((1 << (bits - 1)) - p)) >> (bits - 1) & ones)
+
+
+def _doubling_table(multiples: np.ndarray, add) -> np.ndarray:
+    """table[sum_t k_t << (bits*t)] = the add over t of multiples[k_t, t]; multiples has 2**bits rows k."""
+    table = np.zeros(1, dtype=multiples.dtype)
+    for t in range(multiples.shape[1]):
+        table = add(multiples[:, t, None], table).ravel()
+    return table
+
+
+def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray:
     """exp[t] = beta**t for 0 <= t < size-1, filled by block doubling.
 
-    Each round multiplies the known block by the constant c = beta**filled.
-    In a prime field that is one modular product. Otherwise the map is
-    GF(p)-linear on packed digits, so it is applied by lookup: the digits
-    are cut into slices of w digits, w as large as keeps p**w <= 2**12
-    (w = 1 when p itself is larger), and slice lo maps through a table of
-    c * (v * p**lo) for every slice value v. The table is built by linear
-    doubling, table[v + k * p**t] = table[v] + k * c * p**(lo+t), one
-    digitwise add per digit. raw_mul multiplies polynomials whose
-    coefficients are `step` digits wide, so only the images c * p**j of the
-    first `step` basis digits are raw products with c; the rest are
-    c * p**(j+step) = (c * p**j) * X, X being the encoding p**step. The
-    block's image is one gather per slice, summed with the field's
-    digitwise add in a small integer type.
+    Each round multiplies the known block by c = beta**filled. In a prime
+    field that is one modular product. Otherwise the map x -> c*x is
+    GF(p)-linear on the digits and is applied by lookup to the block held
+    in spread form: digit j in bits [bits*j, bits*(j+1)), one bit per digit
+    for p = 2 (the packed encoding itself) and room for the sum of two
+    digits plus a flag bit for odd p (see _add_spread). The digits are cut
+    into slices of w digits, w as large as keeps 2**(bits*w) <= 2**12 (at
+    least 1), and slice lo maps through a table of c * (v * p**lo) indexed
+    by the spread slice value v, built by linear doubling from the images
+    c * p**j of the digit basis: table[v + (k << bits*t)] = table[v] +
+    k * c * p**(lo+t). The block's image is one gather per slice, summed
+    by _add_spread. Only the first round's images are raw products: the
+    next round's constant is c**2, so its images c**2 * p**j are this
+    round's map applied to this round's images. For odd p the finished
+    table is packed back to base p by slice lookups too.
     """
     n = size - 1
     exp = np.empty(n, dtype=np.int64)
     exp[0] = 1
-    slices = []  # (lo, w); none in a prime field
-    if digits > 1:
-        width = 1
-        while width < digits and p ** (width + 1) <= _SLICE:
-            width += 1
-        slices = [(lo, min(width, digits - lo)) for lo in range(0, digits, width)]
-    small = np.min_scalar_type(-2 * size)  # holds a + b
-    scalars = np.arange(p)[:, None, None]
+    if digits == 1:
+        c, filled = beta, 1
+        while filled < n:
+            take = min(filled, n - filled)
+            exp[filled : filled + take] = exp[:take] * c % p  # exact in int64: p < 2**31 for any table that fits in memory
+            c, filled = c * c % p, filled + take
+        return exp
+    bits = 1 if p == 2 else (p - 1).bit_length() + 1
+    width = max(1, _SLICE_BITS // bits)
+    slices = [(lo, min(width, digits - lo)) for lo in range(0, digits, width)]
+    ones = sum(1 << bits * j for j in range(digits))
+    spread = np.min_scalar_type(-(2 << bits * digits))  # holds a + b
+    places = bits * np.arange(digits, dtype=np.int64)  # digit j's shift in spread form
+    scalars = np.arange(1 << bits)[:, None, None]
+
+    def add(a, b):
+        return _add_spread(a, b, p, bits, ones)
+
+    def apply(tables, x, add):  # one gather per slice of the spread elements x, summed
+        image = None
+        for (lo, w), table in zip(slices, tables):
+            part = table[x >> bits * lo & (1 << bits * w) - 1]
+            image = part if image is None else add(image, part)
+        return image
+
+    raw = _unpack(np.array([raw_mul(beta, p**j) for j in range(digits)], dtype=np.int64), p, digits)
+    basis = (raw << places).sum(axis=1).astype(spread)  # c * p**j in spread form, c = beta**filled
     filled = 1
     while filled < n:
-        c = raw_mul(int(exp[filled - 1]), beta)
         take = min(filled, n - filled)
-        if digits == 1:
-            exp[filled : filled + take] = exp[:take] * c % p  # exact in int64: p < 2**31 for any table that fits in memory
-        else:
-            images = [raw_mul(c, p**j) for j in range(step)]
-            for j in range(step, digits):
-                images.append(raw_mul(images[j - step], p**step))
-            # multiples[k, j] = k * c * p**j, digit by digit
-            multiples = _pack(scalars * _unpack(np.array(images), p, digits) % p, p).astype(small)
-            block = exp[:take].astype(small)
-            image = None
-            for lo, w in slices:
-                table = np.zeros(1, dtype=small)
-                for t in range(lo, lo + w):
-                    table = _add_digits(multiples[:, t, None], table, p, digits).ravel()
-                part = table[block % p ** (lo + w) // p**lo]
-                image = part if image is None else _add_digits(image, part, p, digits)
-            exp[filled : filled + take] = image
+        # multiples[k, j] = k * c * p**j in spread form; rows k >= p are never looked up
+        digit_rows = basis[:, None] >> places & (1 << bits) - 1
+        multiples = ((scalars * digit_rows % p * (scalars < p)) << places).sum(axis=2).astype(spread)
+        tables = [_doubling_table(multiples[:, lo : lo + w], add) for lo, w in slices]
+        exp[filled : filled + take] = apply(tables, exp[:take].astype(spread), add)
+        basis = apply(tables, basis, add)
         filled += take
+    if p != 2:
+        unspread = [_doubling_table(scalars[:, 0] * p ** np.arange(lo, lo + w), np.add) for lo, w in slices]
+        for start in range(0, n, 1 << 16):
+            chunk = exp[start : start + (1 << 16)]
+            chunk[:] = apply(unspread, chunk, np.add)
     return exp
 
 
@@ -232,7 +264,7 @@ def _raw_pow(raw_mul, a: int, k: int) -> int:
     return out
 
 
-def _generator_tables(raw_mul, p: int, digits: int, step: int, ratio: int, target: int, first: int = 1):
+def _generator_tables(raw_mul, p: int, digits: int, ratio: int, target: int, first: int = 1):
     """(g, exp, log) for the smallest-encoding primitive g with g**ratio == target.
 
     ratio = size-1 with target 1 asks only for a primitive element; an
@@ -255,7 +287,7 @@ def _generator_tables(raw_mul, p: int, digits: int, step: int, ratio: int, targe
             break
     else:
         raise InternalCheckError("no primitive element found; field arithmetic is broken")
-    exp = _exp_table(size, g0, raw_mul, p, digits, step)
+    exp = _exp_table(size, g0, raw_mul, p, digits)
     g = g0
     if not (target == 1 and ratio == n):
         L = int(np.argmax(exp == target))  # 0 where target never occurs, as log(0) = 0
@@ -399,7 +431,7 @@ class ExtensionContext(_TableField):
 
 def _prime_context(p: int) -> FieldContext:
     """GF(p) with modulus x and beta the smallest primitive root."""
-    beta, exp, log = _generator_tables(lambda a, b: (a * b) % p, p, 1, 1, p - 1, 1)
+    beta, exp, log = _generator_tables(lambda a, b: (a * b) % p, p, 1, p - 1, 1)
     return FieldContext(p, 1, (0, 1), beta, exp, log)
 
 
@@ -457,7 +489,7 @@ def build_field(p: int, n: int, limit: int | None = None) -> FieldContext:
     if n == 1:
         return prime_ctx
     modulus = _smallest_irreducible(prime_ctx, n)
-    beta, exp, log = _generator_tables(_poly_mul(prime_ctx, modulus), p, n, 1, q - 1, 1, first=p)
+    beta, exp, log = _generator_tables(_poly_mul(prime_ctx, modulus), p, n, q - 1, 1, first=p)
     return FieldContext(p, n, modulus, beta, exp, log)
 
 
@@ -475,7 +507,7 @@ def build_extension(base: FieldContext, d: int, limit: int | None = None) -> Ext
     modulus = _smallest_irreducible(base, d)
     ratio = (size - 1) // (base.q - 1)
     alpha, exp, log = _generator_tables(
-        _poly_mul(base, modulus), base.p, base.n * d, base.n, ratio, base.beta, first=base.q
+        _poly_mul(base, modulus), base.p, base.n * d, ratio, base.beta, first=base.q
     )
     ext = ExtensionContext(base, d, modulus, alpha, exp, log)
     if int(ext.exp[ratio % (size - 1)]) != base.beta:

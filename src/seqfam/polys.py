@@ -133,10 +133,10 @@ def eval_arr(ctx, poly, xs):
     return acc
 
 
-def pow_x_mod(ctx, e: int, modulus) -> tuple:
-    """x**e reduced modulo the given polynomial, by square and multiply."""
+def pow_mod(ctx, a, e: int, modulus) -> tuple:
+    """a**e reduced modulo the given polynomial, by square and multiply."""
     result = (1,)
-    base = mod(ctx, (0, 1), modulus)
+    base = mod(ctx, a, modulus)
     while e:
         if e & 1:
             result = mod(ctx, mul(ctx, result, base), modulus)
@@ -145,8 +145,18 @@ def pow_x_mod(ctx, e: int, modulus) -> tuple:
     return result
 
 
+def pow_x_mod(ctx, e: int, modulus) -> tuple:
+    """x**e reduced modulo the given polynomial."""
+    return pow_mod(ctx, (0, 1), e, modulus)
+
+
 def is_irreducible(ctx, poly) -> bool:
-    """Rabin test: gcd checks against x**(q**k) - x for maximal subfields."""
+    """Rabin test: gcd checks against x**(q**k) - x for maximal subfields.
+
+    The powers x**(q**(n/r)), r prime, and x**(q**n) come from one chain of
+    q-th powers, in increasing order, so a factor of small degree ends the
+    test early.
+    """
     poly = trim(poly)
     n = degree(poly)
     if n <= 0:
@@ -154,14 +164,13 @@ def is_irreducible(ctx, poly) -> bool:
     if n == 1:
         return True
     q = ctx.size
-    x = (0, 1)
-    if pow_x_mod(ctx, q**n, poly) != mod(ctx, x, poly):
-        return False
-    for r in prime_factors(n):
-        h = sub(ctx, pow_x_mod(ctx, q ** (n // r), poly), x)
-        if degree(gcd(ctx, h, poly)) != 0:
+    x = mod(ctx, (0, 1), poly)
+    frob, done = x, 0
+    for k in sorted(n // r for r in prime_factors(n)) + [n]:
+        frob, done = pow_mod(ctx, frob, q ** (k - done), poly), k
+        if k < n and degree(gcd(ctx, sub(ctx, frob, x), poly)) != 0:
             return False
-    return True
+    return frob == x
 
 
 def format_coeffs(poly) -> str:

@@ -162,8 +162,7 @@ def test_exp_table_equals_raw_multiplication_chain(p, n, d):
     chain = [1]
     for _ in range(ctx.size - 2):
         chain.append(raw_mul(chain[-1], g))
-    step = n if d > 1 else 1  # digits per coefficient of raw_mul's polynomials
-    assert fields._exp_table(ctx.size, g, raw_mul, p, ctx.digits, step).tolist() == chain
+    assert fields._exp_table(ctx.size, g, raw_mul, p, ctx.digits).tolist() == chain
 
 
 @pytest.mark.parametrize(
@@ -178,10 +177,10 @@ def test_exp_table_equals_raw_multiplication_chain(p, n, d):
 def test_generator_search_rejects(p, modulus, ratio, target, message):
     raw_mul = fields._poly_mul(build_field(p, 1), modulus)
     with pytest.raises(InternalCheckError, match=message):
-        fields._generator_tables(raw_mul, p, 2, 1, ratio, target)
+        fields._generator_tables(raw_mul, p, 2, ratio, target)
 
 
-def _generator_by_full_search(raw_mul, p, digits, step, ratio, target, first):
+def _generator_by_full_search(raw_mul, p, digits, ratio, target, first):
     """The search over every log: x = g0**k with k * ratio == log_g0(target) and gcd(k, size-1) == 1."""
     size = p**digits
     n = size - 1
@@ -190,7 +189,7 @@ def _generator_by_full_search(raw_mul, p, digits, step, ratio, target, first):
         x for x in range(first, size)
         if all(fields._raw_pow(raw_mul, x, n // r) != 1 for r in primes) and fields._raw_pow(raw_mul, x, n) == 1
     )
-    exp = fields._exp_table(size, g0, raw_mul, p, digits, step)
+    exp = fields._exp_table(size, g0, raw_mul, p, digits)
     log = np.zeros(size, dtype=np.int64)
     log[exp] = np.arange(n, dtype=np.int64)
     ks = log[1:]  # ks[x-1] = log_g0(x)
@@ -210,7 +209,7 @@ def test_generator_search_matches_the_search_over_every_log(built):
     for p, n, d in EXTENSIONS_UP_TO_2_12:
         ext = built(p, n, d)
         raw_mul = fields._poly_mul(ext.base, ext.modulus)
-        g, exp, log = _generator_by_full_search(raw_mul, p, n * d, n, ext.norm_ratio, ext.base.beta, ext.q)
+        g, exp, log = _generator_by_full_search(raw_mul, p, n * d, ext.norm_ratio, ext.base.beta, ext.q)
         assert ext.alpha == g, (p, n, d)
         assert np.array_equal(ext.exp, exp) and np.array_equal(ext.log, log), (p, n, d)
 
