@@ -110,11 +110,13 @@ def root_products(ext: ExtensionContext, exponents) -> np.ndarray:
     exponents is (rows, s) and the result (rows, s + 1). The rows are
     multiplied out in chunks, coefficient-major, so every pass runs over
     contiguous memory. Each step multiplies every row by its next linear
-    factor: c * alpha**e is read as exp[log(c) + e], the index wrapped by
-    one conditional subtract, and the coefficients shift up by one.
+    factor: c * alpha**e is read as exp[log(c) + e], and the coefficients
+    shift up by one. The exponents are kept in [-n, 0), n = q**d - 1, so
+    the index lies in [-n, n) and a negative one reads exp from the end,
+    which is the wrap mod n.
     """
     n = ext.size - 1
-    exponents = np.asarray(exponents, dtype=np.int64) % n
+    exponents = np.asarray(exponents, dtype=np.int64) % n - n
     rows, s = exponents.shape
     out = np.empty((rows, s + 1), dtype=np.int64)
     for lo in range(0, rows, _ROWS):
@@ -126,7 +128,6 @@ def root_products(ext: ExtensionContext, exponents) -> np.ndarray:
             low, sc, idx = coeff[: k + 1], scaled[: k + 1], index[: k + 1]
             np.take(ext.log, low, out=idx)
             idx += e[k]
-            np.subtract(idx, n, out=idx, where=idx >= n)
             np.take(ext.exp, idx, out=sc)
             sc[low == 0] = 0
             sc[1:] = ext.add(sc[1:], low[:-1])

@@ -314,12 +314,12 @@ def cyclotomic_factors(ext: ExtensionContext, deep: bool = False) -> list[tuple[
             raise InternalCheckError("orbit factor is not monic")
         if coeff.max() >= q:
             raise InternalCheckError("orbit factor has coefficients outside the base field")
-        for k, row in zip(sel.tolist(), coeff.tolist()):
-            ordered[k] = tuple(row)
+        for k, row in zip(sel.tolist(), map(tuple, coeff.tolist())):
+            ordered[k] = row
 
     if len(set(ordered)) != len(ordered):
         raise InternalCheckError("orbit factors are not pairwise distinct")
-    if sum(len(fac) - 1 for fac in ordered) != m:
+    if sum(map(len, ordered)) - len(ordered) != m:
         raise InternalCheckError("factor degrees do not sum to m")
 
     if deep:

@@ -214,7 +214,7 @@ def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray
         while filled < n:
             take = min(filled, n - filled)
             exp[filled : filled + take] = exp[:take] * c % p  # exact in int64: p < 2**31 for any table that fits in memory
-            c, filled = c * c % p, filled + take
+            c, filled = raw_mul(c, c), filled + take
         return exp
     bits = 1 if p == 2 else (p - 1).bit_length() + 1
     width = max(1, _SLICE_BITS // bits)
@@ -227,11 +227,11 @@ def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray
     def add(a, b):
         return _add_spread(a, b, p, bits, ones)
 
-    def apply(tables, x, add):  # one gather per slice of the spread elements x, summed
+    def apply(tables, x, combine):  # one gather per slice of the spread elements x, combined
         image = None
         for (lo, w), table in zip(slices, tables):
             part = table[x >> bits * lo & (1 << bits * w) - 1]
-            image = part if image is None else add(image, part)
+            image = part if image is None else combine(image, part)
         return image
 
     raw = _unpack(np.array([raw_mul(beta, p**j) for j in range(digits)], dtype=np.int64), p, digits)
@@ -243,7 +243,7 @@ def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray
         digit_rows = basis[:, None] >> places & (1 << bits) - 1
         multiples = ((scalars * digit_rows % p * (scalars < p)) << places).sum(axis=2).astype(spread)
         tables = [_doubling_table(multiples[:, lo : lo + w], add) for lo, w in slices]
-        exp[filled : filled + take] = apply(tables, exp[:take].astype(spread), add)
+        exp[filled : filled + take] = apply(tables, exp[:take].astype(spread, copy=False), add)
         basis = apply(tables, basis, add)
         filled += take
     if p != 2:
@@ -270,11 +270,12 @@ def _generator_tables(raw_mul, p: int, digits: int, ratio: int, target: int, fir
     ratio = size-1 with target 1 asks only for a primitive element; an
     extension asks for norm(g) = beta. The smallest primitive g0 is found by
     raw arithmetic and its exp table built once. Every primitive element is
-    g0**k with gcd(k, size-1) = 1, and g0**k qualifies iff k*ratio = L mod
-    size-1, L = log_g0(target): k runs over one residue class mod
-    (size-1)/gcd(ratio, size-1), gcd(ratio, size-1) candidates in all. The
-    smallest encoding among those with gcd(k, size-1) = 1 is g, whose
-    tables are g0's re-indexed by k. g is then rechecked by raw arithmetic.
+    g0**k with gcd(k, size-1) = 1, and g0**k qualifies iff
+    k*ratio = log_g0(target) mod size-1. One comparison pass over exp finds
+    log_g0(target); k then runs over one residue class mod
+    (size-1)/gcd(ratio, size-1), gcd(ratio, size-1) candidates in all. The smallest encoding among those
+    with gcd(k, size-1) = 1 is g, whose exp table is g0's re-indexed by k,
+    and log is scattered once from it. g is then rechecked by raw arithmetic.
     The search for g0 starts at `first`: over a polynomial modulus the
     encodings below the radix are the coefficient field, a proper subfield,
     so none of them is primitive.
@@ -290,12 +291,12 @@ def _generator_tables(raw_mul, p: int, digits: int, ratio: int, target: int, fir
     exp = _exp_table(size, g0, raw_mul, p, digits)
     g = g0
     if not (target == 1 and ratio == n):
-        L = int(np.argmax(exp == target))  # 0 where target never occurs, as log(0) = 0
+        log_target = int(np.argmax(exp == target))  # 0 where target never occurs, as log(0) = 0
         share = math.gcd(ratio, n)
-        if L % share:
+        if log_target % share:
             raise InternalCheckError(f"no primitive element with g**{ratio} == {target}")
         period = n // share
-        k0 = L // share * pow(ratio // share, -1, period) % period if period > 1 else 0
+        k0 = log_target // share * pow(ratio // share, -1, period) % period
         ks = np.arange(k0, n, period, dtype=np.int64)
         ks = ks[np.gcd(ks, n) == 1]
         if ks.size == 0:
@@ -452,9 +453,8 @@ def _from_coeffs(coeffs, radix: int) -> int:
 
 def _smallest_irreducible(ctx, deg: int) -> tuple:
     """Lexicographically smallest monic irreducible of the given degree over ctx."""
-    for tail in itertools.product(range(ctx.size), repeat=deg):
-        if deg > 1 and tail[0] == 0:
-            continue  # divisible by x
+    # above degree 1 a zero constant term means a factor x, so those tails are never formed
+    for tail in itertools.product(range(deg > 1, ctx.size), *[range(ctx.size)] * (deg - 1)):
         candidate = tail + (1,)
         if polys.is_irreducible(ctx, candidate):
             return candidate

@@ -145,11 +145,6 @@ def pow_mod(ctx, a, e: int, modulus) -> tuple:
     return result
 
 
-def pow_x_mod(ctx, e: int, modulus) -> tuple:
-    """x**e reduced modulo the given polynomial."""
-    return pow_mod(ctx, (0, 1), e, modulus)
-
-
 def is_irreducible(ctx, poly) -> bool:
     """Rabin test: gcd checks against x**(q**k) - x for maximal subfields.
 

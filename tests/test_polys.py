@@ -53,7 +53,8 @@ def test_is_irreducible_known_cases(gf5):
 
 def test_pow_x_mod(gf5):
     mod = (1, 1, 1)
-    assert polys.pow_x_mod(gf5, 25, mod) == polys.mod(gf5, (0, 1), mod)  # x^(q^2) == x
+    assert polys.pow_mod(gf5, (0, 1), 25, mod) == polys.mod(gf5, (0, 1), mod)  # x^(q^2) == x
+    assert polys.pow_mod(gf5, (2, 3), 24, mod) == (1,)  # every unit of GF(25) has order dividing 24
 
 
 def test_format_coeffs():
