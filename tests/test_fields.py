@@ -142,12 +142,12 @@ def test_exp_table_digest(built, key):
     "p, n, d",
     [
         (2, 13, 1),  # p = 2: slices of 12 digits and 1, summed by XOR
-        (3, 4, 2),  # 8 digits over GF(81): slices of 7 and 1
-        (97, 1, 2),  # one-digit slices with 97-entry tables
-        (3, 9, 1),  # slices of 7 and 2 digits; a + b overflows int16
+        (3, 4, 2),  # 8 digits over GF(81) in 3-bit fields: slices of 4 and 4
+        (97, 1, 2),  # 8-bit fields: one-digit slices with 256-entry tables
+        (3, 9, 1),  # slices of 4, 4 and 1 digits; 27 spread bits need int32
         (32749, 1, 1),  # a prime field: one modular product per round
-        (7, 4, 1),  # one 4-digit slice, 7**4 = 2401 table entries
-        (2, 2, 5),  # base step n = 2: images c * p**(j+2) = (c * p**j) * X
+        (7, 4, 1),  # 4-bit fields: slices of 3 digits and 1
+        (2, 2, 5),  # two digits per coefficient over GF(4)
     ],
 )
 def test_exp_table_equals_raw_multiplication_chain(p, n, d):
