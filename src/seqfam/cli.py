@@ -11,13 +11,13 @@ import argparse
 import json
 import sys
 
-from .correlation import cyclic_inequivalence, max_correlation
+from .correlation import max_correlation
 from .counting import asymptotic_size, count_report, lambda_size_formula
 from .errors import InternalCheckError, ParameterError, SeqfamError
-from .family import build_family
-from .fields import build_extension, build_field, check_table_size, table_limit
+from .family import SequenceFamily, build_family, check_family_parameters
+from .fields import build_extension, build_field, check_extension, check_table_size, table_limit
 from .intmath import is_prime
-from .sequences import format_sequence, sidelnikov_sequence, sidelnikov_sequence_ext
+from .sequences import check_alphabet, format_sequence, sidelnikov_sequence, sidelnikov_sequence_ext
 from .columns import column_sequence
 from .verify import format_verification, run_verification
 
@@ -83,6 +83,8 @@ def cmd_generate(args) -> int:
             raise ParameterError("--column needs --d")
         seq = sidelnikov_sequence(ctx, args.M)
     else:
+        check_extension(ctx, args.d, args.table_limit)
+        check_alphabet(ctx.q, args.M)
         ext = build_extension(ctx, args.d, args.table_limit)
         if args.column is None:
             seq = sidelnikov_sequence_ext(ext, args.M)
@@ -94,10 +96,16 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_family(args) -> int:
+def _family(args) -> SequenceFamily:
+    """The command line's family; parameters it would refuse are refused before GF(q**d) is built."""
     ctx = build_field(args.p, args.n, args.table_limit)
-    ext = build_extension(ctx, args.d, args.table_limit)
-    fam = build_family(ext, args.M, args.policy)
+    check_extension(ctx, args.d, args.table_limit)
+    check_family_parameters(ctx.q, args.d, args.M, args.policy)
+    return build_family(build_extension(ctx, args.d, args.table_limit), args.M, args.policy)
+
+
+def cmd_family(args) -> int:
+    fam = _family(args)
     manifest = json.dumps(fam.manifest(), indent=2)
     payload = "\n".join(format_sequence(s) for s in fam.sequences)
     if args.out:
@@ -112,30 +120,24 @@ def cmd_family(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    ctx = build_field(args.p, args.n, args.table_limit)
-    ext = build_extension(ctx, args.d, args.table_limit)
-    fam = build_family(ext, args.M, args.policy)
+    fam = _family(args)
     report = max_correlation(fam)
-    inequivalent, witness = cyclic_inequivalence(fam)
-    payload = report.to_dict()
-    payload["cyclically_inequivalent"] = inequivalent
-    payload["equivalence_witness"] = witness
     if args.fmt == "csv":
         _emit(report.histogram_csv(), args.out)
     elif args.fmt == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(json.dumps(report.to_dict(), indent=2), args.out)
     else:
         lines = [
             f"family q={fam.q} d={fam.d} M={fam.M} policy={fam.policy}: {fam.size} sequences",
             f"delta_max = {report.delta_max:.6f} (bound {report.bound:.6f}) "
             f"{'OK' if report.bound_ok else 'VIOLATED'}",
             f"per-pair bounds: {'OK' if report.pair_bound_ok else 'VIOLATED'}",
-            f"cyclically inequivalent: {inequivalent}",
+            f"cyclically inequivalent: {report.cyclically_inequivalent}",
             f"histogram bins: {len(report.histogram)} at resolution {report.histogram_resolution}",
             f"backend: {report.backend}, elapsed {report.elapsed:.2f}s",
         ]
         _emit("\n".join(lines), args.out)
-    ok = report.bound_ok and report.pair_bound_ok and report.same_column_bound_ok and inequivalent
+    ok = report.bound_ok and report.pair_bound_ok and report.same_column_bound_ok and report.cyclically_inequivalent
     return EXIT_OK if ok else EXIT_FAILURE
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from . import polys
 from .errors import InternalCheckError, ParameterError
 from .fields import ExtensionContext
-from .sequences import MSequence, _check_alphabet
+from .sequences import MSequence, check_alphabet
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def column_symbols(ext: ExtensionContext, l: int, M: int) -> np.ndarray:
     Accepts any l >= 0; the array-column interpretation additionally
     requires l below the column count (enforced by column_sequence).
     """
-    _check_alphabet(ext.q, M)
+    check_alphabet(ext.q, M)
     if l < 0:
         raise ParameterError("column index must be nonnegative")
     q, size = ext.q, ext.size

@@ -10,8 +10,8 @@ irreducible-part degrees of the two columns involved.
 t -> p*t and negation c -> -c, so only one member per orbit is scanned
 as a row; each value is weighted by what it stands for, and each witness
 is expanded through its orbit. The group is found from the symbols; a
-family without symmetry gets the trivial group, whose scan is the plain
-upper triangle.
+family without symmetry, or with two members that are shifts of one
+another, gets the trivial group, whose scan is the plain upper triangle.
 """
 
 import math
@@ -76,7 +76,7 @@ def weil_bound(inp: WeilBoundInput) -> float:
 
 @dataclass
 class CorrelationReport:
-    """Everything the scan produced, JSON/CSV serializable."""
+    """Everything the scan produced, JSON/CSV serializable; the fields are in JSON key order."""
 
     q: int
     d: int
@@ -86,36 +86,21 @@ class CorrelationReport:
     delta_max: float
     bound: float
     bound_ok: bool
-    argmax: list[dict]
-    histogram: dict[float, int]
-    histogram_resolution: float
     pair_bound_ok: bool
     pair_bound_violations: list[dict]
     same_column_bound_ok: bool
+    argmax: list[dict]
+    histogram: dict[float, int]
+    histogram_resolution: float
     backend: str
     scan: dict
     elapsed: float
+    cyclically_inequivalent: bool
+    equivalence_witness: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "d": self.d,
-            "M": self.M,
-            "policy": self.policy,
-            "family_size": self.family_size,
-            "delta_max": self.delta_max,
-            "bound": self.bound,
-            "bound_ok": self.bound_ok,
-            "pair_bound_ok": self.pair_bound_ok,
-            "pair_bound_violations": self.pair_bound_violations,
-            "same_column_bound_ok": self.same_column_bound_ok,
-            "argmax": self.argmax,
-            "histogram": {f"{k:.6f}": v for k, v in sorted(self.histogram.items())},
-            "histogram_resolution": self.histogram_resolution,
-            "backend": self.backend,
-            "scan": self.scan,
-            "elapsed": self.elapsed,
-        }
+        # vars, not asdict: asdict would deep-copy a histogram of up to 2**20 bins only to replace it.
+        return {**vars(self), "histogram": {f"{k:.6f}": v for k, v in sorted(self.histogram.items())}}
 
     def histogram_csv(self) -> str:
         lines = ["abs_correlation,count"]
@@ -229,20 +214,16 @@ class _TripleMap:
         return self.perm.tobytes(), self.mult, ((self.offset - self.offset[0]) % period).tobytes()
 
 
-def _find_generators(symbols: np.ndarray, M: int, degs: np.ndarray, p: int) -> list[_TripleMap]:
+def _find_generators(symbols: np.ndarray, M: int, degs: np.ndarray, p: int,
+                     index: dict[bytes, int], starts: np.ndarray) -> list[_TripleMap]:
     """Decimation t -> p*t and negation c -> -c, each kept if it maps the family onto itself.
 
-    Each member's image is looked up by its least-rotation key, which also
-    gives the shift offset. A generator is kept only if every image is a
-    shift of a member with the same pair-bound degree. None is kept when two
-    members are shifts of one another, as the lookup is then ambiguous.
+    Each member's image is looked up by its least-rotation key in `index`,
+    and the rotation starts give the shift offset. A generator is kept only
+    if every image is a shift of a member with the same pair-bound degree.
+    The lookup needs members that are not shifts of one another.
     """
     period = symbols.shape[1]
-    keys, starts = _rotation_keys(symbols)
-    index: dict[bytes, int] = {}
-    for i, key in enumerate(keys):
-        if index.setdefault(key, i) != i:
-            return []
     candidates = []
     if p % period != 1:  # for prime q the decimation is the identity
         candidates.append((symbols[:, p * np.arange(period) % period], pow(p, -1, period)))
@@ -465,6 +446,8 @@ def max_correlation(
     pair_bound_violations lists are the full scan's: each hit is expanded
     through its orbit before the lists are sorted lexicographically on
     (c1, l1, c2, l2, tau) in member order and capped at WITNESS_CAP entries.
+    The members' least-rotation keys serve both the symmetry search and the
+    cyclic-inequivalence verdict, which equals cyclic_inequivalence(family).
     """
     if family.size < 1:
         raise ParameterError("family is empty")
@@ -474,7 +457,9 @@ def max_correlation(
     scanner = PairScanner(symbols, family.M, backend=backend)
     sqrt_q = math.sqrt(family.q)
     degs = family.degree_per_sequence()
-    generators = _find_generators(symbols, family.M, degs, prime_factors(family.q)[0])
+    keys, starts = _rotation_keys(symbols)
+    index, shared = _key_index(keys)
+    generators = [] if shared else _find_generators(symbols, family.M, degs, prime_factors(family.q)[0], index, starts)
     _spot_check(family.sequences, generators, period)
     scan = _OrbitScan(generators, n, period)
     reducer = _ScanReducer(scan, degs, sqrt_q, period)
@@ -486,6 +471,7 @@ def max_correlation(
         return {"c1": int(a.c), "l1": int(a.l), "c2": int(b.c), "l2": int(b.l), "tau": tau, "value": value}
 
     bound = (2 * family.d - 1) * sqrt_q + 1.0
+    inequivalent, witness = _shift_witness(family.sequences, shared)
     counts = reducer.histogram.result()  # the last merge decides the resolution
     delta_max = reducer.delta_max
     # The group keeps degrees and the pair swap keeps their sum: the bound of the scanned hit.
@@ -515,6 +501,8 @@ def max_correlation(
             "blocks": scan.blocks_scanned,
         },
         elapsed=time.perf_counter() - start,
+        cyclically_inequivalent=inequivalent,
+        equivalence_witness=witness,
     )
 
 
@@ -551,12 +539,35 @@ def _rotation_keys(rows: np.ndarray) -> tuple[list[bytes], np.ndarray]:
     return [row.tobytes() for row in canonical], starts
 
 
+def _key_index(keys: list[bytes]) -> tuple[dict[bytes, int], tuple[int, int] | None]:
+    """Each key's first row, and the first pair of rows with one key; the index is complete if there is none."""
+    index: dict[bytes, int] = {}
+    for i, key in enumerate(keys):
+        first = index.setdefault(key, i)
+        if first != i:
+            return index, (first, i)
+    return index, None
+
+
+def _shift_witness(sequences, pair: tuple[int, int] | None) -> tuple[bool, dict | None]:
+    """The inequivalence verdict for the pair from _key_index, with the smallest shift that matches it."""
+    if pair is None:
+        return True, None
+    first, idx = pair
+    a, b = sequences[first], sequences[idx]
+    for tau in range(b.period):
+        if np.array_equal(a.symbols, np.roll(b.symbols, -tau)):
+            return False, {"index1": first, "c1": a.c, "l1": a.l, "index2": idx, "c2": b.c, "l2": b.l, "tau": tau}
+    raise InternalCheckError("canonical rotations collided without a shift match")
+
+
 def cyclic_inequivalence(family) -> tuple[bool, dict | None]:
     """True iff no two distinct members are cyclic shifts of one another.
 
     Works by exact symbol comparison (canonical-rotation bucketing plus a
     direct shift search on collisions), independent of the correlation
-    machinery. Raises ParameterError when the sequences differ in period
+    machinery; max_correlation reports the same verdict from the same
+    two steps. Raises ParameterError when the sequences differ in period
     or in M.
     """
     sequences = family.sequences if isinstance(family, SequenceFamily) else tuple(family)
@@ -567,26 +578,7 @@ def cyclic_inequivalence(family) -> tuple[bool, dict | None]:
     if len({s.M for s in sequences}) > 1:
         raise ParameterError("alphabet mismatch")
     keys, _ = _rotation_keys(np.vstack([np.asarray(s.symbols, dtype=np.int64) for s in sequences]))
-    buckets: dict[bytes, int] = {}
-    for idx, (seq, key) in enumerate(zip(sequences, keys)):
-        if key not in buckets:
-            buckets[key] = idx
-            continue
-        first = buckets[key]
-        ref = sequences[first].symbols
-        for tau in range(seq.period):
-            if np.array_equal(ref, np.roll(seq.symbols, -tau)):
-                return False, {
-                    "index1": first,
-                    "c1": sequences[first].c,
-                    "l1": sequences[first].l,
-                    "index2": idx,
-                    "c2": seq.c,
-                    "l2": seq.l,
-                    "tau": tau,
-                }
-        raise InternalCheckError("canonical rotations collided without a shift match")
-    return True, None
+    return _shift_witness(sequences, _key_index(keys)[1])
 
 
 def empirical_character_sum(ctx: FieldContext, M: int, terms) -> complex:

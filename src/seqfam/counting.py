@@ -19,6 +19,7 @@ from .errors import InternalCheckError, ParameterError
 from .family import coset_representatives
 from .fields import ExtensionContext, FieldContext, build_field, check_table_size
 from .intmath import as_prime_power, divisors, euler_phi, mobius
+from .sequences import check_alphabet
 
 
 def a_f_set(q: int, f: int) -> list[tuple[int, int, int]]:
@@ -157,22 +158,11 @@ class CountReport:
     breakdown: dict[tuple[int, int], int]
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "d": self.d,
-            "M": self.M,
-            "lambda_formula": self.lambda_formula,
-            "lambda_cosets": self.lambda_cosets,
-            "family_size": self.family_size,
-            "asymptotic": self.asymptotic,
-            "ratio": self.ratio,
-            "breakdown": {f"e={e},m={m}": v for (e, m), v in sorted(self.breakdown.items())},
-        }
+        return {**vars(self), "breakdown": {f"e={e},m={m}": v for (e, m), v in sorted(self.breakdown.items())}}
 
 
 def count_report(q: int, d: int, M: int, ctx: FieldContext | None = None) -> CountReport:
-    if M < 2 or (q - 1) % M:
-        raise ParameterError(f"M must divide q-1 (q={q}, M={M})")
+    check_alphabet(q, M)
     if ctx is None:
         ctx = _field_of_order(q)
     elif ctx.q != q:

@@ -15,7 +15,7 @@ import numpy as np
 from .columns import column_polynomial, column_symbols, coset, coset_leaders, shifted_column_polynomial
 from .errors import ParameterError
 from .fields import ExtensionContext
-from .sequences import MSequence, _check_alphabet
+from .sequences import MSequence, check_alphabet
 
 POLICIES = ("strict", "relaxed-d2")
 
@@ -120,6 +120,28 @@ class SequenceFamily:
         }
 
 
+def check_family_parameters(q: int, d: int, M: int, policy: str) -> RestrictionReport:
+    """Refuse what build_family refuses for the alphabet or the policy; return the restriction report.
+
+    It needs only (q, d, M, policy), so callers run it before GF(q**d) is built.
+    """
+    check_alphabet(q, M)
+    if policy not in POLICIES:
+        raise ParameterError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+    report = check_restrictions(q, d)
+    if policy == "strict":
+        if not report.gcd_ok:
+            raise ParameterError(f"strict policy violated: gcd(d, q-1) = {report.gcd_value} != 1")
+        if not report.bound_ok:
+            raise ParameterError(f"strict policy violated: d = {d} >= {report.bound_rhs:.4f}")
+    else:
+        if not report.relaxation_available:
+            raise ParameterError("relaxed-d2 policy requires d = 2 and q odd")
+        if not report.bound_ok:
+            raise ParameterError(f"relaxed-d2 still needs d = {d} < {report.bound_rhs:.4f}")
+    return report
+
+
 def build_family(ext: ExtensionContext, M: int, policy: str = "strict") -> SequenceFamily:
     """Materialize all (M-1) * #columns sequences (c * v_l mod M).
 
@@ -128,26 +150,7 @@ def build_family(ext: ExtensionContext, M: int, policy: str = "strict") -> Seque
     (q+1)/2, which restores the distinct-polynomial property.
     """
     q, d = ext.q, ext.d
-    _check_alphabet(q, M)
-    if policy not in POLICIES:
-        raise ParameterError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    report = check_restrictions(q, d)
-    if policy == "strict":
-        if not report.gcd_ok:
-            raise ParameterError(
-                f"strict policy violated: gcd(d, q-1) = {report.gcd_value} != 1"
-            )
-        if not report.bound_ok:
-            raise ParameterError(
-                f"strict policy violated: d = {d} >= {report.bound_rhs:.4f}"
-            )
-    else:
-        if not report.relaxation_available:
-            raise ParameterError("relaxed-d2 policy requires d = 2 and q odd")
-        if not report.bound_ok:
-            raise ParameterError(
-                f"relaxed-d2 still needs d = {d} < {report.bound_rhs:.4f}"
-            )
+    report = check_family_parameters(q, d, M, policy)
 
     reps = coset_representatives(q, d)
     used = [l for l in reps if l != 0]

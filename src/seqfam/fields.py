@@ -493,6 +493,13 @@ def build_field(p: int, n: int, limit: int | None = None) -> FieldContext:
     return FieldContext(p, n, modulus, beta, exp, log)
 
 
+def check_extension(base: FieldContext, d: int, limit: int | None = None) -> None:
+    """Refuse a degree d below 2 or a q**d above the table limit, as build_extension does first."""
+    if d < 2:
+        raise ParameterError("extension degree d must be >= 2")
+    check_table_size(base.q, d, limit, "q**d")
+
+
 def build_extension(base: FieldContext, d: int, limit: int | None = None) -> ExtensionContext:
     """Construct GF(q**d) on top of an existing GF(q) representation.
 
@@ -500,9 +507,7 @@ def build_extension(base: FieldContext, d: int, limit: int | None = None) -> Ext
     base.beta, so the base field's generator is fixed first and the
     extension is chosen to be compatible with it.
     """
-    if d < 2:
-        raise ParameterError("extension degree d must be >= 2")
-    check_table_size(base.q, d, limit, "q**d")
+    check_extension(base, d, limit)
     size = base.q**d
     modulus = _smallest_irreducible(base, d)
     ratio = (size - 1) // (base.q - 1)

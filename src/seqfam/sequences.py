@@ -52,7 +52,7 @@ class MSequence:
         return f"# q={self.q} d={self.d} M={self.M} l={self.l} c={self.c}"
 
 
-def _check_alphabet(q: int, M: int) -> None:
+def check_alphabet(q: int, M: int) -> None:
     if M < 2:
         raise ParameterError("M must be >= 2")
     if (q - 1) % M != 0:
@@ -61,7 +61,7 @@ def _check_alphabet(q: int, M: int) -> None:
 
 def sidelnikov_sequence(ctx: FieldContext, M: int) -> MSequence:
     """Base sequence of period q-1: s(t) = log(beta**t + 1) mod M."""
-    _check_alphabet(ctx.q, M)
+    check_alphabet(ctx.q, M)
     shifted = ctx.add_arr(ctx.exp, 1)
     symbols = ctx.log[shifted] % M
     return MSequence(symbols, ctx.q - 1, M, "sidelnikov", ctx.q, 1, 0, 1)
@@ -74,7 +74,7 @@ def sidelnikov_sequence_via_cosets(ctx: FieldContext, M: int) -> MSequence:
     kept as an independent route for identity testing against the log
     formula.
     """
-    _check_alphabet(ctx.q, M)
+    check_alphabet(ctx.q, M)
     q = ctx.q
     klass = np.zeros(q, dtype=np.int64)
     minus_one = ctx.neg(1)
@@ -92,7 +92,7 @@ def sidelnikov_sequence_ext(ext: ExtensionContext, M: int) -> MSequence:
     extension log so the direct-definition route stays available as an
     independent cross-check.
     """
-    _check_alphabet(ext.q, M)
+    check_alphabet(ext.q, M)
     shifted = ext.add_arr(ext.exp, 1)
     norms = ext.norm_arr(shifted)
     symbols = ext.base.log[norms] % M
@@ -101,7 +101,7 @@ def sidelnikov_sequence_ext(ext: ExtensionContext, M: int) -> MSequence:
 
 def sidelnikov_sequence_ext_direct(ext: ExtensionContext, M: int) -> MSequence:
     """Direct definition over the big field: s(t) = log_alpha(alpha**t + 1) mod M."""
-    _check_alphabet(ext.q, M)
+    check_alphabet(ext.q, M)
     shifted = ext.add_arr(ext.exp, 1)
     symbols = ext.log[shifted] % M
     return MSequence(symbols, ext.size - 1, M, "long", ext.q, ext.d, -1, 1)
@@ -115,7 +115,7 @@ class Character:
     field: FieldContext = field(repr=False)
 
     def __post_init__(self):
-        _check_alphabet(self.field.size, self.M)
+        check_alphabet(self.field.size, self.M)
 
     def value(self, x: int) -> complex:
         return complex(np.exp(2j * np.pi * (self.field.dlog(x) % self.M) / self.M))

@@ -36,8 +36,8 @@ from .counting import (
     yucas_count,
 )
 from .errors import SeqfamError
-from .family import build_family, check_restrictions, coset_representatives
-from .fields import build_extension, build_field
+from .family import build_family, check_family_parameters, coset_representatives
+from .fields import build_extension, build_field, check_extension
 from .sequences import sidelnikov_sequence, sidelnikov_sequence_ext, sidelnikov_sequence_ext_direct
 
 _DEEP_LIMIT = 1 << 12  # full product/irreducibility checks only below this field size
@@ -58,6 +58,8 @@ def run_verification(
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
 
     ctx = build_field(p, n, table_limit)
+    check_extension(ctx, d, table_limit)
+    restrictions = check_family_parameters(ctx.q, d, M, policy)  # before GF(q**d) is built
     ext = build_extension(ctx, d, table_limit)
     q, size, m = ctx.q, ext.size, ext.norm_ratio
 
@@ -74,7 +76,6 @@ def run_verification(
     except SeqfamError as exc:
         record("field-invariants", False, str(exc))
 
-    restrictions = check_restrictions(q, d)
     record("restriction-gcd", restrictions.gcd_ok or policy == "relaxed-d2",
            f"gcd(d, q-1) = {restrictions.gcd_value}, policy {policy}")
     record("restriction-size-bound", restrictions.bound_ok,
@@ -185,8 +186,7 @@ def run_verification(
     record("correlation-character-sum-identity", char_ok,
            f"{len(pairs)} pairs recomputed through the character-sum form")
 
-    ok, witness = cyclic_inequivalence(family)
-    record("cyclic-inequivalence", ok, "exact shift comparison over all pairs")
+    record("cyclic-inequivalence", report.cyclically_inequivalent, "exact shift comparison over all pairs")
     dup_ok, dup_wit = cyclic_inequivalence(list(family.sequences) + [family.sequences[0].shifted(1)])
     record("cyclic-inequivalence-negative-control", not dup_ok,
            f"injected duplicate detected: {dup_wit}")

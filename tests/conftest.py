@@ -96,3 +96,16 @@ def triangle_scan():
 @pytest.fixture(scope="session")
 def assert_same_scan():
     return _assert_same_scan
+
+
+@pytest.fixture
+def rotation_key_calls(monkeypatch) -> list:
+    """The row-matrix shape of every correlation._rotation_keys call in the test."""
+    calls, original = [], correlation._rotation_keys
+
+    def counted(rows):
+        calls.append(rows.shape)
+        return original(rows)
+
+    monkeypatch.setattr(correlation, "_rotation_keys", counted)
+    return calls

@@ -9,6 +9,7 @@ import pytest
 
 import seqfam
 from seqfam.cli import _build_parser, main
+from seqfam.correlation import max_correlation
 
 CLI_TIMEOUT = 10  # seconds; pytest has no timeout of its own here, so a hang must fail, not stall
 
@@ -201,6 +202,54 @@ def test_count_refuses_an_oversized_extension_before_building_the_field(capsys, 
         code, out, err = run(capsys, "count", "--p", "2", "--n", "24", "--d", "2", "--M", "3", "--format", fmt)
     assert (code, out) == (2, "")
     assert "q**d = 16777216**2 exceeds the table limit" in err and "Traceback" not in err
+
+
+GCD_3 = "strict policy violated: gcd(d, q-1) = 3 != 1"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify --p 2 --n 8 --d 3 --M 5", GCD_3),
+        ("verify --p 2 --n 12 --d 2 --M 11", "M must divide q-1 (q=4096, M=11)"),
+        ("verify --p 2 --n 12 --d 2 --M 5 --policy relaxed-d2", "relaxed-d2 policy requires d = 2 and q odd"),
+        ("correlate --p 2 --n 8 --d 3 --M 5", GCD_3),
+        ("family --p 2 --n 8 --d 3 --M 5", GCD_3),
+        ("correlate --p 2 --n 12 --d 2 --M 11", "M must divide q-1 (q=4096, M=11)"),
+        ("generate --p 2 --n 12 --d 2 --M 11", "M must divide q-1 (q=4096, M=11)"),
+        ("family --p 2 --n 12 --d 2 --M 1", "M must be >= 2"),
+        ("correlate --p 2 --n 8 --d 3 --M 11", "M must divide q-1 (q=256, M=11)"),  # M before the policy
+        ("correlate --p 2 --n 4 --d 7 --M 5", "q**d = 16**7 exceeds the table limit 16777216"),  # size first
+    ],
+)
+def test_parameter_errors_come_before_the_extension_is_built(capsys, argv, message):
+    # Each message depends on (q, d, M, policy) only; GF(2**24) alone takes seconds and hundreds of MB.
+    built = AssertionError("GF(q**d) was built")
+    with mock.patch("seqfam.cli.build_extension", side_effect=built), \
+            mock.patch("seqfam.verify.build_extension", side_effect=built):
+        code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("M", ["0", "1"])
+def test_count_checks_the_alphabet_as_every_subcommand_does(capsys, M, fmt):
+    code, out, err = run(capsys, "count", "--p", "2", "--n", "4", "--d", "2", "--M", M, "--format", fmt)
+    assert (code, out, err) == (2, "", "error: M must be >= 2\n")
+
+
+CORRELATE_JSON_KEYS = [
+    "q", "d", "M", "policy", "family_size", "delta_max", "bound", "bound_ok", "pair_bound_ok",
+    "pair_bound_violations", "same_column_bound_ok", "argmax", "histogram", "histogram_resolution",
+    "backend", "scan", "elapsed", "cyclically_inequivalent", "equivalence_witness",
+]
+
+
+def test_correlate_json_keys_come_from_the_report(capsys, fam16_m5):
+    code, out, _ = run(capsys, "correlate", *BASE.split(), "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)) == CORRELATE_JSON_KEYS
+    assert list(max_correlation(fam16_m5).to_dict()) == CORRELATE_JSON_KEYS
 
 
 SUBCOMMAND_FLAGS = {  # every flag a subcommand accepts, besides --p --n --d --M --out --table-limit

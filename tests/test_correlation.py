@@ -272,6 +272,27 @@ def test_cyclic_inequivalence_rejects_mixed_sequences(period, M):
         cyclic_inequivalence([a, b])
 
 
+def test_report_carries_the_inequivalence_verdict(fam16_m5, rotation_key_calls):
+    report = max_correlation(fam16_m5)
+    # The members' keys once, then one pass per generator candidate: decimation and negation.
+    assert rotation_key_calls == [(32, 15)] * 3
+    assert report.scan["symmetry_order"] == 8
+    assert cyclic_inequivalence(fam16_m5) == (True, None)
+    assert (report.cyclically_inequivalent, report.equivalence_witness) == (True, None)
+
+
+def test_report_finds_a_planted_shift(fam16_m5, rotation_key_calls):
+    family = dataclasses.replace(fam16_m5, sequences=fam16_m5.sequences + (fam16_m5.sequences[5].shifted(9),))
+    # Two members that are shifts of one another: no generator search, the trivial group.
+    with mock.patch.object(correlation, "_find_generators", side_effect=AssertionError("generator search ran")):
+        report = max_correlation(family)
+    assert rotation_key_calls == [(33, 15)]
+    assert report.scan["symmetry_order"] == 1
+    assert not report.cyclically_inequivalent
+    assert report.equivalence_witness["index1"] == 5 and report.equivalence_witness["index2"] == 32
+    assert (report.cyclically_inequivalent, report.equivalence_witness) == cyclic_inequivalence(family)
+
+
 def _brute_least_rotation(symbols: list) -> list:
     return min(symbols[r:] + symbols[:r] for r in range(len(symbols)))
 

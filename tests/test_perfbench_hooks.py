@@ -5,7 +5,9 @@ one of these breaks the benchmark run rather than any other test; these
 checks make it break Tier-1 instead.
 """
 
+import dataclasses
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -53,6 +55,28 @@ def test_readme_command_lines_parse():
 def test_run_reads_kernel_names():
     assert seqfam.kernels.COMPILED_AVAILABLE is False
     assert isinstance(seqfam.kernels.default_backend(), str)
+
+
+# What workloads._correlate_ops reads from the correlate JSON, and what
+# workloads._verify_ops and tracing._count read from a CorrelationReport.
+CORRELATE_JSON_READ = {
+    "family_size", "delta_max", "histogram_resolution", "histogram", "argmax",
+    "bound_ok", "pair_bound_ok", "same_column_bound_ok", "cyclically_inequivalent", "backend",
+}
+REPORT_ATTRIBUTES_READ = {"family_size", "delta_max", "histogram_resolution", "histogram", "argmax", "backend"}
+
+
+def test_correlate_json_carries_what_the_benchmark_reads(capsys):
+    code = seqfam.cli.main(["correlate", "--p", "2", "--n", "4", "--d", "2", "--M", "5", "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert CORRELATE_JSON_READ <= set(out)
+    assert all({"c1", "l1", "c2", "l2", "tau"} <= set(w) for w in out["argmax"])
+
+
+def test_correlation_report_keeps_what_the_benchmark_reads(fam16_m5):
+    assert REPORT_ATTRIBUTES_READ <= {f.name for f in dataclasses.fields(seqfam.correlation.CorrelationReport)}
+    assert "histogram" in seqfam.correlation.max_correlation(fam16_m5).to_dict()
 
 
 def _traced_scan(family):
