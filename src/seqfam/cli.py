@@ -15,8 +15,7 @@ from .correlation import max_correlation
 from .counting import asymptotic_size, count_report, lambda_size_formula
 from .errors import InternalCheckError, ParameterError, SeqfamError
 from .family import SequenceFamily, build_family, check_family_parameters
-from .fields import build_extension, build_field, check_extension, check_table_size, table_limit
-from .intmath import is_prime
+from .fields import build_extension, build_field, check_extension, check_field_order, table_limit
 from .sequences import check_alphabet, format_sequence, sidelnikov_sequence, sidelnikov_sequence_ext
 from .columns import column_sequence
 from .verify import format_verification, run_verification
@@ -76,15 +75,23 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _field_order(args) -> int:
+    """q = p**n, with q**d checked when --d is given, before any table is built."""
+    q = check_field_order(args.p, args.n, args.table_limit)
+    if args.d is not None:
+        check_extension(q, args.d, args.table_limit)
+    return q
+
+
 def cmd_generate(args) -> int:
+    q = _field_order(args)
+    if args.d is None and args.column is not None:
+        raise ParameterError("--column needs --d")
+    check_alphabet(q, args.M)
     ctx = build_field(args.p, args.n, args.table_limit)
     if args.d is None:
-        if args.column is not None:
-            raise ParameterError("--column needs --d")
         seq = sidelnikov_sequence(ctx, args.M)
     else:
-        check_extension(ctx, args.d, args.table_limit)
-        check_alphabet(ctx.q, args.M)
         ext = build_extension(ctx, args.d, args.table_limit)
         if args.column is None:
             seq = sidelnikov_sequence_ext(ext, args.M)
@@ -97,10 +104,9 @@ def cmd_generate(args) -> int:
 
 
 def _family(args) -> SequenceFamily:
-    """The command line's family; parameters it would refuse are refused before GF(q**d) is built."""
+    """The command line's family; parameters it would refuse are refused before GF(q) is built."""
+    check_family_parameters(_field_order(args), args.d, args.M, args.policy)
     ctx = build_field(args.p, args.n, args.table_limit)
-    check_extension(ctx, args.d, args.table_limit)
-    check_family_parameters(ctx.q, args.d, args.M, args.policy)
     return build_family(build_extension(ctx, args.d, args.table_limit), args.M, args.policy)
 
 
@@ -141,23 +147,11 @@ def cmd_correlate(args) -> int:
     return EXIT_OK if ok else EXIT_FAILURE
 
 
-def _count_field_order(args) -> int:
-    """q = p**n, once n, p**n, the primality of p and q**d have passed, before any table is built."""
-    if args.n < 1:
-        raise ParameterError("n must be >= 1")
-    check_table_size(args.p, args.n, args.table_limit)
-    if not is_prime(args.p):
-        raise ParameterError(f"p={args.p} is not prime")
-    q = args.p**args.n
-    check_table_size(q, args.d, args.table_limit, "q**d")
-    return q
-
-
 def _count_sweep_csv(args) -> str:
     """Exact vs asymptotic sizes swept over q = p**n, p**(n+1), ... while q**d fits the table limit."""
     if args.M < 2:
         raise ParameterError("M must be >= 2")
-    q = _count_field_order(args)
+    q = _field_order(args)
     limit = table_limit(args.table_limit)
     rows = ["q,d,M,lambda,family_size,asymptotic,ratio"]
     while q**args.d <= limit:
@@ -174,7 +168,7 @@ def cmd_count(args) -> int:
     if args.fmt == "csv":
         _emit(_count_sweep_csv(args), args.out)
         return EXIT_OK
-    _count_field_order(args)
+    check_alphabet(_field_order(args), args.M)
     ctx = build_field(args.p, args.n, args.table_limit)
     report = count_report(ctx.q, args.d, args.M, ctx)
     if args.fmt == "json":

@@ -140,7 +140,8 @@ class _HistogramAccumulator:
         scaled *= _FINE_SCALE
         keys = np.rint(scaled, out=scaled).astype(self._dtype)
         if self._dense is not None:
-            self._dense += np.bincount(_coarse_keys(keys), minlength=self._coarse_len) * weight
+            counts = np.bincount(_coarse_keys(keys), minlength=self._coarse_len)
+            self._dense += counts if weight == 1 else counts * weight
             return
         keys.sort()
         starts = _run_starts(keys)
@@ -168,7 +169,7 @@ class _HistogramAccumulator:
             self._merge()
         if self._dense is not None:
             nz = np.flatnonzero(self._dense)
-            return {int(k) / self.scale: int(self._dense[k]) for k in nz}
+            return {k / self.scale: v for k, v in zip(nz.tolist(), self._dense[nz].tolist())}
         return {k / self.scale: int(v) for k, v in zip(self.keys.tolist(), self.counts.tolist())}
 
 
@@ -177,10 +178,17 @@ def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
 
 
+def _bit_reversed(count: int) -> list[int]:
+    """0, ..., count - 1 in van der Corput order: the bit reversals of 0, 1, 2, ... in as many bits as count - 1 has."""
+    width = (count - 1).bit_length()
+    return [k for k in (int(f"{i:0{width}b}"[::-1], 2) for i in range(1 << width)) if k < count]
+
+
 def _coarse_keys(fine_keys: np.ndarray) -> np.ndarray:
-    """1e-6 keys to 1e-3 keys, rounding half up."""
+    """1e-6 keys to 1e-3 keys, rounding half up, in place."""
     ratio = _FINE_SCALE // _COARSE_SCALE
-    return (fine_keys + ratio // 2) // ratio
+    fine_keys += ratio // 2
+    return np.floor_divide(fine_keys, ratio, out=fine_keys)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,10 +324,18 @@ class _OrbitScan:
         self.blocks_scanned = self.pairs_scanned = 0
 
     def blocks(self, tile: int):
-        """(rows, cols, weights): representatives, members and each pair's weight (0: skip)."""
+        """(rows, cols, weights): representatives, members and each pair's weight (0: skip).
+
+        Column tiles come in bit-reversed order, each with its row bands in
+        a row, so that one column operand serves all of a tile's blocks.
+        The member order runs by orbit size, and so by column type; in
+        bit-reversed order every prefix of the scan samples all of it, so
+        the histogram meets its distinct values early, while settling its
+        resolution is still cheap (see _HistogramAccumulator).
+        """
         n = self.order.size
-        for j0 in range(0, n, tile):
-            j1 = min(j0 + tile, n)
+        for k in _bit_reversed(-(-n // tile)):
+            j0, j1 = k * tile, min(k * tile + tile, n)
             position = np.arange(j0, j1)
             reached = int(np.searchsorted(self.starts, j1))  # orbits that start before j1
             for i0 in range(0, reached, tile):
@@ -507,28 +523,58 @@ def max_correlation(
 
 
 def _least_rotations(rows: np.ndarray) -> np.ndarray:
-    """Start of the lexicographically least rotation of every row, in O(P) steps.
+    """Start of the lexicographically least rotation of every row, the smallest on ties.
 
-    Two-pointer minimum-expression scan (the bound of Booth 1980), run on
-    all rows in lockstep: at the first mismatch after a common prefix of
-    length k, the larger of the candidates i, j is ruled out with every
-    start inside its prefix.
+    The symbols, non-negative, are packed `width` = 64 // bits to a uint64
+    word, so one integer comparison covers `width` symbols. Every start is
+    a candidate at first. Each round keeps the candidates whose next word
+    is their row's least, then drops each candidate that lies within the
+    matched length of an earlier one: if starts i < j <= i + matched both
+    match the least prefix and R_j < R_i, their first mismatch lies past
+    j - i, so R_(2j-i) < R_j (Booth's skip) and j is not least either. The
+    smallest least start therefore survives, candidates lie more than the
+    matched length apart, and every row is done within ceil(P / width)
+    rounds.
     """
     count, n = rows.shape
-    doubled = np.concatenate([rows, rows], axis=1)
-    i, j, k = np.zeros(count, dtype=np.int64), np.ones(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
-    live = np.arange(count if n > 1 else 0)
-    while live.size:
-        ii, jj, kk = i[live], j[live], k[live]
-        a, b = doubled[live, ii + kk], doubled[live, jj + kk]
-        step = kk + 1
-        ii = np.where(a > b, ii + step, ii)
-        jj = np.where(a < b, jj + step, jj)
-        jj += ii == jj
-        kk = np.where(a == b, step, 0)
-        i[live], j[live], k[live] = ii, jj, kk
-        live = live[(ii < n) & (jj < n) & (kk < n)]
-    return np.minimum(i, j)
+    if not rows.size:
+        return np.zeros(count, dtype=np.int64)
+    bits = max(int(rows.max()).bit_length(), 1)
+    width = 64 // bits
+    words = _packed_windows(rows, width, bits)
+    row, start = np.nonzero(words == words.min(axis=1, keepdims=True))
+    matched = width
+    while True:
+        keep = np.concatenate(([True], (row[1:] != row[:-1]) | (start[1:] - start[:-1] > matched)))
+        row, start = row[keep], start[keep]
+        if row.size == count:
+            return start
+        vals = words[row, (start + matched) % n]
+        first = _run_starts(row)
+        least = np.minimum.reduceat(vals, first)
+        keep = vals == np.repeat(least, np.diff(first, append=row.size))
+        row, start = row[keep], start[keep]
+        matched += width
+
+
+def _packed_windows(rows: np.ndarray, width: int, bits: int) -> np.ndarray:
+    """words[r, s]: symbols s, ..., s + width - 1 (cyclically) of row r, `bits` each, the first most significant.
+
+    Windows of length 1, 2, 4, ... are formed by doubling; those that
+    make up `width` are joined in order of length.
+    """
+    n = rows.shape[1]
+    block = rows[:, np.arange(n + width - 1) % n].astype(np.uint64)  # block[:, s] packs `length` symbols from s
+    length, words, packed = 1, None, 0
+    while True:
+        if width & length:
+            part = block[:, packed:packed + n]
+            words = part if words is None else (words << np.uint64(length * bits)) | part
+            packed += length
+        if 2 * length > width:
+            return words
+        block = (block[:, :-length] << np.uint64(length * bits)) | block[:, length:]
+        length *= 2
 
 
 def _rotation_keys(rows: np.ndarray) -> tuple[list[bytes], np.ndarray]:

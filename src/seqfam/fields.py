@@ -472,6 +472,16 @@ def _check_irreducible_by_trial_division(coeff_ctx, modulus) -> None:
                 raise InternalCheckError(f"modulus has a degree-{deg} factor")
 
 
+def check_field_order(p: int, n: int, limit: int | None = None) -> int:
+    """q = p**n, once n, the table limit and the primality of p have passed, as build_field checks them first."""
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    check_table_size(p, n, limit)
+    if not is_prime(p):
+        raise ParameterError(f"p={p} is not prime")
+    return p**n
+
+
 def build_field(p: int, n: int, limit: int | None = None) -> FieldContext:
     """Construct GF(p**n) deterministically.
 
@@ -479,12 +489,7 @@ def build_field(p: int, n: int, limit: int | None = None) -> FieldContext:
     degree n over GF(p) (constant term compared first) and beta is the
     primitive element with the smallest packed-integer encoding.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    check_table_size(p, n, limit)
-    if not is_prime(p):
-        raise ParameterError(f"p={p} is not prime")
-    q = p**n
+    q = check_field_order(p, n, limit)
     prime_ctx = _prime_context(p)
     if n == 1:
         return prime_ctx
@@ -493,11 +498,11 @@ def build_field(p: int, n: int, limit: int | None = None) -> FieldContext:
     return FieldContext(p, n, modulus, beta, exp, log)
 
 
-def check_extension(base: FieldContext, d: int, limit: int | None = None) -> None:
+def check_extension(q: int, d: int, limit: int | None = None) -> None:
     """Refuse a degree d below 2 or a q**d above the table limit, as build_extension does first."""
     if d < 2:
         raise ParameterError("extension degree d must be >= 2")
-    check_table_size(base.q, d, limit, "q**d")
+    check_table_size(q, d, limit, "q**d")
 
 
 def build_extension(base: FieldContext, d: int, limit: int | None = None) -> ExtensionContext:
@@ -507,7 +512,7 @@ def build_extension(base: FieldContext, d: int, limit: int | None = None) -> Ext
     base.beta, so the base field's generator is fixed first and the
     extension is chosen to be compatible with it.
     """
-    check_extension(base, d, limit)
+    check_extension(base.q, d, limit)
     size = base.q**d
     modulus = _smallest_irreducible(base, d)
     ratio = (size - 1) // (base.q - 1)

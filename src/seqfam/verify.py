@@ -37,7 +37,7 @@ from .counting import (
 )
 from .errors import SeqfamError
 from .family import build_family, check_family_parameters, coset_representatives
-from .fields import build_extension, build_field, check_extension
+from .fields import build_extension, build_field, check_extension, check_field_order
 from .sequences import sidelnikov_sequence, sidelnikov_sequence_ext, sidelnikov_sequence_ext_direct
 
 _DEEP_LIMIT = 1 << 12  # full product/irreducibility checks only below this field size
@@ -57,11 +57,12 @@ def run_verification(
     def record(name: str, ok, detail: str = "") -> None:
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
 
+    q = check_field_order(p, n, table_limit)  # every refusal comes before GF(q) is built
+    check_extension(q, d, table_limit)
+    restrictions = check_family_parameters(q, d, M, policy)
     ctx = build_field(p, n, table_limit)
-    check_extension(ctx, d, table_limit)
-    restrictions = check_family_parameters(ctx.q, d, M, policy)  # before GF(q**d) is built
     ext = build_extension(ctx, d, table_limit)
-    q, size, m = ctx.q, ext.size, ext.norm_ratio
+    size, m = ext.size, ext.norm_ratio
 
     rebuilt = build_field(p, n, table_limit)
     record(

@@ -220,13 +220,20 @@ GCD_3 = "strict policy violated: gcd(d, q-1) = 3 != 1"
         ("family --p 2 --n 12 --d 2 --M 1", "M must be >= 2"),
         ("correlate --p 2 --n 8 --d 3 --M 11", "M must divide q-1 (q=256, M=11)"),  # M before the policy
         ("correlate --p 2 --n 4 --d 7 --M 5", "q**d = 16**7 exceeds the table limit 16777216"),  # size first
+        ("generate --p 2 --n 24 --M 3 --column 1", "--column needs --d"),
+        ("generate --p 2 --n 24 --M 4", "M must divide q-1 (q=16777216, M=4)"),
+        ("correlate --p 2 --n 24 --d 2 --M 3", "q**d = 16777216**2 exceeds the table limit 16777216"),
+        ("verify --p 2 --n 24 --d 2 --M 3", "q**d = 16777216**2 exceeds the table limit 16777216"),
+        ("family --p 2 --n 24 --d 2 --M 4", "q**d = 16777216**2 exceeds the table limit 16777216"),
+        ("count --p 2 --n 12 --d 2 --M 4", "M must divide q-1 (q=4096, M=4)"),
     ],
 )
 def test_parameter_errors_come_before_the_extension_is_built(capsys, argv, message):
-    # Each message depends on (q, d, M, policy) only; GF(2**24) alone takes seconds and hundreds of MB.
-    built = AssertionError("GF(q**d) was built")
-    with mock.patch("seqfam.cli.build_extension", side_effect=built), \
-            mock.patch("seqfam.verify.build_extension", side_effect=built):
+    # Each message depends on (q, d, M, policy) and the flags only, so neither GF(q) nor GF(q**d)
+    # is built; GF(2**24) alone takes seconds and hundreds of MB.
+    built = AssertionError("GF(q) was built")
+    with mock.patch("seqfam.cli.build_field", side_effect=built), \
+            mock.patch("seqfam.verify.build_field", side_effect=built):
         code, out, err = run(capsys, *argv.split())
     assert (code, out, err) == (2, "", f"error: {message}\n")
 

@@ -272,6 +272,16 @@ def test_cyclic_inequivalence_rejects_mixed_sequences(period, M):
         cyclic_inequivalence([a, b])
 
 
+def test_cyclic_inequivalence_finds_a_planted_shift_at_a_large_alphabet(built):
+    # M = 127: 7-bit symbols, 9 to a word, over period 127.
+    family = build_family(built(2, 7, 2), 127)
+    assert cyclic_inequivalence(family) == (True, None)
+    k = family.size // 3
+    ok, witness = cyclic_inequivalence(list(family.sequences) + [family.sequences[k].shifted(100)])
+    assert not ok
+    assert (witness["index1"], witness["index2"], witness["tau"]) == (k, family.size, 27)
+
+
 def test_report_carries_the_inequivalence_verdict(fam16_m5, rotation_key_calls):
     report = max_correlation(fam16_m5)
     # The members' keys once, then one pass per generator candidate: decimation and negation.
@@ -305,20 +315,41 @@ def _check_least_rotation(symbols: list) -> None:
         assert row[start:] + row[:start] == _brute_least_rotation(row)
 
 
+# Rows are packed 64 // bits symbols to a word, bits from the largest symbol:
+# 1 bit gives words of 64 symbols, 255 gives words of 8, so rows up to 130
+# span several words at every alphabet drawn here.
+_symbol_bounds = st.sampled_from([1, 3, 7, 15, 255])
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+@given(_symbol_bounds.flatmap(lambda top: st.lists(st.integers(0, top), min_size=1, max_size=130)))
 @example([7])
+@example([255])
 @example([2, 2, 2, 2, 2])
+@example([0] * 130)
+@example([255] * 129)
+@example([1] * 64 + [0] + [1] * 64)
 def test_least_rotation_matches_brute_force(symbols):
     _check_least_rotation(symbols)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 2), min_size=1, max_size=6), st.integers(1, 8), st.integers(0, 47))
-@example([1, 0], 6, 0)
-@example([0, 1, 0], 3, 1)
-def test_least_rotation_periodic_inputs(block, repeats, shift):
+@given(
+    _symbol_bounds.flatmap(lambda top: st.lists(st.integers(0, top), min_size=1, max_size=13)),
+    st.integers(1, 20),
+    st.integers(0, 259),
+    st.none() | st.integers(0, 259),
+)
+@example([1, 0], 6, 0, None)
+@example([0, 1, 0], 3, 1, None)
+@example([1, 0, 0], 43, 5, None)  # period 3 in words of 64 symbols
+@example([255, 0, 7], 43, 2, None)  # period 3 in words of 8
+@example([3, 0, 0, 0, 1], 26, 11, None)  # period 5 in words of 32
+@example([2, 3], 36, 0, 57)  # one 3 turned to 2: a single least window far from the start
+def test_least_rotation_periodic_inputs(block, repeats, shift, defect):
     tiled = block * repeats
+    if defect is not None:  # nearly periodic: one symbol flipped
+        tiled[defect % len(tiled)] ^= 1
     shift %= len(tiled)
     _check_least_rotation(tiled[shift:] + tiled[:shift])
 
@@ -390,6 +421,58 @@ def _histogram_total(family) -> int:
     """P * N(N+1)/2 - N: every unordered pair at every shift, less the trivial ones."""
     n = family.size
     return family.period * n * (n + 1) // 2 - n
+
+
+def _column_tiles(blocks):
+    """The blocks grouped by column tile, in scan order: each tile's blocks are adjacent."""
+    tiles = []
+    for block in blocks:
+        if tiles and np.array_equal(tiles[-1][0][1], block[1]):
+            tiles[-1].append(block)
+        else:
+            tiles.append([block])
+    return tiles
+
+
+@pytest.mark.parametrize("regroup", ["sequential", "reversed"])
+def test_block_order_does_not_change_the_report(fam16_m5, monkeypatch, regroup):
+    # Tiles of 4 columns: 8 column tiles. With at most 60 exact keys the
+    # histogram switches to 1e-3 bins at its second merge, partway through
+    # the scan, at a point the block order decides.
+    monkeypatch.setattr(kernels, "TILE_ELEMENTS", 240)
+    monkeypatch.setattr(correlation, "HISTOGRAM_EXACT_LIMIT", 60)
+    spread = max_correlation(fam16_m5).to_dict()
+    original = correlation._OrbitScan.blocks
+
+    def blocks(self, tile):
+        tiles = _column_tiles(original(self, tile))
+        position = {int(m): k for k, m in enumerate(self.order)}
+        tiles.sort(key=lambda t: position[int(t[0][1][0])], reverse=regroup == "reversed")
+        assert len(tiles) == 8
+        return [block for t in tiles for block in t]
+
+    monkeypatch.setattr(correlation._OrbitScan, "blocks", blocks)
+    report = max_correlation(fam16_m5).to_dict()
+    assert spread["histogram_resolution"] == 1e-3
+    spread.pop("elapsed"), report.pop("elapsed")
+    assert report == spread
+
+
+@pytest.mark.parametrize("backend", ["gemm", "fft"])
+def test_one_column_operand_per_column_tile(fam16_m5, monkeypatch, triangle_scan, backend):
+    # The upper triangle in tiles of 4: column tile k meets k + 1 row bands.
+    monkeypatch.setattr(kernels, "TILE_ELEMENTS", 240)
+    calls, original = [], kernels.PairScanner._column_operand
+
+    def counted(self, cols):
+        calls.append(cols.tolist())
+        return original(self, cols)
+
+    monkeypatch.setattr(kernels.PairScanner, "_column_operand", counted)
+    report = triangle_scan(fam16_m5, backend=backend)
+    tiles = -(-fam16_m5.size // kernels.tile_size(fam16_m5.period))
+    assert report.scan["blocks"] == tiles * (tiles + 1) // 2
+    assert len(calls) == tiles == 8
 
 
 def test_scan_counters(fam16_m5):
