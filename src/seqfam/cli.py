@@ -63,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, formats in (("correlate", "json csv text"), ("count", "json csv text"), ("verify", "json text")):
         cmds[name].add_argument("--format", dest="fmt", choices=formats.split(), default="text")
     for name in ("correlate", "verify"):  # the benchmark's command lines pass --jobs to these two
-        cmds[name].add_argument("--jobs", type=int, help="has no effect; BLAS threads follow OPENBLAS_NUM_THREADS")
+        cmds[name].add_argument("--jobs", type=int,
+                                help="has no effect; a scan gives OpenBLAS one thread fewer than the usable CPUs")
     return parser
 
 

@@ -26,7 +26,7 @@ from .errors import InternalCheckError, ParameterError
 from .family import SequenceFamily
 from .fields import ExtensionContext, FieldContext
 from .intmath import prime_factors
-from .kernels import PairScanner
+from .kernels import PairScanner, scan_blas_threads
 from .sequences import MSequence
 
 TOLERANCE = 1e-6
@@ -151,18 +151,24 @@ class _HistogramAccumulator:
             self._merge()
 
     def _merge(self) -> None:
-        cat = np.concatenate([self.keys] + [k for k, _ in self._batch])
-        cnt = np.concatenate([self.counts] + [c for _, c in self._batch])
+        """Fold the batch into the histogram: each part's keys are sorted and distinct."""
+        parts = [(self.keys, self.counts)] + self._batch
         self._batch, self._batch_keys = [], 0
-        order = np.argsort(cat, kind="stable")
-        cat, cnt = cat[order], cnt[order]
-        starts = _run_starts(cat)
-        self.keys, self.counts = cat[starts], np.add.reduceat(cnt, starts)
-        if self.keys.size > HISTOGRAM_EXACT_LIMIT:
+        keys = np.concatenate([k for k, _ in parts])
+        keys.sort()
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        if np.count_nonzero(first) > HISTOGRAM_EXACT_LIMIT:
             self.scale = _COARSE_SCALE
             self._dense = np.zeros(self._coarse_len, dtype=np.int64)
-            np.add.at(self._dense, _coarse_keys(self.keys), self.counts)
+            for k, c in parts:
+                np.add.at(self._dense, _coarse_keys(k), c)
             self.keys = self.counts = None
+            return
+        self.keys = keys = keys[first]
+        self.counts = np.zeros(keys.size, dtype=np.int64)
+        for k, c in parts:
+            self.counts[np.searchsorted(keys, k)] += c
 
     def result(self) -> dict[float, int]:
         if self._dense is None:
@@ -324,7 +330,7 @@ class _OrbitScan:
         self.blocks_scanned = self.pairs_scanned = 0
 
     def blocks(self, tile: int):
-        """(rows, cols, weights): representatives, members and each pair's weight (0: skip).
+        """(rows, cols, weights, distinct): representatives, members, each pair's weight (0: skip) and the positive weights.
 
         Column tiles come in bit-reversed order, each with its row bands in
         a row, so that one column operand serves all of a tile's blocks.
@@ -348,7 +354,7 @@ class _OrbitScan:
                 rows, cols = self.reps[band], self.order[j0:j1]
                 self.blocks_scanned += 1
                 self.pairs_scanned += rows.size * cols.size
-                yield rows, cols, weights
+                yield rows, cols, weights, (np.flatnonzero(np.bincount(weights.ravel())[1:]) + 1).tolist()
 
     def expand(self, i, j, tau, value) -> tuple[np.ndarray, ...]:
         """(i, j, tau, value): the first WITNESS_CAP triples with i <= j in the orbits of the given ones.
@@ -385,8 +391,11 @@ class _ScanReducer:
         self.witnesses = self.violations = no_hits  # (i, j, tau, value) arrays, as from _OrbitScan.expand
         self.histogram = _HistogramAccumulator(period)
 
-    def add(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, weights: np.ndarray) -> None:
+    def add(self, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, distinct: list[int],
+            vals: np.ndarray) -> None:
         """One block: vals[a, b, tau] = |R(rows[a], cols[b], tau)|, counted weights[a, b] times.
+
+        `distinct` lists the positive weights, as _OrbitScan.blocks hands them out.
 
         Skipped pairs and each trivial shift are set to -1, below every magnitude.
         Only representatives meet their own column, so the kernel's trivial
@@ -411,7 +420,6 @@ class _ScanReducer:
             keep = self.witnesses[3] >= threshold
             self.witnesses = self._merged(tuple(w[keep] for w in self.witnesses), rows, cols, vals, hits)
 
-        distinct = np.unique(weights[weights > 0]).tolist()
         if len(distinct) == 1 and not own_a.size and weights.all():
             # Spares the masked copy: about 10% of the reducer's time at q=41 M=8.
             self.histogram.add(vals, distinct[0])  # last use: overwrites vals
@@ -427,6 +435,32 @@ class _ScanReducer:
             new = (rows[a], cols[b], tau, vals[a, b, tau])
             kept = self.scan.expand(*(np.concatenate(pair) for pair in zip(kept, new)))
         return kept
+
+
+def _pipelined(blocks, kernel, reduce) -> None:
+    """reduce(*block, kernel(block)) for each block in order, with the kernel
+    of block k + 1 on a worker thread while this thread reduces block k.
+
+    One kernel runs at a time and the reductions run in block order on
+    this thread, so the result is the serial fold's. Both stages spend
+    most of their time in numpy calls that release the interpreter lock.
+    An error from either stage comes out of this call once the worker has
+    finished its kernel.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # here, as it adds about 10 ms to importing seqfam
+
+    with ThreadPoolExecutor(1) as worker:
+        blocks = iter(blocks)
+        block = next(blocks, None)
+        if block is None:
+            return
+        pending = worker.submit(kernel, block)
+        for ahead in blocks:
+            vals = pending.result()
+            pending = worker.submit(kernel, ahead)
+            reduce(*block, vals)
+            block = ahead
+        reduce(*block, pending.result())
 
 
 def _same_column_ok(family: SequenceFamily, symbols: np.ndarray, degs: np.ndarray, sqrt_q: float) -> bool:
@@ -479,8 +513,13 @@ def max_correlation(
     _spot_check(family.sequences, generators, period)
     scan = _OrbitScan(generators, n, period)
     reducer = _ScanReducer(scan, degs, sqrt_q, period)
-    for rows, cols, weights in scan.blocks(scanner.tile):
-        reducer.add(rows, cols, scanner.correlations_abs(rows, cols), weights)
+    blocks, kernel = scan.blocks(scanner.tile), lambda block: scanner.correlations_abs(*block[:2])
+    with scan_blas_threads() as blas_threads:
+        if scanner.backend == "gemm":
+            _pipelined(blocks, kernel, reducer.add)
+        else:  # beside the FFT kernel, the overlap cost more CPU time than it saved wall time
+            for block in blocks:
+                reducer.add(*block, kernel(block))
 
     def labelled(i: int, j: int, tau: int, value: float) -> dict:
         a, b = family.sequences[i], family.sequences[j]
@@ -515,6 +554,7 @@ def max_correlation(
             "pairs_scanned": scan.pairs_scanned,
             "pairs_represented": n * (n + 1) // 2,
             "blocks": scan.blocks_scanned,
+            "blas_threads": blas_threads,
         },
         elapsed=time.perf_counter() - start,
         cyclically_inequivalent=inequivalent,

@@ -17,21 +17,32 @@ Two kernels compute it:
   Cost grows as period * log(period) per pair.
 
 The kernel is picked from the period alone: GEMM up to GEMM_MAX_PERIOD,
-FFT above it. Measured on 2 cores, GEMM in OpenBLAS on both cores and
-numpy's FFT on one, in microseconds per pair (wall / CPU, two runs):
+FFT above it. A block's complex products are formed a few rows at a time,
+so a block needs little more memory than its |R|. During a scan OpenBLAS
+gets one thread fewer than the CPUs the process may use (scan_blas_threads),
+so on 2 cores both kernels run on one thread. Measured so, in
+microseconds per pair (wall / CPU, two runs):
 
     period   GEMM                  FFT
-    62       0.66-0.68 / 1.32      1.23-1.29 / 1.29-1.40
-    80       0.98-1.05 / 1.86-2.05 0.91-1.07 / 0.91-1.10
-    100      1.43-1.60 / 2.78-3.18 1.07-1.33 / 1.11-1.33
-    126      2.29-2.46 / 4.48-4.93 1.53-1.95 / 1.53-1.97
+    62       1.08-1.16 / 1.08-1.16 1.72-2.04 / 1.72-2.04
+    80       1.86-1.93 / 1.85-1.93 1.09-1.12 / 1.09-1.12
+    100      2.78-2.80 / 2.78-2.80 1.39-1.41 / 1.38-1.40
+    126      4.58-4.80 / 4.58-4.80 2.05-2.19 / 2.05-2.19
 
-GEMM takes half the wall time of FFT at period 62 for about the same CPU
-time; the two break even on wall time near period 80, where FFT already
-takes half the CPU time, and FFT is ahead from there on. A slow
-pure-Python "reference" path is the independent oracle for tests at tiny
-sizes.
+GEMM is ahead at period 62 and FFT at period 80. The boundary was set
+where the two broke even in wall time with GEMM on both cores
+(0.98-1.05 against 0.91-1.07 at period 80), and it stays there so that
+each period keeps its kernel, and its values their last bits. In a GEMM
+scan the reduction of one block runs beside the kernel of the next (see
+correlation._pipelined). A slow pure-Python "reference" path is the
+independent oracle for tests at tiny sizes.
 """
+
+import ctypes
+import functools
+import os
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -70,6 +81,51 @@ def tile_size(period: int) -> int:
     return tile
 
 
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS in numpy's wheel, or None where there is none."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        dll = ctypes.CDLL(str(lib))  # numpy loaded it already: this returns the same handle
+        for suffix in ("64_", ""):  # the ILP64 and the LP64 build of scipy-openblas
+            get = getattr(dll, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(dll, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def blas_threads() -> int | None:
+    """The thread count OpenBLAS runs numpy's matrix products with, None if unknown."""
+    lib = _openblas()
+    return None if lib is None else lib[0]()
+
+
+@contextmanager
+def scan_blas_threads():
+    """Leave one CPU to the scan's reducer: OpenBLAS gets one thread fewer than
+    this process may use, never fewer than one nor more than it had. Yields
+    that count, or None (changing nothing) where OpenBLAS is not found.
+
+    An idle OpenBLAS thread spins for a while before it sleeps, so with one
+    thread per CPU the threads of each matrix product would spin through
+    the reduction that runs beside the next one.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield None
+        return
+    get, put = lib
+    old = get()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    put(max(1, min(old, cpus - 1)))
+    try:
+        yield get()
+    finally:
+        put(old)
+
+
 class PairScanner:
     """Per-kernel state for one symbol matrix; serves (row tile x column tile) blocks."""
 
@@ -96,11 +152,19 @@ class PairScanner:
         if self._cols is None or not np.array_equal(cols, self._cols):
             self._cols = cols.copy()
             self._operand = self._column_operand(cols)
-        if self.backend == "gemm":
-            vals = self._phases[rows] @ self._operand
-            return np.abs(vals).reshape(rows.size, cols.size, self.period)
-        spectra = self._spectra[rows][:, None, :] * self._operand[None, :, :]
-        return np.abs(np.fft.fft(spectra, axis=2, norm="forward", out=spectra))
+        out = np.empty((rows.size, cols.size, self.period))
+        # The complex products, twice the size of their |R|, are formed for about a quarter
+        # tile of rows at a time. No part has a single row unless the block does: numpy
+        # hands a one-row product to GEMV, whose sums can differ from GEMM's in the last bit.
+        parts = max(1, min(rows.size // 2, -(-4 * rows.size * cols.size * self.period // TILE_ELEMENTS)))
+        bounds = [rows.size * k // parts for k in range(parts + 1)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if self.backend == "gemm":
+                np.abs(self._phases[rows[lo:hi]] @ self._operand, out=out[lo:hi].reshape(hi - lo, -1))
+            else:
+                spectra = self._spectra[rows[lo:hi]][:, None, :] * self._operand[None, :, :]
+                np.abs(np.fft.fft(spectra, axis=2, norm="forward", out=spectra), out=out[lo:hi])
+        return out
 
     def _column_operand(self, cols: np.ndarray) -> np.ndarray:
         """What a column tile contributes to every block it meets: Circ(conj A) or conj F."""

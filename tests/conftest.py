@@ -1,10 +1,19 @@
+import threading
 from unittest import mock
 
 import pytest
 
-from seqfam import correlation
+from seqfam import correlation, kernels
 from seqfam.family import build_family
 from seqfam.fields import build_extension, build_field
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a thread running or OpenBLAS at another thread count."""
+    before = threading.active_count(), kernels.blas_threads()
+    yield
+    assert (threading.active_count(), kernels.blas_threads()) == before, "(threads, BLAS threads) changed"
 
 
 @pytest.fixture(scope="session")

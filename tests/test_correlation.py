@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import threading
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from seqfam.columns import column_polynomial
 from seqfam.errors import InternalCheckError, ParameterError
 from seqfam.family import build_family
 from seqfam.fields import build_extension, build_field
+from seqfam.intmath import prime_factors
 from seqfam.sequences import MSequence, sidelnikov_sequence
 
 
@@ -417,6 +419,32 @@ def test_coarse_bin_does_not_depend_on_when_a_value_is_scanned(monkeypatch):
     assert results[0] == results[1] == {0.25: 1, 0.5: 1, 1.001: 1}
 
 
+@pytest.mark.parametrize("limit", [10, 200, 2000, 10**6])
+def test_histogram_counts_every_key_exactly(monkeypatch, limit):
+    # About 1,500 distinct keys over 40 weighted batches: the histogram
+    # switches to 1e-3 bins (limits 10 and 200) or stays exact, folding its
+    # batches into the kept keys at merges along the way (2000) or only at
+    # the end (10**6).
+    monkeypatch.setattr(correlation, "HISTOGRAM_EXACT_LIMIT", limit)
+    rng = np.random.default_rng(11)
+    acc, fine = correlation._HistogramAccumulator(period=2), {}
+    for _ in range(40):
+        keys = rng.integers(0, 1500, size=int(rng.integers(1, 400))) + 10**6
+        weight = int(rng.integers(1, 4))
+        acc.add(keys / 10**6, weight)
+        for k in keys.tolist():
+            fine[k] = fine.get(k, 0) + weight
+    expect = fine
+    if limit < len(fine):
+        expect = {}
+        for k, count in fine.items():
+            expect[(k + 500) // 1000] = expect.get((k + 500) // 1000, 0) + count
+    scale = 10**6 if limit > len(fine) else 10**3
+    got = acc.result()
+    assert got == {k / scale: count for k, count in expect.items()}
+    assert all(type(count) is int for count in got.values())
+
+
 def _histogram_total(family) -> int:
     """P * N(N+1)/2 - N: every unordered pair at every shift, less the trivial ones."""
     n = family.size
@@ -478,12 +506,15 @@ def test_one_column_operand_per_column_tile(fam16_m5, monkeypatch, triangle_scan
 def test_scan_counters(fam16_m5):
     # D_2 has order 4 on t mod 15 and negation doubles it: 32 members, 4 orbits of 8.
     report = max_correlation(fam16_m5)
+    with kernels.scan_blas_threads() as blas_threads:
+        pass
     assert report.to_dict()["scan"] == {
         "symmetry_order": 8,
         "member_orbits": 4,
         "pairs_scanned": 4 * 32,
         "pairs_represented": 32 * 33 // 2,
         "blocks": 1,
+        "blas_threads": blas_threads,
     }
     assert sum(report.histogram.values()) == _histogram_total(fam16_m5)
 
@@ -643,10 +674,10 @@ def test_weight_off_by_one_fails_the_histogram_total(fam16_m5, monkeypatch, extr
     blocks = correlation._OrbitScan.blocks
 
     def skewed(self, tile):
-        for rows, cols, weights in blocks(self, tile):
+        for rows, cols, weights, _ in blocks(self, tile):
             weights = weights.copy()
             weights[0, -1] += extra
-            yield rows, cols, weights
+            yield rows, cols, weights, np.unique(weights[weights > 0]).tolist()
 
     monkeypatch.setattr(correlation._OrbitScan, "blocks", skewed)
     try:
@@ -654,3 +685,79 @@ def test_weight_off_by_one_fails_the_histogram_total(fam16_m5, monkeypatch, extr
     except InternalCheckError:
         total = None
     assert total != _histogram_total(fam16_m5)
+
+
+def test_bound_attained_with_equality_at_q121():
+    # q = 121, d = 2, M = 6: delta_max equals the bound 3 * sqrt(121) + 1 = 34.
+    family = build_family(build_extension(build_field(11, 2), 2), 6, "relaxed-d2")
+    report = max_correlation(family)
+    assert family.size == 300
+    assert report.histogram[34.0] == 172
+    assert report.bound == 34.0
+    assert abs(report.delta_max - 34.0) < 1e-9
+    assert report.bound_ok
+    first = report.argmax[0]
+    assert (first["c1"], first["l1"], first["c2"], first["l2"], first["tau"]) == (1, 1, 5, 24, 53)
+    assert (report.scan["symmetry_order"], report.scan["blocks"]) == (4, 7)
+
+
+def _serial_fold(family):
+    """The scan max_correlation runs, with each block's kernel and reduction in turn on this thread."""
+    symbols = family.symbols_matrix()
+    n, period = symbols.shape
+    degs = family.degree_per_sequence()
+    keys, starts = correlation._rotation_keys(symbols)
+    index, shared = correlation._key_index(keys)
+    assert shared is None
+    generators = correlation._find_generators(symbols, family.M, degs, prime_factors(family.q)[0], index, starts)
+    scan = correlation._OrbitScan(generators, n, period)
+    scanner = kernels.PairScanner(symbols, family.M)
+    reducer = correlation._ScanReducer(scan, degs, math.sqrt(family.q), period)
+    for block in scan.blocks(scanner.tile):
+        reducer.add(*block, scanner.correlations_abs(*block[:2]))
+    return scan, reducer
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_pipelined_scan_equals_the_serial_fold(fam16_m5, monkeypatch, symmetric):
+    monkeypatch.setattr(kernels, "TILE_ELEMENTS", 15 * 4 * 4)  # tiles of 4 members
+    if not symmetric:
+        monkeypatch.setattr(correlation, "_find_generators", lambda *args: [])
+    report = max_correlation(fam16_m5)
+    scan, reducer = _serial_fold(fam16_m5)
+    assert report.backend == "gemm"
+    assert report.scan["blocks"] == scan.blocks_scanned == (8 if symmetric else 36)
+    assert report.delta_max == reducer.delta_max
+    assert report.histogram == reducer.histogram.result()
+    for entries, hits in ((report.argmax, reducer.witnesses), (report.pair_bound_violations, reducer.violations)):
+        members = [fam16_m5.sequences[i] for i in hits[0].tolist() + hits[1].tolist()]
+        labels = [(m.c, m.l) for m in members]
+        expect = list(zip(labels[:len(hits[0])], labels[len(hits[0]):], hits[2].tolist(), hits[3].tolist()))
+        assert [((e["c1"], e["l1"]), (e["c2"], e["l2"]), e["tau"], e["value"]) for e in entries] == expect
+
+
+@pytest.mark.parametrize("stage", ["kernel", "reducer"])
+def test_an_error_in_either_stage_comes_out_of_the_scan(fam16_m5, monkeypatch, stage):
+    # 36 blocks; the third call of the stage raises.
+    monkeypatch.setattr(kernels, "TILE_ELEMENTS", 15 * 4 * 4)
+    monkeypatch.setattr(correlation, "_find_generators", lambda *args: [])
+    owner, name = (kernels.PairScanner, "correlations_abs") if stage == "kernel" else (correlation._ScanReducer, "add")
+    original, calls = getattr(owner, name), []
+
+    def failing(*args):
+        calls.append((threading.current_thread(), kernels.blas_threads()))
+        if len(calls) == 3:
+            raise RuntimeError(f"{stage} failed")
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, failing)
+    with kernels.scan_blas_threads() as during:
+        pass
+    before = threading.active_count(), kernels.blas_threads()
+    with pytest.raises(RuntimeError, match=f"{stage} failed"):
+        max_correlation(fam16_m5)
+    assert (threading.active_count(), kernels.blas_threads()) == before
+    # The kernel runs on the worker, the reducer on the calling thread, both with the scan's BLAS threads.
+    on_main = stage == "reducer"
+    assert all((thread is threading.main_thread()) == on_main and blas == during for thread, blas in calls)
+    assert len(calls) == 3

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqfam
+from seqfam import kernels
 from seqfam.correlation import cross_correlation
 from seqfam.errors import ParameterError
 from seqfam.kernels import (
@@ -130,3 +131,41 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("backend", ["gemm", "fft"])
+def test_block_in_parts_equals_the_whole_product(backend, monkeypatch):
+    rng = np.random.default_rng(4)
+    symbols = rng.integers(0, 7, (40, 24))
+    rows, cols = rng.permutation(40)[:17], rng.permutation(40)[:9]
+    whole = PairScanner(symbols, 7, backend=backend).correlations_abs(rows, cols)
+    monkeypatch.setattr(kernels, "TILE_ELEMENTS", 4 * 2 * 9 * 24)  # seven parts of 2 rows and one of 3
+    assert np.array_equal(PairScanner(symbols, 7, backend=backend).correlations_abs(rows, cols), whole)
+
+
+@pytest.mark.parametrize("old, cpus, during", [(2, 2, 1), (8, 4, 3), (2, 8, 2), (1, 2, 1), (4, 1, 1)])
+def test_scan_blas_threads_leaves_one_cpu_and_restores(monkeypatch, old, cpus, during):
+    count = [old]
+    monkeypatch.setattr(kernels, "_openblas", lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
+    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    with pytest.raises(KeyError):
+        with kernels.scan_blas_threads() as threads:
+            assert threads == count[0] == during
+            raise KeyError
+    assert count[0] == old
+
+
+def test_scan_blas_threads_without_openblas(monkeypatch, fam16_m5):
+    monkeypatch.setattr(kernels, "_openblas", lambda: None)
+    with kernels.scan_blas_threads() as threads:
+        assert threads is None
+    assert kernels.blas_threads() is None
+    assert seqfam.correlation.max_correlation(fam16_m5).scan["blas_threads"] is None
+
+
+def test_scan_blas_threads_sets_the_openblas_numpy_loaded():
+    before = kernels.blas_threads()
+    with kernels.scan_blas_threads() as threads:
+        assert kernels.blas_threads() == threads
+        assert threads is None or 1 <= threads <= before
+    assert kernels.blas_threads() == before
