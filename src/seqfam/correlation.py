@@ -15,6 +15,7 @@ another, gets the trivial group, whose scan is the plain upper triangle.
 """
 
 import math
+import threading
 import time
 from dataclasses import dataclass
 
@@ -136,19 +137,36 @@ class _HistogramAccumulator:
 
     def add(self, values: np.ndarray, weight: int = 1) -> None:
         """Count each value `weight` times; a contiguous array is overwritten, to spare a copy."""
+        self.add_bins(self.bins(values, weight))
+
+    def bins(self, values: np.ndarray, weight: int = 1) -> tuple:
+        """The first half of add, which leaves this histogram as it is: (keys, counts) for add_bins.
+
+        The keys are sorted and distinct; once the bins are coarse, they are
+        None and the counts are per coarse bin. Overwrites a contiguous array.
+        """
         scaled = values.reshape(-1)
         scaled *= _FINE_SCALE
         keys = np.rint(scaled, out=scaled).astype(self._dtype)
         if self._dense is not None:
             counts = np.bincount(_coarse_keys(keys), minlength=self._coarse_len)
-            self._dense += counts if weight == 1 else counts * weight
-            return
+            return None, counts if weight == 1 else counts * weight
         keys.sort()
         starts = _run_starts(keys)
-        self._batch.append((keys[starts], np.diff(starts, append=keys.size) * weight))
-        self._batch_keys += starts.size
-        if self._batch_keys >= max(self.keys.size, HISTOGRAM_EXACT_LIMIT):
-            self._merge()
+        return keys[starts], np.diff(starts, append=keys.size) * weight
+
+    def add_bins(self, bins: tuple) -> None:
+        """Count what bins() returned, also if the bins turned coarse in between."""
+        keys, counts = bins
+        if keys is None:
+            self._dense += counts
+        elif self._dense is not None:
+            np.add.at(self._dense, _coarse_keys(keys), counts)
+        else:
+            self._batch.append((keys, counts))
+            self._batch_keys += keys.size
+            if self._batch_keys >= max(self.keys.size, HISTOGRAM_EXACT_LIMIT):
+                self._merge()
 
     def _merge(self) -> None:
         """Fold the batch into the histogram: each part's keys are sorted and distinct."""
@@ -329,9 +347,14 @@ class _OrbitScan:
         self.halves = (np.sign(position[mate] - position) + 1)[self.order]
         self.blocks_scanned = self.pairs_scanned = 0
 
-    def blocks(self, tile: int):
+    def blocks(self, shape: tuple[int, int]):
         """(rows, cols, weights, distinct): representatives, members, each pair's weight (0: skip) and the positive weights.
 
+        shape = (band, tile): column tiles of `tile` members, each met by
+        its rows in even bands of at most `band` representatives. No band
+        has one row unless the tile meets one, even if a band of 2 must
+        then take 3: numpy hands a one-row product to GEMV, whose sums can
+        differ from GEMM's in the last bit.
         Column tiles come in bit-reversed order, each with its row bands in
         a row, so that one column operand serves all of a tile's blocks.
         The member order runs by orbit size, and so by column type; in
@@ -339,13 +362,15 @@ class _OrbitScan:
         the histogram meets its distinct values early, while settling its
         resolution is still cheap (see _HistogramAccumulator).
         """
+        band_rows, tile = shape
         n = self.order.size
         for k in _bit_reversed(-(-n // tile)):
             j0, j1 = k * tile, min(k * tile + tile, n)
             position = np.arange(j0, j1)
             reached = int(np.searchsorted(self.starts, j1))  # orbits that start before j1
-            for i0 in range(0, reached, tile):
-                band = slice(i0, min(i0 + tile, reached))
+            parts = max(1, min(-(-reached // band_rows), reached // 2))
+            for part in range(parts):
+                band = slice(reached * part // parts, reached * (part + 1) // parts)
                 start, size = self.starts[band, None], self.sizes[band, None]
                 weights = size * np.where(
                     position < start, 0,
@@ -379,7 +404,12 @@ class _OrbitScan:
 
 
 class _ScanReducer:
-    """Folds weighted blocks into delta_max, witnesses, pair-bound hits and the histogram."""
+    """Folds weighted blocks into delta_max, witnesses, pair-bound hits and the histogram.
+
+    add(block, vals) = fold(prepare(block, vals)). prepare leaves the
+    reducer as it is, so scan threads run it on their own blocks at once;
+    fold merges its result and must see the blocks in scan order.
+    """
 
     def __init__(self, scan: _OrbitScan, degs: np.ndarray, sqrt_q: float, period: int):
         self.scan = scan
@@ -396,10 +426,16 @@ class _ScanReducer:
         """One block: vals[a, b, tau] = |R(rows[a], cols[b], tau)|, counted weights[a, b] times.
 
         `distinct` lists the positive weights, as _OrbitScan.blocks hands them out.
+        """
+        self.fold(self.prepare(rows, cols, weights, distinct, vals))
+
+    def prepare(self, rows, cols, weights, distinct, vals) -> tuple:
+        """The block's tile max, its hits and its histogram bins, for fold; overwrites vals.
 
         Skipped pairs and each trivial shift are set to -1, below every magnitude.
         Only representatives meet their own column, so the kernel's trivial
-        shift is checked on one member per orbit.
+        shift is checked on one member per orbit. The witness candidates are
+        the values that fold could keep: delta_max only grows until then.
         """
         own_a, own_b = np.nonzero(rows[:, None] == cols)
         if np.any(np.abs(vals[own_a, own_b, 0] - self.period) > TOLERANCE):
@@ -408,59 +444,101 @@ class _ScanReducer:
         vals[weights == 0] = -1.0
         tile_max = float(vals.max())
 
+        violations = candidates = None
         pair_bound = (self.degs[rows][:, None] + self.degs[cols] - 1) * self.sqrt_q + 1.0
         if tile_max > pair_bound.min() + TOLERANCE:
-            hits = np.argwhere(vals > (pair_bound + TOLERANCE)[:, :, None])
-            self.violations = self._merged(self.violations, rows, cols, vals, hits)
-
-        self.delta_max = max(self.delta_max, tile_max)
-        threshold = self.delta_max - _MATCH_TOL
+            violations = _hits(rows, cols, vals, vals > (pair_bound + TOLERANCE)[:, :, None])
+        threshold = max(self.delta_max, tile_max) - _MATCH_TOL
         if tile_max >= threshold:
-            hits = np.argwhere(vals >= threshold)
-            keep = self.witnesses[3] >= threshold
-            self.witnesses = self._merged(tuple(w[keep] for w in self.witnesses), rows, cols, vals, hits)
+            candidates = _hits(rows, cols, vals, vals >= threshold)
 
         if len(distinct) == 1 and not own_a.size and weights.all():
             # Spares the masked copy: about 10% of the reducer's time at q=41 M=8.
-            self.histogram.add(vals, distinct[0])  # last use: overwrites vals
-            return
-        for weight in distinct:
-            picked = vals[weights == weight]
-            self.histogram.add(picked[picked >= 0.0] if own_a.size else picked, weight)
+            bins = [self.histogram.bins(vals, distinct[0])]  # last use: overwrites vals
+        else:
+            bins = []
+            for weight in distinct:
+                picked = vals[weights == weight]
+                bins.append(self.histogram.bins(picked[picked >= 0.0] if own_a.size else picked, weight))
+        return tile_max, violations, candidates, bins
 
-    def _merged(self, kept, rows, cols, vals, hits) -> tuple[np.ndarray, ...]:
-        """The kept entries merged with the orbits of this block's hits, through _OrbitScan.expand."""
-        for lo in range(0, len(hits), _EXPAND_CHUNK):
-            a, b, tau = hits[lo:lo + _EXPAND_CHUNK].T
-            new = (rows[a], cols[b], tau, vals[a, b, tau])
+    def fold(self, prepared: tuple) -> None:
+        """Merge what prepare returned for the next block in scan order."""
+        tile_max, violations, candidates, bins = prepared
+        if violations is not None:
+            self.violations = self._merged(self.violations, violations)
+        self.delta_max = max(self.delta_max, tile_max)
+        threshold = self.delta_max - _MATCH_TOL
+        if tile_max >= threshold:
+            keep, new = self.witnesses[3] >= threshold, candidates[3] >= threshold
+            self.witnesses = self._merged(tuple(w[keep] for w in self.witnesses), tuple(c[new] for c in candidates))
+        for part in bins:
+            self.histogram.add_bins(part)
+
+    def _merged(self, kept, hits) -> tuple[np.ndarray, ...]:
+        """The kept entries merged with the orbits of the (i, j, tau, value) hits, through _OrbitScan.expand."""
+        for lo in range(0, hits[0].size, _EXPAND_CHUNK):
+            new = (h[lo:lo + _EXPAND_CHUNK] for h in hits)
             kept = self.scan.expand(*(np.concatenate(pair) for pair in zip(kept, new)))
         return kept
 
 
-def _pipelined(blocks, kernel, reduce) -> None:
-    """reduce(*block, kernel(block)) for each block in order, with the kernel
-    of block k + 1 on a worker thread while this thread reduces block k.
+def _hits(rows, cols, vals, mask) -> tuple[np.ndarray, ...]:
+    """(i, j, tau, value) of the block's values where mask is set."""
+    a, b, tau = np.nonzero(mask)
+    return rows[a], cols[b], tau, vals[a, b, tau]
 
-    One kernel runs at a time and the reductions run in block order on
-    this thread, so the result is the serial fold's. Both stages spend
-    most of their time in numpy calls that release the interpreter lock.
-    An error from either stage comes out of this call once the worker has
-    finished its kernel.
+
+def _parallel_scan(blocks, scanner: PairScanner, reducer: _ScanReducer) -> None:
+    """reducer.add(*block, kernel of block) for each block, on scanner.threads threads.
+
+    Each thread takes the next block under a lock, with its column tile's
+    operand: a tile's blocks are adjacent, so each operand is built once.
+    It runs the kernel and reducer.prepare, which spend most of their time
+    in numpy calls that release the interpreter lock, and then waits for
+    its turn to fold: the folds run in block order under one lock, so the
+    report is the serial pass's whatever the timing. An error on any
+    thread stops the others at their next block or turn, and comes out of
+    this call once every thread has stopped.
     """
+    numbered = enumerate((*block, scanner.operand(block[1])) for block in blocks)
+    take, turn = threading.Lock(), threading.Condition()
+    folded, failed = 0, False
+
+    def run() -> None:
+        nonlocal folded, failed
+        try:
+            while not failed:
+                with take:
+                    item = next(numbered, None)
+                if item is None:
+                    return
+                k, (rows, cols, weights, distinct, operand) = item
+                prepared = reducer.prepare(rows, cols, weights, distinct,
+                                           scanner.correlations_abs(rows, cols, operand))
+                with turn:
+                    turn.wait_for(lambda: folded == k or failed)
+                    if failed:
+                        return
+                    reducer.fold(prepared)
+                    folded += 1
+                    turn.notify_all()
+        except BaseException:
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
+
+    if scanner.threads == 1:
+        run()
+        return
     from concurrent.futures import ThreadPoolExecutor  # here, as it adds about 10 ms to importing seqfam
 
-    with ThreadPoolExecutor(1) as worker:
-        blocks = iter(blocks)
-        block = next(blocks, None)
-        if block is None:
-            return
-        pending = worker.submit(kernel, block)
-        for ahead in blocks:
-            vals = pending.result()
-            pending = worker.submit(kernel, ahead)
-            reduce(*block, vals)
-            block = ahead
-        reduce(*block, pending.result())
+    with ThreadPoolExecutor(scanner.threads - 1) as pool:
+        others = [pool.submit(run) for _ in range(scanner.threads - 1)]
+        run()
+        for future in others:
+            future.result()
 
 
 def _same_column_ok(family: SequenceFamily, symbols: np.ndarray, degs: np.ndarray, sqrt_q: float) -> bool:
@@ -513,13 +591,8 @@ def max_correlation(
     _spot_check(family.sequences, generators, period)
     scan = _OrbitScan(generators, n, period)
     reducer = _ScanReducer(scan, degs, sqrt_q, period)
-    blocks, kernel = scan.blocks(scanner.tile), lambda block: scanner.correlations_abs(*block[:2])
     with scan_blas_threads() as blas_threads:
-        if scanner.backend == "gemm":
-            _pipelined(blocks, kernel, reducer.add)
-        else:  # beside the FFT kernel, the overlap cost more CPU time than it saved wall time
-            for block in blocks:
-                reducer.add(*block, kernel(block))
+        _parallel_scan(scan.blocks((scanner.band, scanner.tile)), scanner, reducer)
 
     def labelled(i: int, j: int, tau: int, value: float) -> dict:
         a, b = family.sequences[i], family.sequences[j]
@@ -555,6 +628,7 @@ def max_correlation(
             "pairs_represented": n * (n + 1) // 2,
             "blocks": scan.blocks_scanned,
             "blas_threads": blas_threads,
+            "threads": scanner.threads,
         },
         elapsed=time.perf_counter() - start,
         cyclically_inequivalent=inequivalent,

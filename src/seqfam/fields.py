@@ -152,8 +152,8 @@ class _TableField:
         return (self.size - 1) // math.gcd(int(self.log[a]), self.size - 1)
 
     def _check_tables(self) -> None:
-        """Generator of order size-1, log inverting exp, and log(0) = 0."""
-        if np.unique(self.exp).size != self.size - 1:
+        """Generator of order size-1 (its powers are 1..size-1, each once), log inverting exp, and log(0) = 0."""
+        if not np.array_equal(np.sort(self.exp), np.arange(1, self.size)):
             raise InternalCheckError(f"generator order is not {self.size - 1}")
         if not np.array_equal(self.log[self.exp], np.arange(self.size - 1)):
             raise InternalCheckError("log table does not invert exp table")

@@ -18,23 +18,23 @@ Two kernels compute it:
 
 The kernel is picked from the period alone: GEMM up to GEMM_MAX_PERIOD,
 FFT above it. A block's complex products are formed a few rows at a time,
-so a block needs little more memory than its |R|. During a scan OpenBLAS
-gets one thread fewer than the CPUs the process may use (scan_blas_threads),
-so on 2 cores both kernels run on one thread. Measured so, in
-microseconds per pair (wall / CPU, two runs):
+so a block needs little more memory than its |R|. A GEMM scan runs one
+loop thread per usable CPU, each with its own blocks, and an FFT scan one
+(see correlation._parallel_scan); OpenBLAS runs each product on one thread
+(scan_blas_threads). Measured so on 2 CPUs, kernels alone over the upper
+triangle of 768 random members, in microseconds per pair (wall / CPU, two
+runs):
 
-    period   GEMM                  FFT
-    62       1.08-1.16 / 1.08-1.16 1.72-2.04 / 1.72-2.04
-    80       1.86-1.93 / 1.85-1.93 1.09-1.12 / 1.09-1.12
-    100      2.78-2.80 / 2.78-2.80 1.39-1.41 / 1.38-1.40
-    126      4.58-4.80 / 4.58-4.80 2.05-2.19 / 2.05-2.19
+    period   GEMM, 2 threads       FFT, 1 thread
+    62       0.78-0.87 / 1.42-1.50 2.43-2.45 / 2.42-2.45
+    80       1.23-1.33 / 2.26-2.37 1.31-1.31 / 1.30-1.31
+    100      1.77-1.94 / 3.08-3.20 1.61-1.66 / 1.61-1.66
+    126      2.43-2.64 / 4.45-4.71 1.94-2.03 / 1.94-2.03
 
-GEMM is ahead at period 62 and FFT at period 80. The boundary was set
-where the two broke even in wall time with GEMM on both cores
-(0.98-1.05 against 0.91-1.07 at period 80), and it stays there so that
-each period keeps its kernel, and its values their last bits. In a GEMM
-scan the reduction of one block runs beside the kernel of the next (see
-correlation._pipelined). A slow pure-Python "reference" path is the
+GEMM is ahead at period 62, the two break even in wall time at period 80,
+and FFT is ahead above it, so the boundary stays where it was set, and each
+period keeps its kernel and its values their last bits. FFT costs about
+half the CPU time at period 80. A slow pure-Python "reference" path is the
 independent oracle for tests at tiny sizes.
 """
 
@@ -55,6 +55,10 @@ COMPILED_AVAILABLE = False
 GEMM_MAX_PERIOD = 80
 # A tile holds about this many |R| values: tile**2 * period <= TILE_ELEMENTS.
 TILE_ELEMENTS = 1 << 20
+# A GEMM block of more |R| values than this (2 MB) is scanned in bands of half
+# a tile of rows. Every whole block of the default TILE_ELEMENTS is that large;
+# halving a smaller one would only add per-block work.
+HALF_BAND_ELEMENTS = 1 << 18
 BACKENDS = ("gemm", "fft", "reference")
 
 
@@ -102,15 +106,20 @@ def blas_threads() -> int | None:
     return None if lib is None else lib[0]()
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 @contextmanager
 def scan_blas_threads():
-    """Leave one CPU to the scan's reducer: OpenBLAS gets one thread fewer than
-    this process may use, never fewer than one nor more than it had. Yields
-    that count, or None (changing nothing) where OpenBLAS is not found.
+    """One OpenBLAS thread per caller during a scan, the old count restored after it.
 
-    An idle OpenBLAS thread spins for a while before it sleeps, so with one
-    thread per CPU the threads of each matrix product would spin through
-    the reduction that runs beside the next one.
+    A GEMM scan runs a loop thread on every usable CPU, each calling its own
+    matrix products; with more OpenBLAS threads each product would take
+    CPUs from the other loop threads, and idle OpenBLAS threads spin for a
+    while before they sleep. Yields the count set, or None (changing
+    nothing) where OpenBLAS is not found.
     """
     lib = _openblas()
     if lib is None:
@@ -118,8 +127,7 @@ def scan_blas_threads():
         return
     get, put = lib
     old = get()
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    put(max(1, min(old, cpus - 1)))
+    put(1)
     try:
         yield get()
     finally:
@@ -137,21 +145,44 @@ class PairScanner:
         self.backend = resolve_backend(backend, self.period)
         self.M = M
         self.tile = tile_size(self.period)
+        # A scan runs GEMM blocks on every usable CPU, one block per thread. The
+        # FFT kernel stays on one thread: on two it cost a third more memory.
+        self.threads = usable_cpus() if self.backend == "gemm" else 1
+        # Rows per block: half a tile for large GEMM blocks, so that the blocks
+        # in flight on two threads hold about what one whole block did.
+        large = self.tile * self.tile * self.period > HALF_BAND_ELEMENTS
+        self.band = self.tile // 2 if self.backend == "gemm" and large else self.tile
         self._phases = np.exp(2j * np.pi * (symbols % M) / M)
         if self.backend == "fft":
             self._spectra = np.fft.fft(self._phases, axis=1)
         self._cols = None
         self._operand = None
 
-    def correlations_abs(self, rows, cols) -> np.ndarray:
-        """|R(tau)| for every pair (rows[a], cols[b]) and every shift: shape (a, b, period)."""
+    def operand(self, cols) -> np.ndarray | None:
+        """What column tile `cols` contributes to every block it meets; the last one is kept.
+
+        Not thread-safe: a scan calls it where it takes its blocks, one at a time.
+        """
+        cols = np.asarray(cols, dtype=np.int64)
+        if self.backend == "reference":
+            return None
+        if self._cols is None or not np.array_equal(cols, self._cols):
+            self._cols = cols.copy()
+            self._operand = self._column_operand(cols)
+        return self._operand
+
+    def correlations_abs(self, rows, cols, operand=None) -> np.ndarray:
+        """|R(tau)| for every pair (rows[a], cols[b]) and every shift: shape (a, b, period).
+
+        `operand` is operand(cols), taken by the caller; without it the call
+        takes it itself, and is then not thread-safe.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if self.backend == "reference":
             return self._reference(rows, cols)
-        if self._cols is None or not np.array_equal(cols, self._cols):
-            self._cols = cols.copy()
-            self._operand = self._column_operand(cols)
+        if operand is None:
+            operand = self.operand(cols)
         out = np.empty((rows.size, cols.size, self.period))
         # The complex products, twice the size of their |R|, are formed for about a quarter
         # tile of rows at a time. No part has a single row unless the block does: numpy
@@ -160,9 +191,9 @@ class PairScanner:
         bounds = [rows.size * k // parts for k in range(parts + 1)]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             if self.backend == "gemm":
-                np.abs(self._phases[rows[lo:hi]] @ self._operand, out=out[lo:hi].reshape(hi - lo, -1))
+                np.abs(self._phases[rows[lo:hi]] @ operand, out=out[lo:hi].reshape(hi - lo, -1))
             else:
-                spectra = self._spectra[rows[lo:hi]][:, None, :] * self._operand[None, :, :]
+                spectra = self._spectra[rows[lo:hi]][:, None, :] * operand[None, :, :]
                 np.abs(np.fft.fft(spectra, axis=2, norm="forward", out=spectra), out=out[lo:hi])
         return out
 

@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -515,6 +517,7 @@ def test_scan_counters(fam16_m5):
         "pairs_represented": 32 * 33 // 2,
         "blocks": 1,
         "blas_threads": blas_threads,
+        "threads": kernels.usable_cpus(),  # a GEMM scan: one loop thread per usable CPU
     }
     assert sum(report.histogram.values()) == _histogram_total(fam16_m5)
 
@@ -633,8 +636,8 @@ def test_histogram_total_survives_last_bit_noise(p, n, M, policy, monkeypatch):
     rng = np.random.default_rng(7)
     exact = kernels.PairScanner.correlations_abs
 
-    def noisy(self, rows, cols):
-        vals = exact(self, rows, cols)
+    def noisy(self, rows, cols, *operand):
+        vals = exact(self, rows, cols, *operand)
         return vals + rng.uniform(0.0, 1e-6, size=vals.shape)  # |R| stays >= 0
 
     monkeypatch.setattr(kernels.PairScanner, "correlations_abs", noisy)
@@ -701,8 +704,14 @@ def test_bound_attained_with_equality_at_q121():
     assert (report.scan["symmetry_order"], report.scan["blocks"]) == (4, 7)
 
 
-def _serial_fold(family):
-    """The scan max_correlation runs, with each block's kernel and reduction in turn on this thread."""
+def _serial_fold(family, prepare_first=False):
+    """The scan max_correlation runs, each block's kernel and reduction in turn on this thread.
+
+    With prepare_first, every block is prepared before the first fold: the
+    farthest the folds of a threaded scan can lag. Also returns the number
+    of blocks with one row, and the index of the block after which the
+    histogram's bins were coarse (None: never).
+    """
     symbols = family.symbols_matrix()
     n, period = symbols.shape
     degs = family.degree_per_sequence()
@@ -713,51 +722,196 @@ def _serial_fold(family):
     scan = correlation._OrbitScan(generators, n, period)
     scanner = kernels.PairScanner(symbols, family.M)
     reducer = correlation._ScanReducer(scan, degs, math.sqrt(family.q), period)
-    for block in scan.blocks(scanner.tile):
-        reducer.add(*block, scanner.correlations_abs(*block[:2]))
-    return scan, reducer
+    coarse_from = None
+    with kernels.scan_blas_threads():
+        blocks = list(scan.blocks((scanner.band, scanner.tile)))
+        prepared = (reducer.prepare(*block, scanner.correlations_abs(*block[:2])) for block in blocks)
+        for k, part in enumerate(list(prepared) if prepare_first else prepared):
+            reducer.fold(part)
+            if coarse_from is None and reducer.histogram.scale == 10**3:
+                coarse_from = k
+    return scan, reducer, sum(rows.size == 1 for rows, *_ in blocks), coarse_from
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
-def test_pipelined_scan_equals_the_serial_fold(fam16_m5, monkeypatch, symmetric):
-    monkeypatch.setattr(kernels, "TILE_ELEMENTS", 15 * 4 * 4)  # tiles of 4 members
-    if not symmetric:
-        monkeypatch.setattr(correlation, "_find_generators", lambda *args: [])
-    report = max_correlation(fam16_m5)
-    scan, reducer = _serial_fold(fam16_m5)
-    assert report.backend == "gemm"
-    assert report.scan["blocks"] == scan.blocks_scanned == (8 if symmetric else 36)
-    assert report.delta_max == reducer.delta_max
-    assert report.histogram == reducer.histogram.result()
-    for entries, hits in ((report.argmax, reducer.witnesses), (report.pair_bound_violations, reducer.violations)):
-        members = [fam16_m5.sequences[i] for i in hits[0].tolist() + hits[1].tolist()]
-        labels = [(m.c, m.l) for m in members]
-        expect = list(zip(labels[:len(hits[0])], labels[len(hits[0]):], hits[2].tolist(), hits[3].tolist()))
-        assert [((e["c1"], e["l1"]), (e["c2"], e["l2"]), e["tau"], e["value"]) for e in entries] == expect
+def _gemm_rows(monkeypatch) -> list[int]:
+    """The row count of every matrix product that a scan's column operands take part in from now on."""
+    rows, operand = [], kernels.PairScanner.operand
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                rows.append(inputs[0].shape[0])
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    monkeypatch.setattr(kernels.PairScanner, "operand", lambda self, cols: operand(self, cols).view(Counted))
+    return rows
 
 
-@pytest.mark.parametrize("stage", ["kernel", "reducer"])
-def test_an_error_in_either_stage_comes_out_of_the_scan(fam16_m5, monkeypatch, stage):
-    # 36 blocks; the third call of the stage raises.
+@pytest.fixture
+def short_switch_interval():
+    """Threads switch every 10 us, so that races between the scan threads show."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
+def _scan_within(family, seconds: float = 60.0):
+    """max_correlation(family) called on a thread named "scan-caller": its report, or its error.
+
+    Fails, rather than hangs, if the scan takes longer than `seconds`.
+    """
+    out = {}
+
+    def scan():
+        try:
+            out["report"] = max_correlation(family)
+        except BaseException as error:  # handed to the test's thread
+            out["error"] = error
+
+    thread = threading.Thread(target=scan, name="scan-caller", daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"the scan did not finish in {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["report"]
+
+
+@pytest.mark.parametrize("case", ["symmetric", "trivial", "coarse"])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_parallel_scan_equals_the_serial_fold(fam16_m5, monkeypatch, short_switch_interval, threads, case):
+    # Tiles of 4 members in bands of 2 rows: 10 blocks with the symmetry group, 72 without.
+    # With 60 exact keys at most, the histogram turns coarse partway through the scan.
     monkeypatch.setattr(kernels, "TILE_ELEMENTS", 15 * 4 * 4)
+    monkeypatch.setattr(kernels, "HALF_BAND_ELEMENTS", 0)
+    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(threads)), raising=False)
+    if case == "trivial":
+        monkeypatch.setattr(correlation, "_find_generators", lambda *args: [])
+    if case == "coarse":
+        monkeypatch.setattr(correlation, "HISTOGRAM_EXACT_LIMIT", 60)
+    scan, reducer, one_row, coarse_from = _serial_fold(fam16_m5)
+    gemm_rows = _gemm_rows(monkeypatch)
+    report = _scan_within(fam16_m5)
+    assert (report.backend, report.scan["threads"]) == ("gemm", threads)
+    assert report.scan["blocks"] == scan.blocks_scanned == (72 if case == "trivial" else 10)
+    assert 0 < coarse_from < scan.blocks_scanned - 1 if case == "coarse" else coarse_from is None
+    # A product has one row only where its band does, and a band only where
+    # its column tile meets one orbit: the first two tiles meet only orbit 0.
+    assert gemm_rows.count(1) == one_row == (0 if case == "trivial" else 2)
+    for reducer in (reducer, _serial_fold(fam16_m5, prepare_first=True)[1]):
+        assert report.delta_max == reducer.delta_max
+        assert report.histogram == reducer.histogram.result()
+        assert report.histogram_resolution == 1 / reducer.histogram.scale
+        for entries, hits in ((report.argmax, reducer.witnesses), (report.pair_bound_violations, reducer.violations)):
+            members = [fam16_m5.sequences[i] for i in hits[0].tolist() + hits[1].tolist()]
+            labels = [(m.c, m.l) for m in members]
+            expect = list(zip(labels[:len(hits[0])], labels[len(hits[0]):], hits[2].tolist(), hits[3].tolist()))
+            assert [((e["c1"], e["l1"]), (e["c2"], e["l2"]), e["tau"], e["value"]) for e in entries] == expect
+
+
+def test_a_fold_keeps_only_the_witnesses_of_the_maximum_at_its_turn():
+    # Block 0 peaks 0.6e-9 above block 1, within the match tolerance, so
+    # block 1 contributes its peak but not its value 0.5e-9 below it. A
+    # thread can prepare block 1 before block 0 is folded, when its
+    # candidates still include that value: the fold must drop it.
+    scan = correlation._OrbitScan([], 3, 5)
+
+    def blocks():
+        for top, tau in ((10 + 6e-10, 1), (10.0, 3)):
+            vals = np.ones((1, 2, 5))
+            vals[0, 0, tau], vals[0, 1, 2] = top, 10 - 5e-10
+            yield np.array([0]), np.array([1, 2]), np.ones((1, 2), dtype=np.int64), [1], vals
+
+    serial, lagging = (correlation._ScanReducer(scan, np.ones(3, dtype=np.int64), 100.0, 5) for _ in range(2))
+    for block in blocks():
+        serial.add(*block)
+    for prepared in [lagging.prepare(*block) for block in blocks()]:
+        lagging.fold(prepared)
+    for reducer in (serial, lagging):
+        i, j, tau, value = (w.tolist() for w in reducer.witnesses)
+        assert (i, j, tau, value) == ([0, 0], [1, 1], [1, 3], [10 + 6e-10, 10.0])
+        assert reducer.delta_max == 10 + 6e-10
+    assert serial.histogram.result() == lagging.histogram.result()
+
+
+def test_folds_run_in_block_order_whatever_the_timing(monkeypatch):
+    # With 2 witnesses kept, block 0's two values 0.5e-9 below its peak fill
+    # the list and push the peak out; block 1's higher peak then drops them.
+    # Folded the other way round, block 0's peak would stay. Block 0's kernel
+    # is slow, so block 1 is ready first and must wait for its turn.
+    monkeypatch.setattr(correlation, "WITNESS_CAP", 2)
+    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    vals = {0: np.ones((1, 2, 4)), 1: np.ones((1, 1, 4))}
+    vals[0][0, 0, :2], vals[0][0, 1, 0] = 10 - 5e-10, 10.0
+    vals[1][0, 0, 0] = 10 + 6e-10
+    blocks = [(np.array([0]), np.array([1, 2])), (np.array([1]), np.array([2]))]
+    blocks = [(rows, cols, np.ones((1, cols.size), dtype=np.int64), [1]) for rows, cols in blocks]
+
+    class Scanner:
+        threads = 2
+
+        def operand(self, cols):
+            return None
+
+        def correlations_abs(self, rows, cols, operand):
+            if rows[0] == 0:
+                time.sleep(0.05)
+            return vals[int(rows[0])].copy()
+
+    scan = correlation._OrbitScan([], 3, 4)
+    serial, threaded = (correlation._ScanReducer(scan, np.ones(3, dtype=np.int64), 100.0, 4) for _ in range(2))
+    for block in blocks:
+        serial.add(*block, vals[int(block[0][0])].copy())
+    correlation._parallel_scan(iter(blocks), Scanner(), threaded)
+    for reducer in (serial, threaded):
+        assert [w.tolist() for w in reducer.witnesses] == [[1], [2], [0], [10 + 6e-10]]
+
+
+@pytest.mark.parametrize("stage", ["kernel", "reducer", "fold"])
+def test_an_error_in_either_stage_comes_out_of_the_scan(fam16_m5, monkeypatch, short_switch_interval, stage):
+    # 3 threads on 72 blocks. The first call of the stage on the chosen
+    # thread, the caller's or another, raises: the kernel, the unlocked
+    # half of the reducer, or its fold.
+    monkeypatch.setattr(kernels, "TILE_ELEMENTS", 15 * 4 * 4)
+    monkeypatch.setattr(kernels, "HALF_BAND_ELEMENTS", 0)
+    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(correlation, "_find_generators", lambda *args: [])
-    owner, name = (kernels.PairScanner, "correlations_abs") if stage == "kernel" else (correlation._ScanReducer, "add")
-    original, calls = getattr(owner, name), []
-
-    def failing(*args):
-        calls.append((threading.current_thread(), kernels.blas_threads()))
-        if len(calls) == 3:
-            raise RuntimeError(f"{stage} failed")
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, failing)
+    owner, name = {
+        "kernel": (kernels.PairScanner, "correlations_abs"),
+        "reducer": (correlation._ScanReducer, "prepare"),
+        "fold": (correlation._ScanReducer, "fold"),
+    }[stage]
+    original, blocks = getattr(owner, name), correlation._OrbitScan.blocks
     with kernels.scan_blas_threads() as during:
         pass
     before = threading.active_count(), kernels.blas_threads()
-    with pytest.raises(RuntimeError, match=f"{stage} failed"):
-        max_correlation(fam16_m5)
-    assert (threading.active_count(), kernels.blas_threads()) == before
-    # The kernel runs on the worker, the reducer on the calling thread, both with the scan's BLAS threads.
-    on_main = stage == "reducer"
-    assert all((thread is threading.main_thread()) == on_main and blas == during for thread, blas in calls)
-    assert len(calls) == 3
+    for on_caller in (True, False):
+        calls, taken, failed_at = [], [], []
+
+        def failing(*args):
+            calls.append(kernels.blas_threads())
+            here = threading.current_thread().name == "scan-caller"
+            if not failed_at and here == on_caller:
+                failed_at.append(len(taken))
+                raise RuntimeError(f"{stage} failed")
+            if here and not on_caller:
+                time.sleep(0.002)  # leave blocks to the other threads
+            return original(*args)
+
+        def counted(self, shape):
+            for block in blocks(self, shape):
+                taken.append(block)
+                yield block
+
+        monkeypatch.setattr(owner, name, failing)
+        monkeypatch.setattr(correlation._OrbitScan, "blocks", counted)
+        with pytest.raises(RuntimeError, match=f"{stage} failed"):
+            _scan_within(fam16_m5)
+        assert (threading.active_count(), kernels.blas_threads()) == before
+        assert set(calls) == {during}
+        # The other two threads finish at most the block in hand, and may
+        # take one more before they see the error.
+        assert len(taken) <= failed_at[0] + 4 < 72

@@ -93,19 +93,23 @@ def test_validate(gf16, gf256, gf25):
 
 
 @pytest.mark.parametrize("kind", ["field", "extension"])
-@pytest.mark.parametrize("corrupt", ["log0", "swap"])
+@pytest.mark.parametrize("corrupt", ["log0", "swap", "exp-duplicate", "exp-zero"])
 def test_validate_rejects_corrupt_log_table(gf16, gf256, kind, corrupt):
     ctx = gf16 if kind == "field" else gf256
-    log = ctx.log.copy()
+    log, exp = ctx.log.copy(), ctx.exp.copy()
     if corrupt == "log0":
         log[0] = 1
-    else:
+    elif corrupt == "swap":
         log[[2, 3]] = log[[3, 2]]
-    if kind == "field":
-        bad = FieldContext(ctx.p, ctx.n, ctx.modulus, ctx.beta, ctx.exp, log)
+    elif corrupt == "exp-duplicate":
+        exp[5] = exp[4]
     else:
-        bad = ExtensionContext(ctx.base, ctx.d, ctx.modulus, ctx.alpha, ctx.exp, log)
-    with pytest.raises(InternalCheckError, match="log"):
+        exp[5] = 0
+    if kind == "field":
+        bad = FieldContext(ctx.p, ctx.n, ctx.modulus, ctx.beta, exp, log)
+    else:
+        bad = ExtensionContext(ctx.base, ctx.d, ctx.modulus, ctx.alpha, exp, log)
+    with pytest.raises(InternalCheckError, match="generator order" if corrupt.startswith("exp") else "log"):
         bad.validate()
 
 
