@@ -495,15 +495,18 @@ def _parallel_scan(blocks, scanner: PairScanner, reducer: _ScanReducer) -> None:
     Each thread takes the next block under a lock, with its column tile's
     operand: a tile's blocks are adjacent, so each operand is built once.
     It runs the kernel and reducer.prepare, which spend most of their time
-    in numpy calls that release the interpreter lock, and then waits for
-    its turn to fold: the folds run in block order under one lock, so the
-    report is the serial pass's whatever the timing. An error on any
-    thread stops the others at their next block or turn, and comes out of
-    this call once every thread has stopped.
+    in numpy calls that release the interpreter lock, and parks the result
+    under one lock. Whichever thread parks the next block in scan order
+    folds it and every parked block after it, so the folds run in block
+    order and the report is the serial pass's whatever the timing. A
+    block `threads` or more ahead of the next fold waits to be parked, so
+    fewer than `threads` prepared blocks are parked at a time. An error on
+    any thread stops the others at their next block or turn, and comes out
+    of this call once every thread has stopped.
     """
     numbered = enumerate((*block, scanner.operand(block[1])) for block in blocks)
     take, turn = threading.Lock(), threading.Condition()
-    folded, failed = 0, False
+    parked, folded, failed = {}, 0, False
 
     def run() -> None:
         nonlocal folded, failed
@@ -517,11 +520,11 @@ def _parallel_scan(blocks, scanner: PairScanner, reducer: _ScanReducer) -> None:
                 prepared = reducer.prepare(rows, cols, weights, distinct,
                                            scanner.correlations_abs(rows, cols, operand))
                 with turn:
-                    turn.wait_for(lambda: folded == k or failed)
-                    if failed:
-                        return
-                    reducer.fold(prepared)
-                    folded += 1
+                    turn.wait_for(lambda: k - folded < scanner.threads or failed)
+                    parked[k] = prepared
+                    while folded in parked and not failed:
+                        reducer.fold(parked.pop(folded))
+                        folded += 1
                     turn.notify_all()
         except BaseException:
             with turn:
