@@ -15,8 +15,8 @@ another, gets the trivial group, whose scan is the plain upper triangle.
 """
 
 import math
-import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,7 +356,8 @@ class _OrbitScan:
         then take 3: numpy hands a one-row product to GEMV, whose sums can
         differ from GEMM's in the last bit.
         Column tiles come in bit-reversed order, each with its row bands in
-        a row, so that one column operand serves all of a tile's blocks.
+        a row and one `cols` array, so that one column operand serves all of
+        a tile's blocks.
         The member order runs by orbit size, and so by column type; in
         bit-reversed order every prefix of the scan samples all of it, so
         the histogram meets its distinct values early, while settling its
@@ -366,7 +367,7 @@ class _OrbitScan:
         n = self.order.size
         for k in _bit_reversed(-(-n // tile)):
             j0, j1 = k * tile, min(k * tile + tile, n)
-            position = np.arange(j0, j1)
+            position, cols = np.arange(j0, j1), self.order[j0:j1]  # one cols array for the tile's bands
             reached = int(np.searchsorted(self.starts, j1))  # orbits that start before j1
             parts = max(1, min(-(-reached // band_rows), reached // 2))
             for part in range(parts):
@@ -376,7 +377,7 @@ class _OrbitScan:
                     position < start, 0,
                     np.where((position == start) | (position >= start + size), 2, self.halves[position]),
                 ) // 2
-                rows, cols = self.reps[band], self.order[j0:j1]
+                rows = self.reps[band]
                 self.blocks_scanned += 1
                 self.pairs_scanned += rows.size * cols.size
                 yield rows, cols, weights, (np.flatnonzero(np.bincount(weights.ravel())[1:]) + 1).tolist()
@@ -407,8 +408,8 @@ class _ScanReducer:
     """Folds weighted blocks into delta_max, witnesses, pair-bound hits and the histogram.
 
     add(block, vals) = fold(prepare(block, vals)). prepare leaves the
-    reducer as it is, so scan threads run it on their own blocks at once;
-    fold merges its result and must see the blocks in scan order.
+    reducer as it is and runs on pool threads, several blocks at once; fold
+    merges its result on the caller, in scan order.
     """
 
     def __init__(self, scan: _OrbitScan, degs: np.ndarray, sqrt_q: float, period: int):
@@ -492,56 +493,45 @@ def _hits(rows, cols, vals, mask) -> tuple[np.ndarray, ...]:
 def _parallel_scan(blocks, scanner: PairScanner, reducer: _ScanReducer) -> None:
     """reducer.add(*block, kernel of block) for each block, on scanner.threads threads.
 
-    Each thread takes the next block under a lock, with its column tile's
-    operand: a tile's blocks are adjacent, so each operand is built once.
-    It runs the kernel and reducer.prepare, which spend most of their time
-    in numpy calls that release the interpreter lock, and parks the result
-    under one lock. Whichever thread parks the next block in scan order
-    folds it and every parked block after it, so the folds run in block
-    order and the report is the serial pass's whatever the timing. A
-    block `threads` or more ahead of the next fold waits to be parked, so
-    fewer than `threads` prepared blocks are parked at a time. An error on
-    any thread stops the others at their next block or turn, and comes out
-    of this call once every thread has stopped.
+    This thread takes the blocks in scan order, each with its column tile's
+    operand, built once per tile: a tile's blocks are adjacent and share one
+    `cols` array. A pool of scanner.threads threads runs the kernel and
+    reducer.prepare, which spend most of their time in numpy calls that
+    release the interpreter lock. This thread keeps at most threads + 1
+    blocks in flight and folds their results itself, in block order, so the
+    report is the serial pass's whatever the timing. An error cancels the
+    blocks not yet started and comes out once the pool has stopped. With
+    one thread the blocks run here in turn, with no pool.
     """
-    numbered = enumerate((*block, scanner.operand(block[1])) for block in blocks)
-    take, turn = threading.Lock(), threading.Condition()
-    parked, folded, failed = {}, 0, False
+    def prepared(rows, cols, weights, distinct, operand) -> tuple:
+        return reducer.prepare(rows, cols, weights, distinct, scanner.correlations_abs(rows, cols, operand))
 
-    def run() -> None:
-        nonlocal folded, failed
-        try:
-            while not failed:
-                with take:
-                    item = next(numbered, None)
-                if item is None:
-                    return
-                k, (rows, cols, weights, distinct, operand) = item
-                prepared = reducer.prepare(rows, cols, weights, distinct,
-                                           scanner.correlations_abs(rows, cols, operand))
-                with turn:
-                    turn.wait_for(lambda: k - folded < scanner.threads or failed)
-                    parked[k] = prepared
-                    while folded in parked and not failed:
-                        reducer.fold(parked.pop(folded))
-                        folded += 1
-                    turn.notify_all()
-        except BaseException:
-            with turn:
-                failed = True
-                turn.notify_all()
-            raise
+    def with_operands():
+        cols = operand = None
+        for block in blocks:
+            if block[1] is not cols:
+                cols, operand = block[1], scanner.operand(block[1])
+            yield *block, operand
 
     if scanner.threads == 1:
-        run()
+        for block in with_operands():
+            reducer.fold(prepared(*block))
         return
     from concurrent.futures import ThreadPoolExecutor  # here, as it adds about 10 ms to importing seqfam
 
-    with ThreadPoolExecutor(scanner.threads - 1) as pool:
-        others = [pool.submit(run) for _ in range(scanner.threads - 1)]
-        run()
-        for future in others:
-            future.result()
+    window = deque()
+    with ThreadPoolExecutor(scanner.threads) as pool:
+        try:
+            for block in with_operands():
+                window.append(pool.submit(prepared, *block))
+                if len(window) > scanner.threads:
+                    reducer.fold(window.popleft().result())
+            while window:
+                reducer.fold(window.popleft().result())
+        except BaseException:
+            for future in window:
+                future.cancel()
+            raise
 
 
 def _same_column_ok(family: SequenceFamily, symbols: np.ndarray, degs: np.ndarray, sqrt_q: float) -> bool:

@@ -18,12 +18,12 @@ Two kernels compute it:
 
 The kernel is picked from the period alone: GEMM up to GEMM_MAX_PERIOD,
 FFT above it. A block's complex products are formed a few rows at a time,
-so a block needs little more memory than its |R|. A GEMM scan runs one
-loop thread per usable CPU, each with its own blocks, and an FFT scan one
-(see correlation._parallel_scan); OpenBLAS runs each product on one thread
-(scan_blas_threads). Measured so on 2 CPUs, kernels alone over the upper
-triangle of 768 random members, in microseconds per pair (wall / CPU, two
-runs):
+so a block needs little more memory than its |R|. A GEMM scan runs its
+blocks on a pool of one thread per usable CPU, and an FFT scan on the
+calling thread alone (see correlation._parallel_scan); OpenBLAS runs each
+product on one thread (scan_blas_threads). Measured so on 2 CPUs, kernels
+alone over the upper triangle of 768 random members, in microseconds per
+pair (wall / CPU, two runs):
 
     period   GEMM, 2 threads       FFT, 1 thread
     62       0.78-0.87 / 1.42-1.50 2.43-2.45 / 2.42-2.45
@@ -115,9 +115,9 @@ def usable_cpus() -> int:
 def scan_blas_threads():
     """One OpenBLAS thread per caller during a scan, the old count restored after it.
 
-    A GEMM scan runs a loop thread on every usable CPU, each calling its own
+    A GEMM scan runs a pool thread on every usable CPU, each calling its own
     matrix products; with more OpenBLAS threads each product would take
-    CPUs from the other loop threads, and idle OpenBLAS threads spin for a
+    CPUs from the other pool threads, and idle OpenBLAS threads spin for a
     while before they sleep. Yields the count set, or None (changing
     nothing) where OpenBLAS is not found.
     """
@@ -155,27 +155,23 @@ class PairScanner:
         self._phases = np.exp(2j * np.pi * (symbols % M) / M)
         if self.backend == "fft":
             self._spectra = np.fft.fft(self._phases, axis=1)
-        self._cols = None
-        self._operand = None
 
     def operand(self, cols) -> np.ndarray | None:
-        """What column tile `cols` contributes to every block it meets; the last one is kept.
-
-        Not thread-safe: a scan calls it where it takes its blocks, one at a time.
-        """
+        """What column tile `cols` contributes to every block it meets: Circ(conj A), conj F, or None (reference)."""
         cols = np.asarray(cols, dtype=np.int64)
         if self.backend == "reference":
             return None
-        if self._cols is None or not np.array_equal(cols, self._cols):
-            self._cols = cols.copy()
-            self._operand = self._column_operand(cols)
-        return self._operand
+        if self.backend == "fft":
+            return np.conj(self._spectra[cols])
+        period = self.period
+        shifts = (np.arange(period)[:, None] + np.arange(period)) % period  # [t, tau] -> t + tau
+        circ = np.conj(self._phases[cols])[:, shifts]  # [b, t, tau] = conj A_b(t + tau)
+        return np.ascontiguousarray(circ.transpose(1, 0, 2)).reshape(period, cols.size * period)
 
     def correlations_abs(self, rows, cols, operand=None) -> np.ndarray:
         """|R(tau)| for every pair (rows[a], cols[b]) and every shift: shape (a, b, period).
 
-        `operand` is operand(cols), taken by the caller; without it the call
-        takes it itself, and is then not thread-safe.
+        `operand` is operand(cols), where the caller has it; without it the call builds it.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -196,15 +192,6 @@ class PairScanner:
                 spectra = self._spectra[rows[lo:hi]][:, None, :] * operand[None, :, :]
                 np.abs(np.fft.fft(spectra, axis=2, norm="forward", out=spectra), out=out[lo:hi])
         return out
-
-    def _column_operand(self, cols: np.ndarray) -> np.ndarray:
-        """What a column tile contributes to every block it meets: Circ(conj A) or conj F."""
-        if self.backend == "fft":
-            return np.conj(self._spectra[cols])
-        period = self.period
-        shifts = (np.arange(period)[:, None] + np.arange(period)) % period  # [t, tau] -> t + tau
-        circ = np.conj(self._phases[cols])[:, shifts]  # [b, t, tau] = conj A_b(t + tau)
-        return np.ascontiguousarray(circ.transpose(1, 0, 2)).reshape(period, cols.size * period)
 
     def _reference(self, rows, cols) -> np.ndarray:
         out = np.empty((rows.size, cols.size, self.period), dtype=np.float64)

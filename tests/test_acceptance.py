@@ -17,11 +17,13 @@ from seqfam.counting import (
     constant_term_counts,
     cyclotomic_factors,
     deviation_bound_holds,
+    lambda_estimate_gap,
     lambda_size_formula,
     lambda_size_with_ctx,
     yucas_count,
 )
-from seqfam.family import build_family, coset_representatives
+from seqfam.errors import ParameterError
+from seqfam.family import POLICIES, build_family, check_family_parameters, coset_representatives
 from seqfam.fields import build_extension, build_field
 from seqfam.intmath import divisors, iter_prime_powers
 from seqfam.sequences import (
@@ -301,3 +303,52 @@ def test_criterion_10_base_autocorrelation():
         ok,
         f"max over {len(worst)} (q, M) pairs: {max(worst.values()):.6f}",
     )
+
+
+def _admissible_sets(values: int = 10**6) -> list[tuple]:
+    """(p, n, d, M, policy) of every small admissible set whose scan has at most `values` |R| values.
+
+    q = p**n <= 300 a prime power, 2 <= d <= 5 with q**d <= 2**24, M | q-1
+    with M >= 2, and a policy that check_family_parameters accepts. A
+    family of N members, N from the count formula, has N(N+1)/2 * (q-1)
+    values.
+    """
+    sets = []
+    for p, n, q in iter_prime_powers(2, 300):
+        for d in range(2, 6):
+            if q**d > 1 << 24:
+                continue
+            lam = lambda_size_formula(q, d)
+            for M in divisors(q - 1)[1:]:
+                for policy in POLICIES:
+                    try:
+                        check_family_parameters(q, d, M, policy)
+                    except ParameterError:
+                        continue
+                    size = (M - 1) * (lam - 1 - (policy == "relaxed-d2"))
+                    if size * (size + 1) // 2 * (q - 1) <= values:
+                        sets.append((p, n, d, M, policy))
+    return sets
+
+
+ADMISSIBLE_SETS = _admissible_sets()
+
+
+def test_admissible_set_count():
+    assert len(ADMISSIBLE_SETS) == 113
+
+
+@pytest.mark.parametrize(
+    "p, n, d, M, policy", ADMISSIBLE_SETS, ids=[f"q{p**n}-d{d}-M{M}-{pol}" for p, n, d, M, pol in ADMISSIBLE_SETS]
+)
+def test_every_claim_on_every_small_admissible_set(p, n, d, M, policy, built):
+    q = p**n
+    family = build_family(built(p, n, d), M, policy)
+    lam = lambda_size_formula(q, d)
+    # Every nonzero column, less the self-paired column (q+1)/2 under relaxed-d2.
+    assert family.size == (M - 1) * (lam - 1 - (policy == "relaxed-d2"))
+    report = max_correlation(family)
+    verdicts = (report.bound_ok, report.pair_bound_ok, report.same_column_bound_ok, report.cyclically_inequivalent)
+    assert verdicts == (True, True, True, True)
+    gap, allowance = lambda_estimate_gap(q, d, lam)
+    assert gap <= allowance

@@ -488,18 +488,21 @@ def test_block_order_does_not_change_the_report(fam16_m5, monkeypatch, regroup):
     assert report == spread
 
 
+@pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("backend", ["gemm", "fft"])
-def test_one_column_operand_per_column_tile(fam16_m5, monkeypatch, triangle_scan, backend):
+def test_one_column_operand_per_column_tile(fam16_m5, monkeypatch, triangle_scan, backend, threads):
     # The upper triangle in tiles of 4: column tile k meets k + 1 row bands.
     monkeypatch.setattr(kernels, "TILE_ELEMENTS", 240)
-    calls, original = [], kernels.PairScanner._column_operand
+    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(threads)), raising=False)
+    calls, original = [], kernels.PairScanner.operand
 
     def counted(self, cols):
         calls.append(cols.tolist())
         return original(self, cols)
 
-    monkeypatch.setattr(kernels.PairScanner, "_column_operand", counted)
+    monkeypatch.setattr(kernels.PairScanner, "operand", counted)
     report = triangle_scan(fam16_m5, backend=backend)
+    assert report.scan["threads"] == (threads if backend == "gemm" else 1)  # FFT scans run on one thread
     tiles = -(-fam16_m5.size // kernels.tile_size(fam16_m5.period))
     assert report.scan["blocks"] == tiles * (tiles + 1) // 2
     assert len(calls) == tiles == 8
@@ -517,7 +520,7 @@ def test_scan_counters(fam16_m5):
         "pairs_represented": 32 * 33 // 2,
         "blocks": 1,
         "blas_threads": blas_threads,
-        "threads": kernels.usable_cpus(),  # a GEMM scan: one loop thread per usable CPU
+        "threads": kernels.usable_cpus(),  # a GEMM scan: one pool thread per usable CPU
     }
     assert sum(report.histogram.values()) == _histogram_total(fam16_m5)
 
@@ -758,26 +761,26 @@ def short_switch_interval():
         sys.setswitchinterval(old)
 
 
-def _scan_within(family, seconds: float = 60.0):
-    """max_correlation(family) called on a thread named "scan-caller": its report, or its error.
+def _within(call, seconds: float = 60.0):
+    """call() on a thread of its own: its result, or its error.
 
-    Fails, rather than hangs, if the scan takes longer than `seconds`.
+    Fails, rather than hangs, if the call takes longer than `seconds`.
     """
     out = {}
 
-    def scan():
+    def run():
         try:
-            out["report"] = max_correlation(family)
+            out["result"] = call()
         except BaseException as error:  # handed to the test's thread
             out["error"] = error
 
-    thread = threading.Thread(target=scan, name="scan-caller", daemon=True)
+    thread = threading.Thread(target=run, name="scan-caller", daemon=True)
     thread.start()
     thread.join(seconds)
-    assert not thread.is_alive(), f"the scan did not finish in {seconds} s"
+    assert not thread.is_alive(), f"the call did not finish in {seconds} s"
     if "error" in out:
         raise out["error"]
-    return out["report"]
+    return out["result"]
 
 
 @pytest.mark.parametrize("case", ["symmetric", "trivial", "coarse"])
@@ -794,7 +797,7 @@ def test_parallel_scan_equals_the_serial_fold(fam16_m5, monkeypatch, short_switc
         monkeypatch.setattr(correlation, "HISTOGRAM_EXACT_LIMIT", 60)
     scan, reducer, one_row, coarse_from = _serial_fold(fam16_m5)
     gemm_rows = _gemm_rows(monkeypatch)
-    report = _scan_within(fam16_m5)
+    report = _within(lambda: max_correlation(fam16_m5))
     assert (report.backend, report.scan["threads"]) == ("gemm", threads)
     assert report.scan["blocks"] == scan.blocks_scanned == (72 if case == "trivial" else 10)
     assert 0 < coarse_from < scan.blocks_scanned - 1 if case == "coarse" else coarse_from is None
@@ -841,14 +844,14 @@ def test_folds_run_in_block_order_whatever_the_timing(monkeypatch):
     # With 2 witnesses kept, block 0's two values 0.5e-9 below its peak fill
     # the list and push the peak out; block 1's higher peak then drops them.
     # Folded the other way round, block 0's peak would stay. Block 0's kernel
-    # is slow, so block 1 is ready first and must wait for its turn.
+    # is slow, so block 1 is ready first and must wait for its turn. Low
+    # blocks of pair (2, 0) follow, none or two: the two are folded once the
+    # scan has taken every block, or while it still takes them.
     monkeypatch.setattr(correlation, "WITNESS_CAP", 2)
     monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    vals = {0: np.ones((1, 2, 4)), 1: np.ones((1, 1, 4))}
+    vals = {0: np.ones((1, 2, 4)), 1: np.ones((1, 1, 4)), 2: np.ones((1, 1, 4))}
     vals[0][0, 0, :2], vals[0][0, 1, 0] = 10 - 5e-10, 10.0
     vals[1][0, 0, 0] = 10 + 6e-10
-    blocks = [(np.array([0]), np.array([1, 2])), (np.array([1]), np.array([2]))]
-    blocks = [(rows, cols, np.ones((1, cols.size), dtype=np.int64), [1]) for rows, cols in blocks]
 
     class Scanner:
         threads = 2
@@ -862,19 +865,24 @@ def test_folds_run_in_block_order_whatever_the_timing(monkeypatch):
             return vals[int(rows[0])].copy()
 
     scan = correlation._OrbitScan([], 3, 4)
-    serial, threaded = (correlation._ScanReducer(scan, np.ones(3, dtype=np.int64), 100.0, 4) for _ in range(2))
-    for block in blocks:
-        serial.add(*block, vals[int(block[0][0])].copy())
-    correlation._parallel_scan(iter(blocks), Scanner(), threaded)
-    for reducer in (serial, threaded):
-        assert [w.tolist() for w in reducer.witnesses] == [[1], [2], [0], [10 + 6e-10]]
+    for after in (0, 2):
+        blocks = [(np.array([0]), np.array([1, 2])), (np.array([1]), np.array([2]))]
+        blocks += [(np.array([2]), np.array([0]))] * after
+        blocks = [(rows, cols, np.ones((1, cols.size), dtype=np.int64), [1]) for rows, cols in blocks]
+        serial, threaded = (correlation._ScanReducer(scan, np.ones(3, dtype=np.int64), 100.0, 4) for _ in range(2))
+        for block in blocks:
+            serial.add(*block, vals[int(block[0][0])].copy())
+        _within(lambda: correlation._parallel_scan(iter(blocks), Scanner(), threaded))
+        for reducer in (serial, threaded):
+            assert [w.tolist() for w in reducer.witnesses] == [[1], [2], [0], [10 + 6e-10]]
+        assert threaded.histogram.result() == serial.histogram.result()
 
 
 @pytest.mark.parametrize("stage", ["kernel", "reducer", "fold"])
 def test_an_error_in_either_stage_comes_out_of_the_scan(fam16_m5, monkeypatch, short_switch_interval, stage):
-    # 3 threads on 72 blocks. The first call of the stage on the chosen
-    # thread, the caller's or another, raises: the kernel, the unlocked
-    # half of the reducer, or its fold.
+    # 3 threads on 72 blocks. The 1st, then the 3rd call of the stage
+    # raises: the kernel or the reducer's prepare on a pool thread, or the
+    # fold on the caller.
     monkeypatch.setattr(kernels, "TILE_ELEMENTS", 15 * 4 * 4)
     monkeypatch.setattr(kernels, "HALF_BAND_ELEMENTS", 0)
     monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -888,17 +896,16 @@ def test_an_error_in_either_stage_comes_out_of_the_scan(fam16_m5, monkeypatch, s
     with kernels.scan_blas_threads() as during:
         pass
     before = threading.active_count(), kernels.blas_threads()
-    for on_caller in (True, False):
-        calls, taken, failed_at = [], [], []
+    for nth in (1, 3):
+        calls, taken, failed_at, lock = [], [], [], threading.Lock()
 
         def failing(*args):
-            calls.append(kernels.blas_threads())
-            here = threading.current_thread().name == "scan-caller"
-            if not failed_at and here == on_caller:
+            with lock:  # pool threads call the kernel and prepare at once
+                calls.append(kernels.blas_threads())
+                count = len(calls)
+            if count == nth:
                 failed_at.append(len(taken))
                 raise RuntimeError(f"{stage} failed")
-            if here and not on_caller:
-                time.sleep(0.002)  # leave blocks to the other threads
             return original(*args)
 
         def counted(self, shape):
@@ -909,9 +916,9 @@ def test_an_error_in_either_stage_comes_out_of_the_scan(fam16_m5, monkeypatch, s
         monkeypatch.setattr(owner, name, failing)
         monkeypatch.setattr(correlation._OrbitScan, "blocks", counted)
         with pytest.raises(RuntimeError, match=f"{stage} failed"):
-            _scan_within(fam16_m5)
+            _within(lambda: max_correlation(fam16_m5))
         assert (threading.active_count(), kernels.blas_threads()) == before
         assert set(calls) == {during}
-        # The other two threads finish at most the block in hand, and may
-        # take one more before they see the error.
+        # The caller holds at most threads + 1 blocks in flight, and stops
+        # taking blocks once it meets the error.
         assert len(taken) <= failed_at[0] + 4 < 72

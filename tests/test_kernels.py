@@ -115,7 +115,7 @@ def test_tile_matches_cross_correlation(backend, case):
     n, period = symbols.shape
     scanner = PairScanner(symbols, M, backend=backend)
     seqs = [MSequence(s, period, M, "column", M + 1) for s in symbols]
-    # The column operand is cached between calls: switch it, then reuse it.
+    # Each call builds the operand of its columns: switch them, then switch back.
     for left, right in ((rows, cols), (cols, rows), (cols, rows)):
         vals = scanner.correlations_abs(left, right)
         assert vals.shape == (len(left), len(right), period)
