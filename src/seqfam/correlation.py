@@ -143,13 +143,14 @@ class _HistogramAccumulator:
         """The first half of add, which leaves this histogram as it is: (keys, counts) for add_bins.
 
         The keys are sorted and distinct; once the bins are coarse, they are
-        None and the counts are per coarse bin. Overwrites a contiguous array.
+        None and the counts are per coarse bin, up to the largest of these
+        values. Overwrites a contiguous array.
         """
         scaled = values.reshape(-1)
         scaled *= _FINE_SCALE
         keys = np.rint(scaled, out=scaled).astype(self._dtype)
         if self._dense is not None:
-            counts = np.bincount(_coarse_keys(keys), minlength=self._coarse_len)
+            counts = np.bincount(_coarse_keys(keys))
             return None, counts if weight == 1 else counts * weight
         keys.sort()
         starts = _run_starts(keys)
@@ -159,7 +160,7 @@ class _HistogramAccumulator:
         """Count what bins() returned, also if the bins turned coarse in between."""
         keys, counts = bins
         if keys is None:
-            self._dense += counts
+            self._dense[: counts.size] += counts
         elif self._dense is not None:
             np.add.at(self._dense, _coarse_keys(keys), counts)
         else:
@@ -632,56 +633,31 @@ def max_correlation(
 def _least_rotations(rows: np.ndarray) -> np.ndarray:
     """Start of the lexicographically least rotation of every row, the smallest on ties.
 
-    The symbols, non-negative, are packed `width` = 64 // bits to a uint64
-    word, so one integer comparison covers `width` symbols. Every start is
-    a candidate at first. Each round keeps the candidates whose next word
-    is their row's least, then drops each candidate that lies within the
-    matched length of an earlier one: if starts i < j <= i + matched both
-    match the least prefix and R_j < R_i, their first mismatch lies past
-    j - i, so R_(2j-i) < R_j (Booth's skip) and j is not least either. The
-    smallest least start therefore survives, candidates lie more than the
-    matched length apart, and every row is done within ceil(P / width)
-    rounds.
+    Every start is a candidate at first. Each round keeps the candidates
+    whose next symbol is their row's least, then drops each candidate that
+    lies within the matched length of an earlier one: if starts
+    i < j <= i + matched both match the least prefix and R_j < R_i, their
+    first mismatch lies past j - i, so R_(2j-i) < R_j (Booth's skip) and j
+    is not least either. The smallest least start therefore survives,
+    candidates lie more than the matched length apart, and every row is
+    done within P rounds.
     """
     count, n = rows.shape
     if not rows.size:
         return np.zeros(count, dtype=np.int64)
-    bits = max(int(rows.max()).bit_length(), 1)
-    width = 64 // bits
-    words = _packed_windows(rows, width, bits)
-    row, start = np.nonzero(words == words.min(axis=1, keepdims=True))
-    matched = width
+    row, start = np.nonzero(rows == rows.min(axis=1, keepdims=True))
+    matched = 1
     while True:
         keep = np.concatenate(([True], (row[1:] != row[:-1]) | (start[1:] - start[:-1] > matched)))
         row, start = row[keep], start[keep]
         if row.size == count:
             return start
-        vals = words[row, (start + matched) % n]
+        vals = rows[row, (start + matched) % n]
         first = _run_starts(row)
         least = np.minimum.reduceat(vals, first)
         keep = vals == np.repeat(least, np.diff(first, append=row.size))
         row, start = row[keep], start[keep]
-        matched += width
-
-
-def _packed_windows(rows: np.ndarray, width: int, bits: int) -> np.ndarray:
-    """words[r, s]: symbols s, ..., s + width - 1 (cyclically) of row r, `bits` each, the first most significant.
-
-    Windows of length 1, 2, 4, ... are formed by doubling; those that
-    make up `width` are joined in order of length.
-    """
-    n = rows.shape[1]
-    block = rows[:, np.arange(n + width - 1) % n].astype(np.uint64)  # block[:, s] packs `length` symbols from s
-    length, words, packed = 1, None, 0
-    while True:
-        if width & length:
-            part = block[:, packed:packed + n]
-            words = part if words is None else (words << np.uint64(length * bits)) | part
-            packed += length
-        if 2 * length > width:
-            return words
-        block = (block[:, :-length] << np.uint64(length * bits)) | block[:, length:]
-        length *= 2
+        matched += 1
 
 
 def _rotation_keys(rows: np.ndarray) -> tuple[list[bytes], np.ndarray]:

@@ -17,13 +17,13 @@ Two kernels compute it:
   Cost grows as period * log(period) per pair.
 
 The kernel is picked from the period alone: GEMM up to GEMM_MAX_PERIOD,
-FFT above it. A block's complex products are formed a few rows at a time,
-so a block needs little more memory than its |R|. A GEMM scan runs its
-blocks on a pool of one thread per usable CPU, and an FFT scan on the
-calling thread alone (see correlation._parallel_scan); OpenBLAS runs each
-product on one thread (scan_blas_threads). Measured so on 2 CPUs, kernels
-alone over the upper triangle of 768 random members, in microseconds per
-pair (wall / CPU, two runs):
+FFT above it. Either kernel forms a block, `band` rows by one column
+tile, in one complex product of about a quarter of TILE_ELEMENTS values.
+A GEMM scan runs its blocks on a pool of one thread per usable CPU, and
+an FFT scan on the calling thread alone (see correlation._parallel_scan);
+OpenBLAS runs each product on one thread (scan_blas_threads). Measured so
+on 2 CPUs, kernels alone over the upper triangle of 768 random members,
+in microseconds per pair (wall / CPU, two runs):
 
     period   GEMM, 2 threads       FFT, 1 thread
     62       0.78-0.87 / 1.42-1.50 2.43-2.45 / 2.42-2.45
@@ -55,10 +55,6 @@ COMPILED_AVAILABLE = False
 GEMM_MAX_PERIOD = 80
 # A tile holds about this many |R| values: tile**2 * period <= TILE_ELEMENTS.
 TILE_ELEMENTS = 1 << 20
-# A GEMM block of more |R| values than this (2 MB) is scanned in bands of half
-# a tile of rows. Every whole block of the default TILE_ELEMENTS is that large;
-# halving a smaller one would only add per-block work.
-HALF_BAND_ELEMENTS = 1 << 18
 BACKENDS = ("gemm", "fft", "reference")
 
 
@@ -148,10 +144,9 @@ class PairScanner:
         # A scan runs GEMM blocks on every usable CPU, one block per thread. The
         # FFT kernel stays on one thread: on two it cost a third more memory.
         self.threads = usable_cpus() if self.backend == "gemm" else 1
-        # Rows per block: half a tile for large GEMM blocks, so that the blocks
-        # in flight on two threads hold about what one whole block did.
-        large = self.tile * self.tile * self.period > HALF_BAND_ELEMENTS
-        self.band = self.tile // 2 if self.backend == "gemm" and large else self.tile
+        # Rows per block: a block is one complex product of about a quarter of
+        # TILE_ELEMENTS values, twice the size of its |R| in bytes.
+        self.band = max(1, TILE_ELEMENTS // (4 * self.tile * self.period))
         self._phases = np.exp(2j * np.pi * (symbols % M) / M)
         if self.backend == "fft":
             self._spectra = np.fft.fft(self._phases, axis=1)
@@ -179,19 +174,10 @@ class PairScanner:
             return self._reference(rows, cols)
         if operand is None:
             operand = self.operand(cols)
-        out = np.empty((rows.size, cols.size, self.period))
-        # The complex products, twice the size of their |R|, are formed for about a quarter
-        # tile of rows at a time. No part has a single row unless the block does: numpy
-        # hands a one-row product to GEMV, whose sums can differ from GEMM's in the last bit.
-        parts = max(1, min(rows.size // 2, -(-4 * rows.size * cols.size * self.period // TILE_ELEMENTS)))
-        bounds = [rows.size * k // parts for k in range(parts + 1)]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if self.backend == "gemm":
-                np.abs(self._phases[rows[lo:hi]] @ operand, out=out[lo:hi].reshape(hi - lo, -1))
-            else:
-                spectra = self._spectra[rows[lo:hi]][:, None, :] * operand[None, :, :]
-                np.abs(np.fft.fft(spectra, axis=2, norm="forward", out=spectra), out=out[lo:hi])
-        return out
+        if self.backend == "gemm":
+            return np.abs(self._phases[rows] @ operand).reshape(rows.size, cols.size, self.period)
+        spectra = self._spectra[rows][:, None, :] * operand[None, :, :]
+        return np.abs(np.fft.fft(spectra, axis=2, norm="forward", out=spectra))
 
     def _reference(self, rows, cols) -> np.ndarray:
         out = np.empty((rows.size, cols.size, self.period), dtype=np.float64)

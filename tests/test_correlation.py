@@ -277,7 +277,7 @@ def test_cyclic_inequivalence_rejects_mixed_sequences(period, M):
 
 
 def test_cyclic_inequivalence_finds_a_planted_shift_at_a_large_alphabet(built):
-    # M = 127: 7-bit symbols, 9 to a word, over period 127.
+    # M = 127: a large alphabet, over period 127.
     family = build_family(built(2, 7, 2), 127)
     assert cyclic_inequivalence(family) == (True, None)
     k = family.size // 3
@@ -319,9 +319,8 @@ def _check_least_rotation(symbols: list) -> None:
         assert row[start:] + row[:start] == _brute_least_rotation(row)
 
 
-# Rows are packed 64 // bits symbols to a word, bits from the largest symbol:
-# 1 bit gives words of 64 symbols, 255 gives words of 8, so rows up to 130
-# span several words at every alphabet drawn here.
+# Alphabets from 2 to 256 symbols; rows up to 130 long, so that Booth's skip
+# and long runs of matching candidates both come up.
 _symbol_bounds = st.sampled_from([1, 3, 7, 15, 255])
 
 
@@ -346,9 +345,9 @@ def test_least_rotation_matches_brute_force(symbols):
 )
 @example([1, 0], 6, 0, None)
 @example([0, 1, 0], 3, 1, None)
-@example([1, 0, 0], 43, 5, None)  # period 3 in words of 64 symbols
-@example([255, 0, 7], 43, 2, None)  # period 3 in words of 8
-@example([3, 0, 0, 0, 1], 26, 11, None)  # period 5 in words of 32
+@example([1, 0, 0], 43, 5, None)  # period 3, 129 symbols
+@example([255, 0, 7], 43, 2, None)  # period 3 in a wide alphabet
+@example([3, 0, 0, 0, 1], 26, 11, None)  # period 5, 130 symbols
 @example([2, 3], 36, 0, 57)  # one 3 turned to 2: a single least window far from the start
 def test_least_rotation_periodic_inputs(block, repeats, shift, defect):
     tiled = block * repeats
@@ -491,7 +490,7 @@ def test_block_order_does_not_change_the_report(fam16_m5, monkeypatch, regroup):
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("backend", ["gemm", "fft"])
 def test_one_column_operand_per_column_tile(fam16_m5, monkeypatch, triangle_scan, backend, threads):
-    # The upper triangle in tiles of 4: column tile k meets k + 1 row bands.
+    # The upper triangle in tiles of 4: column tile k meets 4 * (k + 1) rows, in bands of 2.
     monkeypatch.setattr(kernels, "TILE_ELEMENTS", 240)
     monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(threads)), raising=False)
     calls, original = [], kernels.PairScanner.operand
@@ -503,8 +502,9 @@ def test_one_column_operand_per_column_tile(fam16_m5, monkeypatch, triangle_scan
     monkeypatch.setattr(kernels.PairScanner, "operand", counted)
     report = triangle_scan(fam16_m5, backend=backend)
     assert report.scan["threads"] == (threads if backend == "gemm" else 1)  # FFT scans run on one thread
-    tiles = -(-fam16_m5.size // kernels.tile_size(fam16_m5.period))
-    assert report.scan["blocks"] == tiles * (tiles + 1) // 2
+    tile = kernels.tile_size(fam16_m5.period)
+    tiles = -(-fam16_m5.size // tile)
+    assert report.scan["blocks"] == sum((k + 1) * tile // 2 for k in range(tiles)) == 72
     assert len(calls) == tiles == 8
 
 
@@ -693,18 +693,27 @@ def test_weight_off_by_one_fails_the_histogram_total(fam16_m5, monkeypatch, extr
     assert total != _histogram_total(fam16_m5)
 
 
-def test_bound_attained_with_equality_at_q121():
-    # q = 121, d = 2, M = 6: delta_max equals the bound 3 * sqrt(121) + 1 = 34.
-    family = build_family(build_extension(build_field(11, 2), 2), 6, "relaxed-d2")
+@pytest.mark.parametrize(
+    "p, size, at_bound, first_witness, order_blocks",
+    [
+        (11, 300, 172, (1, 1, 5, 24, 53), (4, 9)),  # FFT at period 120
+        (17, 720, 3336, (1, 1, 5, 10, 162), (4, 93)),  # FFT at period 288
+    ],
+    ids=["q121", "q289"],
+)
+def test_bound_attained_with_equality_at_q121(p, size, at_bound, first_witness, order_blocks):
+    # q = p**2, d = 2, M = 6: delta_max equals the bound 3 * p + 1, counted exactly in the histogram.
+    family = build_family(build_extension(build_field(p, 2), 2), 6, "relaxed-d2")
     report = max_correlation(family)
-    assert family.size == 300
-    assert report.histogram[34.0] == 172
-    assert report.bound == 34.0
-    assert abs(report.delta_max - 34.0) < 1e-9
+    bound = 3 * p + 1
+    assert family.size == size
+    assert report.histogram[float(bound)] == at_bound
+    assert report.bound == bound
+    assert abs(report.delta_max - bound) < 1e-9
     assert report.bound_ok
     first = report.argmax[0]
-    assert (first["c1"], first["l1"], first["c2"], first["l2"], first["tau"]) == (1, 1, 5, 24, 53)
-    assert (report.scan["symmetry_order"], report.scan["blocks"]) == (4, 7)
+    assert (first["c1"], first["l1"], first["c2"], first["l2"], first["tau"]) == first_witness
+    assert (report.scan["symmetry_order"], report.scan["blocks"]) == order_blocks
 
 
 def _serial_fold(family, prepare_first=False):
@@ -789,7 +798,6 @@ def test_parallel_scan_equals_the_serial_fold(fam16_m5, monkeypatch, short_switc
     # Tiles of 4 members in bands of 2 rows: 10 blocks with the symmetry group, 72 without.
     # With 60 exact keys at most, the histogram turns coarse partway through the scan.
     monkeypatch.setattr(kernels, "TILE_ELEMENTS", 15 * 4 * 4)
-    monkeypatch.setattr(kernels, "HALF_BAND_ELEMENTS", 0)
     monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(threads)), raising=False)
     if case == "trivial":
         monkeypatch.setattr(correlation, "_find_generators", lambda *args: [])
@@ -884,7 +892,6 @@ def test_an_error_in_either_stage_comes_out_of_the_scan(fam16_m5, monkeypatch, s
     # raises: the kernel or the reducer's prepare on a pool thread, or the
     # fold on the caller.
     monkeypatch.setattr(kernels, "TILE_ELEMENTS", 15 * 4 * 4)
-    monkeypatch.setattr(kernels, "HALF_BAND_ELEMENTS", 0)
     monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(correlation, "_find_generators", lambda *args: [])
     owner, name = {

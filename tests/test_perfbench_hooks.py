@@ -94,17 +94,18 @@ def test_traced_scan_counts_every_tile(fam16_m5, monkeypatch):
     original = seqfam.correlation.max_correlation
     tracer, report = _traced_scan(fam16_m5)
     # The orbit scan: 4 orbits of 8, one column tile each; column tile k
-    # meets the representatives of orbits 0..k. The tracer sees exactly the
-    # blocks the report counts.
+    # meets the representatives of orbits 0..k, in bands of 2 rows (of 3 at
+    # k = 2, and of 1 at k = 0). The tracer sees exactly the blocks the
+    # report counts.
     assert (report.scan["symmetry_order"], report.scan["member_orbits"]) == (8, 4)
-    assert tracer.counts["kernels.blocks"] == report.scan["blocks"] == 4
+    assert tracer.counts["kernels.blocks"] == report.scan["blocks"] == 1 + 1 + 1 + 2
     assert tracer.counts["kernels.shifts"] == report.scan["pairs_scanned"] * 15 == (1 + 2 + 3 + 4) * 8 * 15
     assert tracer.counts["correlation.witnesses"] == len(report.argmax)
     # The trivial group: the plain upper triangle.
     monkeypatch.setattr(seqfam.correlation, "_find_generators", lambda *args: [])
     tracer, report = _traced_scan(fam16_m5)
     tiles = 4 * 5 // 2  # 32 members: 4 tiles a side, upper triangle
-    assert tracer.counts["kernels.blocks"] == report.scan["blocks"] == tiles
+    assert tracer.counts["kernels.blocks"] == report.scan["blocks"] == tiles * 8 // 2  # bands of 2 rows
     assert tracer.counts["kernels.shifts"] == tiles * 8 * 8 * 15
     assert tracer.counts["correlation.witnesses"] == len(report.argmax)
     assert seqfam.correlation.max_correlation is original
