@@ -16,7 +16,6 @@ from .columns import (
 )
 from .correlation import (
     CorrelationReport,
-    WeilBoundInput,
     correlation_via_character_sum,
     cross_correlation,
     cyclic_inequivalence,
@@ -71,7 +70,6 @@ __all__ = [
     "SeqfamError",
     "SequenceFamily",
     "TableLimitError",
-    "WeilBoundInput",
     "a_f_set",
     "asymptotic_size",
     "build_extension",

@@ -58,21 +58,16 @@ def cross_correlation(a: MSequence, b: MSequence, tau: int) -> complex:
     return complex(np.exp(2j * np.pi * (diff % a.M) / a.M).sum())
 
 
-@dataclass(frozen=True)
-class WeilBoundInput:
-    """Degrees and GF(q)-root counts of the distinct monic irreducible arguments."""
+def weil_bound(terms: tuple[tuple[int, int], ...], q: int) -> float:
+    """(sum of degrees - 1) * sqrt(q) + total root count.
 
-    terms: tuple[tuple[int, int], ...]
-    q: int
-
-
-def weil_bound(inp: WeilBoundInput) -> float:
-    """(sum of degrees - 1) * sqrt(q) + total root count."""
-    if len(inp.terms) < 1:
+    terms holds the (degree, GF(q)-root count) of each distinct monic irreducible argument.
+    """
+    if len(terms) < 1:
         raise ParameterError("at least one polynomial term is required")
-    degs = sum(t[0] for t in inp.terms)
-    roots = sum(t[1] for t in inp.terms)
-    return (degs - 1) * math.sqrt(inp.q) + roots
+    degs = sum(t[0] for t in terms)
+    roots = sum(t[1] for t in terms)
+    return (degs - 1) * math.sqrt(q) + roots
 
 
 @dataclass
@@ -135,12 +130,8 @@ class _HistogramAccumulator:
         self._coarse_len = (period + 2) * _COARSE_SCALE
         self._dense = None
 
-    def add(self, values: np.ndarray, weight: int = 1) -> None:
-        """Count each value `weight` times; a contiguous array is overwritten, to spare a copy."""
-        self.add_bins(self.bins(values, weight))
-
     def bins(self, values: np.ndarray, weight: int = 1) -> tuple:
-        """The first half of add, which leaves this histogram as it is: (keys, counts) for add_bins.
+        """Each value counted `weight` times, as (keys, counts) for add_bins; leaves this histogram as it is.
 
         The keys are sorted and distinct; once the bins are coarse, they are
         None and the counts are per coarse bin, up to the largest of these
@@ -344,12 +335,14 @@ class _OrbitScan:
         mate = np.empty(n, dtype=np.int64)  # h*r -> h^-1*r; the member action is abelian
         for g in self.elements:
             mate[g.perm[self.reps]] = np.argsort(g.perm)[self.reps]
-        # Per position, twice the share of |O_r| an own-orbit column counts: 2 first mate, 0 second, 1 own mate.
+        # Per position, twice the share of |O_r| an own-orbit column counts: 2 first mate, 0 second, 1 own mate,
+        # 2 the representative's own column (its trivial shift is skipped in _ScanReducer.prepare).
         self.halves = (np.sign(position[mate] - position) + 1)[self.order]
+        self.halves[self.starts] = 2
         self.blocks_scanned = self.pairs_scanned = 0
 
     def blocks(self, shape: tuple[int, int]):
-        """(rows, cols, weights, distinct): representatives, members, each pair's weight (0: skip) and the positive weights.
+        """(rows, cols, weights): representatives, members and each pair's weight (0: skip).
 
         shape = (band, tile): column tiles of `tile` members, each met by
         its rows in even bands of at most `band` representatives. No band
@@ -375,13 +368,12 @@ class _OrbitScan:
                 band = slice(reached * part // parts, reached * (part + 1) // parts)
                 start, size = self.starts[band, None], self.sizes[band, None]
                 weights = size * np.where(
-                    position < start, 0,
-                    np.where((position == start) | (position >= start + size), 2, self.halves[position]),
+                    position < start, 0, np.where(position >= start + size, 2, self.halves[position])
                 ) // 2
                 rows = self.reps[band]
                 self.blocks_scanned += 1
                 self.pairs_scanned += rows.size * cols.size
-                yield rows, cols, weights, (np.flatnonzero(np.bincount(weights.ravel())[1:]) + 1).tolist()
+                yield rows, cols, weights
 
     def expand(self, i, j, tau, value) -> tuple[np.ndarray, ...]:
         """(i, j, tau, value): the first WITNESS_CAP triples with i <= j in the orbits of the given ones.
@@ -408,39 +400,31 @@ class _OrbitScan:
 class _ScanReducer:
     """Folds weighted blocks into delta_max, witnesses, pair-bound hits and the histogram.
 
-    add(block, vals) = fold(prepare(block, vals)). prepare leaves the
-    reducer as it is and runs on pool threads, several blocks at once; fold
-    merges its result on the caller, in scan order.
+    Each block is fold(prepare(block, vals)). prepare leaves the reducer as
+    it is and runs on pool threads, several blocks at once; fold merges its
+    result on the caller, in scan order.
     """
 
-    def __init__(self, scan: _OrbitScan, degs: np.ndarray, sqrt_q: float, period: int):
+    def __init__(self, scan: _OrbitScan, degs: np.ndarray, sqrt_q: float):
         self.scan = scan
         self.degs = degs
         self.sqrt_q = sqrt_q
-        self.period = period
         self.delta_max = -1.0
         no_hits = (np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)
         self.witnesses = self.violations = no_hits  # (i, j, tau, value) arrays, as from _OrbitScan.expand
-        self.histogram = _HistogramAccumulator(period)
+        self.histogram = _HistogramAccumulator(scan.period)
 
-    def add(self, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, distinct: list[int],
-            vals: np.ndarray) -> None:
-        """One block: vals[a, b, tau] = |R(rows[a], cols[b], tau)|, counted weights[a, b] times.
+    def prepare(self, rows, cols, weights, vals) -> tuple:
+        """One block's tile max, hits and histogram bins, for fold; overwrites vals.
 
-        `distinct` lists the positive weights, as _OrbitScan.blocks hands them out.
-        """
-        self.fold(self.prepare(rows, cols, weights, distinct, vals))
-
-    def prepare(self, rows, cols, weights, distinct, vals) -> tuple:
-        """The block's tile max, its hits and its histogram bins, for fold; overwrites vals.
-
+        vals[a, b, tau] = |R(rows[a], cols[b], tau)| counts weights[a, b] times.
         Skipped pairs and each trivial shift are set to -1, below every magnitude.
         Only representatives meet their own column, so the kernel's trivial
         shift is checked on one member per orbit. The witness candidates are
         the values that fold could keep: delta_max only grows until then.
         """
         own_a, own_b = np.nonzero(rows[:, None] == cols)
-        if np.any(np.abs(vals[own_a, own_b, 0] - self.period) > TOLERANCE):
+        if np.any(np.abs(vals[own_a, own_b, 0] - self.scan.period) > TOLERANCE):
             raise InternalCheckError("trivial correlation does not equal the period")
         vals[own_a, own_b, 0] = -1.0
         vals[weights == 0] = -1.0
@@ -454,12 +438,13 @@ class _ScanReducer:
         if tile_max >= threshold:
             candidates = _hits(rows, cols, vals, vals >= threshold)
 
-        if len(distinct) == 1 and not own_a.size and weights.all():
+        positive = (np.flatnonzero(np.bincount(weights.ravel())[1:]) + 1).tolist()  # the weights above 0
+        if len(positive) == 1 and not own_a.size and weights.all():
             # Spares the masked copy: about 10% of the reducer's time at q=41 M=8.
-            bins = [self.histogram.bins(vals, distinct[0])]  # last use: overwrites vals
+            bins = [self.histogram.bins(vals, positive[0])]  # last use: overwrites vals
         else:
             bins = []
-            for weight in distinct:
+            for weight in positive:
                 picked = vals[weights == weight]
                 bins.append(self.histogram.bins(picked[picked >= 0.0] if own_a.size else picked, weight))
         return tile_max, violations, candidates, bins
@@ -492,7 +477,7 @@ def _hits(rows, cols, vals, mask) -> tuple[np.ndarray, ...]:
 
 
 def _parallel_scan(blocks, scanner: PairScanner, reducer: _ScanReducer) -> None:
-    """reducer.add(*block, kernel of block) for each block, on scanner.threads threads.
+    """reducer.fold(reducer.prepare(*block, kernel of block)) for each block, on scanner.threads threads.
 
     This thread takes the blocks in scan order, each with its column tile's
     operand, built once per tile: a tile's blocks are adjacent and share one
@@ -504,8 +489,8 @@ def _parallel_scan(blocks, scanner: PairScanner, reducer: _ScanReducer) -> None:
     blocks not yet started and comes out once the pool has stopped. With
     one thread the blocks run here in turn, with no pool.
     """
-    def prepared(rows, cols, weights, distinct, operand) -> tuple:
-        return reducer.prepare(rows, cols, weights, distinct, scanner.correlations_abs(rows, cols, operand))
+    def prepared(rows, cols, weights, operand) -> tuple:
+        return reducer.prepare(rows, cols, weights, scanner.correlations_abs(rows, cols, operand))
 
     def with_operands():
         cols = operand = None
@@ -558,7 +543,7 @@ def _same_column_ok(family: SequenceFamily, symbols: np.ndarray, degs: np.ndarra
 
 def max_correlation(
     family: SequenceFamily,
-    backend: str | None = "auto",
+    backend: str = "auto",
 ) -> CorrelationReport:
     """Exhaustive scan of all nontrivial auto- and cross-correlations.
 
@@ -584,7 +569,7 @@ def max_correlation(
     generators = [] if shared else _find_generators(symbols, family.M, degs, prime_factors(family.q)[0], index, starts)
     _spot_check(family.sequences, generators, period)
     scan = _OrbitScan(generators, n, period)
-    reducer = _ScanReducer(scan, degs, sqrt_q, period)
+    reducer = _ScanReducer(scan, degs, sqrt_q)
     with scan_blas_threads() as blas_threads:
         _parallel_scan(scan.blocks((scanner.band, scanner.tile)), scanner, reducer)
 

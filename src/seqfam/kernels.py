@@ -65,8 +65,8 @@ def default_backend(period: int | None = None) -> str:
     return "gemm" if period <= GEMM_MAX_PERIOD else "fft"
 
 
-def resolve_backend(name: str | None, period: int) -> str:
-    if name in (None, "auto"):
+def resolve_backend(name: str, period: int) -> str:
+    if name == "auto":
         return default_backend(period)
     if name not in BACKENDS:
         raise ParameterError(f"unknown correlation backend {name!r}")
@@ -133,7 +133,7 @@ def scan_blas_threads():
 class PairScanner:
     """Per-kernel state for one symbol matrix; serves (row tile x column tile) blocks."""
 
-    def __init__(self, symbols: np.ndarray, M: int, backend: str | None = "auto"):
+    def __init__(self, symbols: np.ndarray, M: int, backend: str = "auto"):
         symbols = np.asarray(symbols)
         if symbols.ndim != 2:
             raise ParameterError("symbols must be a 2-D (sequence, time) array")

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from seqfam import correlation, kernels
 from seqfam.correlation import (
     WITNESS_CAP,
-    WeilBoundInput,
     correlation_via_character_sum,
     cross_correlation,
     cyclic_inequivalence,
@@ -358,11 +357,11 @@ def test_least_rotation_periodic_inputs(block, repeats, shift, defect):
 
 
 def test_weil_bound_values():
-    assert weil_bound(WeilBoundInput(((2, 0), (2, 0)), 16)) == pytest.approx(3 * 4)
-    assert weil_bound(WeilBoundInput(((2, 0),), 16)) == pytest.approx(4.0)
-    assert weil_bound(WeilBoundInput(((1, 1),), 16)) == pytest.approx(1.0)
+    assert weil_bound(((2, 0), (2, 0)), 16) == pytest.approx(3 * 4)
+    assert weil_bound(((2, 0),), 16) == pytest.approx(4.0)
+    assert weil_bound(((1, 1),), 16) == pytest.approx(1.0)
     with pytest.raises(ParameterError):
-        weil_bound(WeilBoundInput((), 16))
+        weil_bound((), 16)
 
 
 def test_empirical_character_sum_identity_x(gf16):
@@ -375,7 +374,7 @@ def test_empirical_character_sum_respects_weil_bound(gf256):
     p1 = column_polynomial(gf256, 1).min_poly
     p2 = column_polynomial(gf256, 3).min_poly
     val = empirical_character_sum(base, 5, [(p1, 1, 1), (p2, 2, 1)])
-    bound = weil_bound(WeilBoundInput(((2, 0), (2, 0)), 16))
+    bound = weil_bound(((2, 0), (2, 0)), 16)
     assert abs(val) <= bound + 1e-6
 
 
@@ -415,7 +414,7 @@ def test_coarse_bin_does_not_depend_on_when_a_value_is_scanned(monkeypatch):
     for batches in ([[1.0004996], [0.25, 0.5]], [[0.25, 0.5], [1.0004996]]):
         acc = correlation._HistogramAccumulator(period=2)
         for batch in batches:
-            acc.add(np.array(batch))
+            acc.add_bins(acc.bins(np.array(batch)))
         results.append(acc.result())
     assert results[0] == results[1] == {0.25: 1, 0.5: 1, 1.001: 1}
 
@@ -432,7 +431,7 @@ def test_histogram_counts_every_key_exactly(monkeypatch, limit):
     for _ in range(40):
         keys = rng.integers(0, 1500, size=int(rng.integers(1, 400))) + 10**6
         weight = int(rng.integers(1, 4))
-        acc.add(keys / 10**6, weight)
+        acc.add_bins(acc.bins(keys / 10**6, weight))
         for k in keys.tolist():
             fine[k] = fine.get(k, 0) + weight
     expect = fine
@@ -444,6 +443,33 @@ def test_histogram_counts_every_key_exactly(monkeypatch, limit):
     got = acc.result()
     assert got == {k / scale: count for k, count in expect.items()}
     assert all(type(count) is int for count in got.values())
+
+
+@pytest.mark.parametrize("limit", [10, 10**6])
+def test_histogram_keys_past_int32_count_as_below_it(monkeypatch, limit):
+    # At period 2200 keys reach 2.2e9 > 2**31 and are held as int64. The
+    # same weighted batches, once at period 2 (int32 keys) and once shifted
+    # past 2**31, are counted exactly (limit 10**6) or, after the switch at
+    # the first merge (limit 10), in 1e-3 bins that round half up on either path.
+    monkeypatch.setattr(correlation, "HISTOGRAM_EXACT_LIMIT", limit)
+    low = np.random.default_rng(5).integers(0, 1500, size=600) + 10**6
+    low[:3] = 10**6 + 500  # halfway between two coarse bins
+    high = 2**31 + 352  # a multiple of 1000
+    for period, shift, dtype in ((2, 0, np.int32), (2200, high - 10**6, np.int64)):
+        acc, fine = correlation._HistogramAccumulator(period), {}
+        assert acc.keys.dtype == dtype
+        for keys, weight in zip(np.array_split(low + shift, 4), (1, 2, 3, 1)):
+            acc.add_bins(acc.bins(keys / 10**6, weight))
+            for k in keys.tolist():
+                fine[k] = fine.get(k, 0) + weight
+        expect, scale = fine, 10**6
+        if limit < len(fine):
+            expect, scale = {}, 10**3
+            for k, count in fine.items():
+                expect[(k + 500) // 1000] = expect.get((k + 500) // 1000, 0) + count
+        assert acc.result() == {k / scale: count for k, count in expect.items()}
+        assert acc.scale == scale
+    assert min(fine) >= high > 2**31
 
 
 def _histogram_total(family) -> int:
@@ -680,10 +706,10 @@ def test_weight_off_by_one_fails_the_histogram_total(fam16_m5, monkeypatch, extr
     blocks = correlation._OrbitScan.blocks
 
     def skewed(self, tile):
-        for rows, cols, weights, _ in blocks(self, tile):
+        for rows, cols, weights in blocks(self, tile):
             weights = weights.copy()
             weights[0, -1] += extra
-            yield rows, cols, weights, np.unique(weights[weights > 0]).tolist()
+            yield rows, cols, weights
 
     monkeypatch.setattr(correlation._OrbitScan, "blocks", skewed)
     try:
@@ -733,7 +759,7 @@ def _serial_fold(family, prepare_first=False):
     generators = correlation._find_generators(symbols, family.M, degs, prime_factors(family.q)[0], index, starts)
     scan = correlation._OrbitScan(generators, n, period)
     scanner = kernels.PairScanner(symbols, family.M)
-    reducer = correlation._ScanReducer(scan, degs, math.sqrt(family.q), period)
+    reducer = correlation._ScanReducer(scan, degs, math.sqrt(family.q))
     coarse_from = None
     with kernels.scan_blas_threads():
         blocks = list(scan.blocks((scanner.band, scanner.tile)))
@@ -834,11 +860,11 @@ def test_a_fold_keeps_only_the_witnesses_of_the_maximum_at_its_turn():
         for top, tau in ((10 + 6e-10, 1), (10.0, 3)):
             vals = np.ones((1, 2, 5))
             vals[0, 0, tau], vals[0, 1, 2] = top, 10 - 5e-10
-            yield np.array([0]), np.array([1, 2]), np.ones((1, 2), dtype=np.int64), [1], vals
+            yield np.array([0]), np.array([1, 2]), np.ones((1, 2), dtype=np.int64), vals
 
-    serial, lagging = (correlation._ScanReducer(scan, np.ones(3, dtype=np.int64), 100.0, 5) for _ in range(2))
+    serial, lagging = (correlation._ScanReducer(scan, np.ones(3, dtype=np.int64), 100.0) for _ in range(2))
     for block in blocks():
-        serial.add(*block)
+        serial.fold(serial.prepare(*block))
     for prepared in [lagging.prepare(*block) for block in blocks()]:
         lagging.fold(prepared)
     for reducer in (serial, lagging):
@@ -876,10 +902,10 @@ def test_folds_run_in_block_order_whatever_the_timing(monkeypatch):
     for after in (0, 2):
         blocks = [(np.array([0]), np.array([1, 2])), (np.array([1]), np.array([2]))]
         blocks += [(np.array([2]), np.array([0]))] * after
-        blocks = [(rows, cols, np.ones((1, cols.size), dtype=np.int64), [1]) for rows, cols in blocks]
-        serial, threaded = (correlation._ScanReducer(scan, np.ones(3, dtype=np.int64), 100.0, 4) for _ in range(2))
+        blocks = [(rows, cols, np.ones((1, cols.size), dtype=np.int64)) for rows, cols in blocks]
+        serial, threaded = (correlation._ScanReducer(scan, np.ones(3, dtype=np.int64), 100.0) for _ in range(2))
         for block in blocks:
-            serial.add(*block, vals[int(block[0][0])].copy())
+            serial.fold(serial.prepare(*block, vals[int(block[0][0])].copy()))
         _within(lambda: correlation._parallel_scan(iter(blocks), Scanner(), threaded))
         for reducer in (serial, threaded):
             assert [w.tolist() for w in reducer.witnesses] == [[1], [2], [0], [10 + 6e-10]]

@@ -65,7 +65,7 @@ def test_trivial_correlation_equals_period():
 
 
 def test_backend_resolution():
-    assert resolve_backend(None, 40) == default_backend(40) == "gemm"
+    assert resolve_backend("auto", 40) == default_backend(40) == "gemm"
     assert resolve_backend("auto", 255) == default_backend(255) == "fft"
     assert default_backend(GEMM_MAX_PERIOD) == "gemm"
     assert default_backend(GEMM_MAX_PERIOD + 1) == "fft"
@@ -76,6 +76,8 @@ def test_backend_resolution():
         resolve_backend("nope", 40)
     with pytest.raises(ParameterError):
         resolve_backend("compiled", 40)
+    with pytest.raises(ParameterError):  # "auto" is the one spelling of the default
+        resolve_backend(None, 40)
     assert PairScanner(np.zeros((2, 40), dtype=np.int64), 2).backend == "gemm"
     assert PairScanner(np.zeros((2, 255), dtype=np.int64), 2).backend == "fft"
 
@@ -147,7 +149,7 @@ def test_block_in_parts_equals_the_whole_product(backend):
 
 
 @pytest.mark.parametrize("old, cpus, during", [(2, 2, 1), (8, 4, 1), (2, 8, 1), (1, 2, 1), (4, 1, 1)])
-def test_scan_blas_threads_leaves_one_cpu_and_restores(monkeypatch, old, cpus, during):
+def test_scan_blas_threads_sets_one_thread_and_restores(monkeypatch, old, cpus, during):
     # One OpenBLAS thread per scan thread, whatever the CPU count: each leaves the other CPUs to the others.
     count = [old]
     monkeypatch.setattr(kernels, "_openblas", lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
