@@ -481,13 +481,15 @@ def _parallel_scan(blocks, scanner: PairScanner, reducer: _ScanReducer) -> None:
 
     This thread takes the blocks in scan order, each with its column tile's
     operand, built once per tile: a tile's blocks are adjacent and share one
-    `cols` array. A pool of scanner.threads threads runs the kernel and
-    reducer.prepare, which spend most of their time in numpy calls that
-    release the interpreter lock. This thread keeps at most threads + 1
-    blocks in flight and folds their results itself, in block order, so the
-    report is the serial pass's whatever the timing. An error cancels the
-    blocks not yet started and comes out once the pool has stopped. With
-    one thread the blocks run here in turn, with no pool.
+    `cols` array. A pool of scanner.threads threads, one per usable CPU for
+    the GEMM and the FFT kernel alike, runs the kernel and reducer.prepare,
+    which spend most of their time in numpy calls (a matrix product or a
+    batched transform) that release the interpreter lock. This thread keeps
+    at most threads + 1 blocks in flight and folds their results itself, in
+    block order, so the report is the serial pass's whatever the timing. An
+    error cancels the blocks not yet started and comes out once the pool has
+    stopped. With one thread (one usable CPU, or the reference kernel) the
+    blocks run here in turn, with no pool.
     """
     def prepared(rows, cols, weights, operand) -> tuple:
         return reducer.prepare(rows, cols, weights, scanner.correlations_abs(rows, cols, operand))

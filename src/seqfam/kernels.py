@@ -19,23 +19,24 @@ Two kernels compute it:
 The kernel is picked from the period alone: GEMM up to GEMM_MAX_PERIOD,
 FFT above it. Either kernel forms a block, `band` rows by one column
 tile, in one complex product of about a quarter of TILE_ELEMENTS values.
-A GEMM scan runs its blocks on a pool of one thread per usable CPU, and
-an FFT scan on the calling thread alone (see correlation._parallel_scan);
-OpenBLAS runs each product on one thread (scan_blas_threads). Measured so
-on 2 CPUs, kernels alone over the upper triangle of 768 random members,
-in microseconds per pair (wall / CPU, two runs):
+A scan runs its blocks on a pool of one thread per usable CPU, whichever
+of the two kernels runs (see correlation._parallel_scan); OpenBLAS runs
+each product on one thread (scan_blas_threads). Measured so on 2 CPUs,
+kernels alone over the upper triangle of 768 random members, in
+microseconds per pair (wall / CPU, two runs):
 
-    period   GEMM, 2 threads       FFT, 1 thread
-    62       0.78-0.87 / 1.42-1.50 2.43-2.45 / 2.42-2.45
-    80       1.23-1.33 / 2.26-2.37 1.31-1.31 / 1.30-1.31
-    100      1.77-1.94 / 3.08-3.20 1.61-1.66 / 1.61-1.66
-    126      2.43-2.64 / 4.45-4.71 1.94-2.03 / 1.94-2.03
+    period   GEMM, 2 threads       FFT, 2 threads
+    62       0.74-0.99 / 1.25-1.44 0.81-0.82 / 1.58-1.61
+    80       1.07-1.09 / 1.96-2.03 0.58-0.58 / 1.11-1.11
+    100      1.71-1.71 / 3.12-3.21 0.65-0.73 / 1.28-1.40
+    126      2.45-2.52 / 4.60-4.78 1.00-1.03 / 1.89-1.98
 
-GEMM is ahead at period 62, the two break even in wall time at period 80,
-and FFT is ahead above it, so the boundary stays where it was set, and each
-period keeps its kernel and its values their last bits. FFT costs about
-half the CPU time at period 80. A slow pure-Python "reference" path is the
-independent oracle for tests at tiny sizes.
+The two are about even in wall time at period 62, and FFT is ahead from
+period 80 on, at half the CPU time or less. The boundary stays where it was
+set when FFT ran on one thread (even at 80), so each period keeps its
+kernel and its values their last bits; moving it needs golden reports
+for periods 63-80 first. A slow pure-Python "reference" path, run on the
+calling thread alone, is the independent oracle for tests at tiny sizes.
 """
 
 import ctypes
@@ -141,9 +142,9 @@ class PairScanner:
         self.backend = resolve_backend(backend, self.period)
         self.M = M
         self.tile = tile_size(self.period)
-        # A scan runs GEMM blocks on every usable CPU, one block per thread. The
-        # FFT kernel stays on one thread: on two it cost a third more memory.
-        self.threads = usable_cpus() if self.backend == "gemm" else 1
+        # A scan runs its blocks on every usable CPU, one block per thread. On
+        # two, an FFT scan at period 255 took 23 MB more peak memory (README).
+        self.threads = 1 if self.backend == "reference" else usable_cpus()
         # Rows per block: a block is one complex product of about a quarter of
         # TILE_ELEMENTS values, twice the size of its |R| in bytes.
         self.band = max(1, TILE_ELEMENTS // (4 * self.tile * self.period))

@@ -51,11 +51,15 @@ def run_verification(
     policy: str = "strict",
     table_limit: int | None = None,
 ) -> dict:
-    start = time.perf_counter()
+    start = last = time.perf_counter()
     checks: list[dict] = []
 
     def record(name: str, ok, detail: str = "") -> None:
-        checks.append({"name": name, "ok": bool(ok), "detail": detail})
+        """Append a check, timed from the previous one (the first from the start of the run)."""
+        nonlocal last
+        now = time.perf_counter()
+        checks.append({"name": name, "ok": bool(ok), "detail": detail, "elapsed": now - last})
+        last = now
 
     q = check_field_order(p, n, table_limit)  # every refusal comes before GF(q) is built
     check_extension(q, d, table_limit)

@@ -62,20 +62,24 @@ def test_max_correlation_q16_m5(fam16_m5):
     assert report.histogram_resolution == 1e-6
 
 
-def test_golden_fft_scan():
+def test_golden_fft_scan(monkeypatch):
     # q=256 d=2 M=5: period 255, above GEMM_MAX_PERIOD, so the scan runs the
     # FFT kernel. Pinned bit for bit: any change in the transform's rounding
-    # moves the fine histogram keys or delta_max.
+    # moves the fine histogram keys or delta_max. The same on one scan
+    # thread as on two, as the blocks are folded in scan order.
     fam = build_family(build_extension(build_field(2, 8), 2), 5)
-    report = max_correlation(fam)
-    assert (report.backend, fam.period, fam.size) == ("fft", 255, 512)
-    assert repr(report.delta_max) == "48.416407864998746"
-    histogram = json.dumps(report.to_dict()["histogram"]).encode()
-    assert hashlib.sha256(histogram).hexdigest() == "89aa700245e4771e8ab0516faa81840df94184f4f5123278f8ec0e6f891a3b37"
+    for cpus in (1, 2):
+        monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        report = max_correlation(fam)
+        assert (report.backend, fam.period, fam.size, report.scan["threads"]) == ("fft", 255, 512, cpus)
+        assert repr(report.delta_max) == "48.416407864998746"
+        histogram = json.dumps(report.to_dict()["histogram"]).encode()
+        assert hashlib.sha256(histogram).hexdigest() == "89aa700245e4771e8ab0516faa81840df94184f4f5123278f8ec0e6f891a3b37"
 
 
 def test_max_correlation_backends_agree(fam16_m5):
     ref = max_correlation(fam16_m5, backend="reference")
+    assert ref.scan["threads"] == 1  # the reference kernel scans on the calling thread
     for backend in ("gemm", "fft"):
         report = max_correlation(fam16_m5, backend=backend)
         assert report.backend == backend
@@ -527,7 +531,7 @@ def test_one_column_operand_per_column_tile(fam16_m5, monkeypatch, triangle_scan
 
     monkeypatch.setattr(kernels.PairScanner, "operand", counted)
     report = triangle_scan(fam16_m5, backend=backend)
-    assert report.scan["threads"] == (threads if backend == "gemm" else 1)  # FFT scans run on one thread
+    assert report.scan["threads"] == threads
     tile = kernels.tile_size(fam16_m5.period)
     tiles = -(-fam16_m5.size // tile)
     assert report.scan["blocks"] == sum((k + 1) * tile // 2 for k in range(tiles)) == 72
@@ -546,7 +550,7 @@ def test_scan_counters(fam16_m5):
         "pairs_represented": 32 * 33 // 2,
         "blocks": 1,
         "blas_threads": blas_threads,
-        "threads": kernels.usable_cpus(),  # a GEMM scan: one pool thread per usable CPU
+        "threads": kernels.usable_cpus(),  # one pool thread per usable CPU, whichever kernel runs
     }
     assert sum(report.histogram.values()) == _histogram_total(fam16_m5)
 
@@ -742,8 +746,8 @@ def test_bound_attained_with_equality_at_q121(p, size, at_bound, first_witness, 
     assert (report.scan["symmetry_order"], report.scan["blocks"]) == order_blocks
 
 
-def _serial_fold(family, prepare_first=False):
-    """The scan max_correlation runs, each block's kernel and reduction in turn on this thread.
+def _serial_fold(family, backend="auto", prepare_first=False):
+    """The scan max_correlation(family, backend) runs, each block's kernel and reduction in turn on this thread.
 
     With prepare_first, every block is prepared before the first fold: the
     farthest the folds of a threaded scan can lag. Also returns the number
@@ -758,7 +762,7 @@ def _serial_fold(family, prepare_first=False):
     assert shared is None
     generators = correlation._find_generators(symbols, family.M, degs, prime_factors(family.q)[0], index, starts)
     scan = correlation._OrbitScan(generators, n, period)
-    scanner = kernels.PairScanner(symbols, family.M)
+    scanner = kernels.PairScanner(symbols, family.M, backend)
     reducer = correlation._ScanReducer(scan, degs, math.sqrt(family.q))
     coarse_from = None
     with kernels.scan_blas_threads():
@@ -818,9 +822,13 @@ def _within(call, seconds: float = 60.0):
     return out["result"]
 
 
-@pytest.mark.parametrize("case", ["symmetric", "trivial", "coarse"])
+@pytest.mark.parametrize("backend, case", [
+    pytest.param(backend, case, id=case if backend == "gemm" else f"{backend}-{case}")
+    for backend in ("gemm", "fft")
+    for case in ("symmetric", "trivial", "coarse")
+])
 @pytest.mark.parametrize("threads", [1, 2, 3])
-def test_parallel_scan_equals_the_serial_fold(fam16_m5, monkeypatch, short_switch_interval, threads, case):
+def test_parallel_scan_equals_the_serial_fold(fam16_m5, monkeypatch, short_switch_interval, backend, threads, case):
     # Tiles of 4 members in bands of 2 rows: 10 blocks with the symmetry group, 72 without.
     # With 60 exact keys at most, the histogram turns coarse partway through the scan.
     monkeypatch.setattr(kernels, "TILE_ELEMENTS", 15 * 4 * 4)
@@ -829,16 +837,18 @@ def test_parallel_scan_equals_the_serial_fold(fam16_m5, monkeypatch, short_switc
         monkeypatch.setattr(correlation, "_find_generators", lambda *args: [])
     if case == "coarse":
         monkeypatch.setattr(correlation, "HISTOGRAM_EXACT_LIMIT", 60)
-    scan, reducer, one_row, coarse_from = _serial_fold(fam16_m5)
+    scan, reducer, one_row, coarse_from = _serial_fold(fam16_m5, backend)
     gemm_rows = _gemm_rows(monkeypatch)
-    report = _within(lambda: max_correlation(fam16_m5))
-    assert (report.backend, report.scan["threads"]) == ("gemm", threads)
+    report = _within(lambda: max_correlation(fam16_m5, backend))
+    assert (report.backend, report.scan["threads"]) == (backend, threads)
     assert report.scan["blocks"] == scan.blocks_scanned == (72 if case == "trivial" else 10)
     assert 0 < coarse_from < scan.blocks_scanned - 1 if case == "coarse" else coarse_from is None
-    # A product has one row only where its band does, and a band only where
-    # its column tile meets one orbit: the first two tiles meet only orbit 0.
-    assert gemm_rows.count(1) == one_row == (0 if case == "trivial" else 2)
-    for reducer in (reducer, _serial_fold(fam16_m5, prepare_first=True)[1]):
+    # A band has one row only where its column tile meets one orbit: the
+    # first two tiles meet only orbit 0. A GEMM product has one row only
+    # where its band does.
+    assert one_row == (0 if case == "trivial" else 2)
+    assert gemm_rows.count(1) == (one_row if backend == "gemm" else 0)
+    for reducer in (reducer, _serial_fold(fam16_m5, backend, prepare_first=True)[1]):
         assert report.delta_max == reducer.delta_max
         assert report.histogram == reducer.histogram.result()
         assert report.histogram_resolution == 1 / reducer.histogram.scale

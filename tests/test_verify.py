@@ -28,3 +28,19 @@ def test_verify_computes_each_family_s_rotation_keys_once(rotation_key_calls):
     checks = {c["name"]: c for c in result["checks"]}
     assert checks["cyclic-inequivalence"]["ok"] and checks["cyclic-inequivalence-negative-control"]["ok"]
     assert "'index2': 32" in checks["cyclic-inequivalence-negative-control"]["detail"]
+
+
+def test_verify_times_each_check_and_is_deterministic_apart_from_timings():
+    runs = [run_verification(2, 4, 2, 5) for _ in range(2)]
+    for result in runs:
+        times = [c["elapsed"] for c in result["checks"]]
+        assert min(times) >= 0
+        # Each check is timed from the one before it, the first from the start of the run.
+        assert sum(times) <= result["elapsed"] + 1e-9
+        # The text format prints no per-check times.
+        bare = [{k: v for k, v in c.items() if k != "elapsed"} for c in result["checks"]]
+        assert format_verification({**result, "checks": bare}) == format_verification(result)
+    untimed = [
+        {**result, "elapsed": None, "checks": [{**c, "elapsed": None} for c in result["checks"]]} for result in runs
+    ]
+    assert untimed[0] == untimed[1]
