@@ -13,6 +13,7 @@ import numpy as np
 from . import polys
 from .errors import InternalCheckError, ParameterError
 from .fields import ExtensionContext
+from .kernels import CHUNK, run_chunks
 from .sequences import MSequence, check_alphabet
 
 
@@ -45,17 +46,24 @@ def coset_minima(modulus: int, q: int) -> np.ndarray:
     """Smallest member of the q-cyclotomic coset of each index mod modulus.
 
     Works in place in int32 while every product index * q stays below 2**31,
-    which the default table cap guarantees, and in int64 above that.
+    which the default table cap guarantees, and in int64 above that, one
+    chunk of indices at a time.
     """
     order, power = 1, q % modulus
     while power != 1 % modulus:
         order, power = order + 1, power * q % modulus
-    reps = np.arange(modulus, dtype=np.int32 if modulus * q < 1 << 31 else np.int64)
-    cur = reps.copy()
-    for _ in range(order - 1):
-        cur *= q
-        cur %= modulus
-        np.minimum(reps, cur, out=reps)
+    reps = np.empty(modulus, dtype=np.int32 if modulus * q < 1 << 31 else np.int64)
+
+    def chunk(lo):
+        mins = reps[lo : lo + CHUNK]
+        mins[:] = np.arange(lo, lo + mins.size)
+        cur = mins.copy()
+        for _ in range(order - 1):
+            cur *= q
+            cur %= modulus
+            np.minimum(mins, cur, out=mins)
+
+    run_chunks(chunk, modulus, CHUNK)
     return reps
 
 
@@ -113,27 +121,30 @@ def root_products(ext: ExtensionContext, exponents) -> np.ndarray:
     factor: c * alpha**e is read as exp[log(c) + e], and the coefficients
     shift up by one. The exponents are kept in [-n, 0), n = q**d - 1, so
     the index lies in [-n, n) and a negative one reads exp from the end,
-    which is the wrap mod n.
+    which is the wrap mod n. The chunks run through kernels.run_chunks,
+    each writing its own rows of the result.
     """
     n = ext.size - 1
     exponents = np.asarray(exponents, dtype=np.int64) % n - n
     rows, s = exponents.shape
     out = np.empty((rows, s + 1), dtype=np.int64)
-    for lo in range(0, rows, _ROWS):
+
+    def chunk(lo):
         e = np.ascontiguousarray(exponents[lo : lo + _ROWS].T)
         coeff = np.zeros((s + 1, e.shape[1]), dtype=np.int64)  # row j: the coefficients of x**j
         coeff[0] = 1
-        scaled, index = np.empty_like(coeff), np.empty_like(coeff)
         for k in range(s):
-            low, sc, idx = coeff[: k + 1], scaled[: k + 1], index[: k + 1]
-            np.take(ext.log, low, out=idx)
-            idx += e[k]
-            np.take(ext.exp, idx, out=sc)
-            sc[low == 0] = 0
-            sc[1:] = ext.add(sc[1:], low[:-1])
-            scaled[k + 1] = 1  # the product stays monic
-            coeff, scaled = scaled, coeff
-        out[lo : lo + e.shape[1]] = coeff.T
+            low = coeff[: k + 1]
+            index = ext.log[low]
+            index += e[k]
+            scaled = ext.exp[index]
+            scaled[low == 0] = 0
+            coeff[1 : k + 1] = ext.add(scaled[1:], low[:-1])
+            coeff[0] = scaled[0]
+            coeff[k + 1] = 1  # the product stays monic
+        out[lo : lo + _ROWS] = coeff.T
+
+    run_chunks(chunk, rows, _ROWS)
     return out
 
 

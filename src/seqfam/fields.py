@@ -29,6 +29,7 @@ import numpy as np
 from . import polys
 from .errors import InternalCheckError, ParameterError, TableLimitError
 from .intmath import is_prime, prime_factors
+from .kernels import CHUNK, run_chunks
 
 DEFAULT_TABLE_LIMIT = 1 << 24
 
@@ -187,6 +188,16 @@ def _doubling_table(multiples: np.ndarray, add) -> np.ndarray:
     return table
 
 
+def _map_block(exp: np.ndarray, take: int, into: int, image) -> None:
+    """exp[into + t] = image(exp[t]) for every t < take, chunk by chunk; into = 0 maps in place."""
+
+    def chunk(lo):
+        hi = min(lo + CHUNK, take)
+        exp[into + lo : into + hi] = image(exp[lo:hi])
+
+    run_chunks(chunk, take, CHUNK)
+
+
 def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray:
     """exp[t] = beta**t for 0 <= t < size-1, filled by block doubling.
 
@@ -204,7 +215,8 @@ def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray
     by _add_spread. Only the first round's images are raw products: the
     next round's constant is c**2, so its images c**2 * p**j are this
     round's map applied to this round's images. For odd p the finished
-    table is packed back to base p by slice lookups too.
+    table is packed back to base p by slice lookups too. Each round, and
+    the packing, maps the table chunk by chunk (_map_block).
     """
     n = size - 1
     exp = np.empty(n, dtype=np.int64)
@@ -213,7 +225,7 @@ def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray
         c, filled = beta, 1
         while filled < n:
             take = min(filled, n - filled)
-            exp[filled : filled + take] = exp[:take] * c % p  # exact in int64: p < 2**31 for any table that fits in memory
+            _map_block(exp, take, filled, lambda x: x * c % p)  # exact in int64: p < 2**31 for any table that fits in memory
             c, filled = raw_mul(c, c), filled + take
         return exp
     bits = 1 if p == 2 else (p - 1).bit_length() + 1
@@ -243,14 +255,12 @@ def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray
         digit_rows = basis[:, None] >> places & (1 << bits) - 1
         multiples = ((scalars * digit_rows % p * (scalars < p)) << places).sum(axis=2).astype(spread)
         tables = [_doubling_table(multiples[:, lo : lo + w], add) for lo, w in slices]
-        exp[filled : filled + take] = apply(tables, exp[:take].astype(spread, copy=False), add)
+        _map_block(exp, take, filled, lambda x: apply(tables, x.astype(spread, copy=False), add))
         basis = apply(tables, basis, add)
         filled += take
     if p != 2:
         unspread = [_doubling_table(scalars[:, 0] * p ** np.arange(lo, lo + w), np.add) for lo, w in slices]
-        for start in range(0, n, 1 << 16):
-            chunk = exp[start : start + (1 << 16)]
-            chunk[:] = apply(unspread, chunk, np.add)
+        _map_block(exp, n, 0, lambda x: apply(unspread, x, np.add))
     return exp
 
 
@@ -264,6 +274,22 @@ def _raw_pow(raw_mul, a: int, k: int) -> int:
     return out
 
 
+def _power_tables(exp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, log) of g0**k from g0's exp table: exp[t*k mod n] for each t, and its inverse with log(0) = 0."""
+    n = exp.size
+    out = exp if k == 1 else np.empty_like(exp)
+    log = np.zeros(n + 1, dtype=np.int64)
+
+    def chunk(lo):
+        t = np.arange(lo, min(lo + CHUNK, n), dtype=np.int64)
+        if k != 1:
+            out[lo : lo + CHUNK] = exp[t * k % n]
+        log[out[lo : lo + CHUNK]] = t
+
+    run_chunks(chunk, n, CHUNK)
+    return out, log
+
+
 def _generator_tables(raw_mul, p: int, digits: int, ratio: int, target: int, first: int = 1):
     """(g, exp, log) for the smallest-encoding primitive g with g**ratio == target.
 
@@ -273,9 +299,11 @@ def _generator_tables(raw_mul, p: int, digits: int, ratio: int, target: int, fir
     g0**k with gcd(k, size-1) = 1, and g0**k qualifies iff
     k*ratio = log_g0(target) mod size-1. One comparison pass over exp finds
     log_g0(target); k then runs over one residue class mod
-    (size-1)/gcd(ratio, size-1), gcd(ratio, size-1) candidates in all. The smallest encoding among those
-    with gcd(k, size-1) = 1 is g, whose exp table is g0's re-indexed by k,
-    and log is scattered once from it. g is then rechecked by raw arithmetic.
+    (size-1)/gcd(ratio, size-1), gcd(ratio, size-1) candidates in all.
+    g is the smallest encoding among those with gcd(k, size-1) = 1: the k of
+    the smallest candidate left is tested, and dropped if it fails. g's exp
+    table is g0's re-indexed by k, and log is scattered from it in the same
+    chunked pass (_power_tables). g is then rechecked by raw arithmetic.
     The search for g0 starts at `first`: over a polynomial modulus the
     encodings below the radix are the coefficient field, a proper subfield,
     so none of them is primitive.
@@ -289,23 +317,20 @@ def _generator_tables(raw_mul, p: int, digits: int, ratio: int, target: int, fir
     else:
         raise InternalCheckError("no primitive element found; field arithmetic is broken")
     exp = _exp_table(size, g0, raw_mul, p, digits)
-    g = g0
+    g, k = g0, 1
     if not (target == 1 and ratio == n):
         log_target = int(np.argmax(exp == target))  # 0 where target never occurs, as log(0) = 0
         share = math.gcd(ratio, n)
-        if log_target % share:
-            raise InternalCheckError(f"no primitive element with g**{ratio} == {target}")
+        # k runs over k0 + i*period; that class holds a k prime to n iff k0 is prime to period
         period = n // share
         k0 = log_target // share * pow(ratio // share, -1, period) % period
-        ks = np.arange(k0, n, period, dtype=np.int64)
-        ks = ks[np.gcd(ks, n) == 1]
-        if ks.size == 0:
+        if log_target % share or math.gcd(k0, period) != 1:
             raise InternalCheckError(f"no primitive element with g**{ratio} == {target}")
-        k = int(ks[np.argmin(exp[ks])])
+        encodings = exp[k0::period].copy()  # g0**k, all distinct
+        while math.gcd(k := k0 + int(np.argmin(encodings)) * period, n) != 1:
+            encodings[(k - k0) // period] = size  # above every encoding
         g = int(exp[k])
-        exp = exp[np.arange(n, dtype=np.int64) * k % n]
-    log = np.zeros(size, dtype=np.int64)
-    log[exp] = np.arange(n, dtype=np.int64)
+    exp, log = _power_tables(exp, k)
     if (
         _raw_pow(raw_mul, g, ratio) != target
         or exp[0] != 1

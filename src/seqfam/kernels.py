@@ -34,9 +34,10 @@ microseconds per pair (wall / CPU, two runs):
 The two are about even in wall time at period 62, and FFT is ahead from
 period 80 on, at half the CPU time or less. The boundary stays where it was
 set when FFT ran on one thread (even at 80), so each period keeps its
-kernel and its values their last bits; moving it needs golden reports
-for periods 63-80 first. A slow pure-Python "reference" path, run on the
-calling thread alone, is the independent oracle for tests at tiny sizes.
+kernel and its values their last bits; the tests pin a GEMM report at
+periods 63 and 80, which a move would change. A slow pure-Python
+"reference" path, run on the calling thread alone, is the independent
+oracle for tests at tiny sizes.
 """
 
 import ctypes
@@ -106,6 +107,50 @@ def blas_threads() -> int | None:
 def usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+# Elements per chunk of a whole-table pass; a shorter pass runs on the caller alone.
+CHUNK = 1 << 17
+
+
+def run_chunks(fn, stop: int, step: int) -> None:
+    """fn(lo) for each lo in range(0, stop, step), each call writing its own slice.
+
+    With several chunks and several usable CPUs, this thread and a pool
+    built for this call run them, one thread per usable CPU in all and at
+    most one per chunk, each taking the next start in turn; the passes
+    spend their time in numpy calls that release the interpreter lock.
+    (This thread works too, as each pool thread's malloc arena keeps its
+    freed chunk temporaries.) After an error no thread starts a chunk, and
+    the first error in chunk order comes out once the pool has stopped.
+    Otherwise the calls run here in turn, with no pool.
+    """
+    starts = range(0, stop, step)
+    threads = min(usable_cpus(), len(starts))
+    if threads < 2:
+        for lo in starts:
+            fn(lo)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # here, as it adds about 10 ms to importing seqfam
+
+    todo, errors = iter(starts), []
+
+    def work():
+        for lo in todo:  # one start per next(), under the interpreter lock
+            if errors:
+                return
+            try:
+                fn(lo)
+            except BaseException as error:
+                errors.append((lo, error))
+
+    with ThreadPoolExecutor(threads - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(threads - 1)]
+        work()
+    for helper in helpers:
+        helper.result()  # work() keeps fn's errors in `errors`; this raises any other
+    if errors:
+        raise min(errors, key=lambda item: item[0])[1]
 
 
 @contextmanager

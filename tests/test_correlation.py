@@ -77,6 +77,29 @@ def test_golden_fft_scan(monkeypatch):
         assert hashlib.sha256(histogram).hexdigest() == "89aa700245e4771e8ab0516faa81840df94184f4f5123278f8ec0e6f891a3b37"
 
 
+@pytest.mark.parametrize(
+    "p, n, M, policy, period, size, delta_max, digest",
+    [
+        (2, 6, 7, "strict", 63, 192, "24.41614132496513",
+         "ba93ac2884471bab654e923de1c797a399957cdf6c41a6c94c5dcdea27542aca"),
+        (3, 4, 5, "relaxed-d2", 80, 160, "24.378409937149776",
+         "0381adc57ed505506dd2a2e850f9451889f610d73cf24a26ded1bcf64ef65390"),
+    ],
+)
+def test_golden_gemm_scan(monkeypatch, p, n, M, policy, period, size, delta_max, digest):
+    # Periods 63 and 80, the top of the GEMM range: pinned bit for bit, as in
+    # test_golden_fft_scan, so that a move of GEMM_MAX_PERIOD, which hands
+    # these periods to the FFT kernel, shows in their last bits.
+    fam = build_family(build_extension(build_field(p, n), 2), M, policy=policy)
+    for cpus in (1, 2):
+        monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        report = max_correlation(fam)
+        assert (report.backend, fam.period, fam.size, report.scan["threads"]) == ("gemm", period, size, cpus)
+        assert repr(report.delta_max) == delta_max
+        histogram = json.dumps(report.to_dict()["histogram"]).encode()
+        assert hashlib.sha256(histogram).hexdigest() == digest
+
+
 def test_max_correlation_backends_agree(fam16_m5):
     ref = max_correlation(fam16_m5, backend="reference")
     assert ref.scan["threads"] == 1  # the reference kernel scans on the calling thread
