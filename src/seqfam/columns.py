@@ -74,19 +74,21 @@ def coset_leaders(modulus: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return reps, np.bincount(minima, minlength=modulus)[reps]
 
 
-def column_symbols(ext: ExtensionContext, l: int, M: int) -> np.ndarray:
+def column_symbols(ext: ExtensionContext, l, M: int) -> np.ndarray:
     """Symbols of column l from its closed form log(N(alpha**l beta**t + 1)) mod M.
 
     Accepts any l >= 0; the array-column interpretation additionally
-    requires l below the column count (enforced by column_sequence).
+    requires l below the column count (enforced by column_sequence). An
+    array of indices gives one row per index, in one pass over all of them.
     """
     check_alphabet(ext.q, M)
-    if l < 0:
+    l = np.asarray(l, dtype=np.int64)
+    if np.any(l < 0):
         raise ParameterError("column index must be nonnegative")
     q, size = ext.q, ext.size
-    alpha_l = int(ext.exp[l % (size - 1)])
+    alpha_l = ext.exp[l % (size - 1)][..., None]
     beta_pows = ext.exp[(np.arange(q - 1, dtype=np.int64) * ext.norm_ratio) % (size - 1)]
-    vals = ext.add_arr(ext.mul_arr(np.int64(alpha_l), beta_pows), 1)
+    vals = ext.add_arr(ext.mul_arr(alpha_l, beta_pows), 1)
     return ext.base.log[ext.norm_arr(vals)] % M
 
 

@@ -44,6 +44,13 @@ _EXPAND_CHUNK = 1 << 16  # hits expanded through their orbits at a time
 HISTOGRAM_EXACT_LIMIT = 1 << 20
 _FINE_SCALE = 10**6
 _COARSE_SCALE = 10**3
+# The histogram's batch buffer starts at 2**22 words (32 MiB), twice what a
+# merge fills at the default limit; only the pages written take memory.
+# glibc maps a block this large on its own and does not, when it is freed,
+# raise the size from which it maps blocks. A 16 MiB buffer did, which kept
+# later temporaries resident: verify at q=256 d=2 M=15 peaked 18 MB higher.
+_BATCH_WORDS = 1 << 22
+_CHUNK_WORDS = 1 << 16  # packed words unpacked at a time
 
 
 def cross_correlation(a: MSequence, b: MSequence, tau: int) -> complex:
@@ -112,30 +119,37 @@ class _HistogramAccumulator:
     therefore lands in the same bin whenever it is scanned, and the result
     does not depend on the order of the members or of the tiles.
 
-    Each tile's (key, count) pairs wait in a batch that is merged into the
+    Each tile's (key, count) pairs come packed, one uint64 word each with
+    the key above the count, and wait in one buffer that is merged into the
     sorted histogram once it holds as many keys as the histogram and at
     least HISTOGRAM_EXACT_LIMIT, so the histogram is not re-sorted for
-    every tile. The switch is decided at a merge: it happens exactly when
-    the whole scan has more than HISTOGRAM_EXACT_LIMIT distinct keys.
+    every tile. A merge packs the histogram into the buffer too and sorts
+    it: equal keys fall together with their counts. The switch is decided
+    at a merge: it happens exactly when the whole scan has more than
+    HISTOGRAM_EXACT_LIMIT distinct keys.
     """
 
     def __init__(self, period: int):
         self.scale = _FINE_SCALE
-        # Keys reach rint(period * 1e6); int32 sorts faster where it fits.
-        self._dtype = np.int32 if (period + 2) * _FINE_SCALE < 2**31 else np.int64
+        top = (period + 2) * _FINE_SCALE  # keys reach rint(period * 1e6)
+        # int32 keys sort faster where they fit; a word holds a key in its top bits, a count in the rest.
+        self._dtype = np.int32 if top < 2**31 else np.int64
+        self._shift = 64 - top.bit_length()
         self.keys = np.empty(0, dtype=self._dtype)
         self.counts = np.empty(0, dtype=np.int64)
-        self._batch: list[tuple[np.ndarray, np.ndarray]] = []
-        self._batch_keys = 0
+        self._words = np.empty(0, dtype=np.uint64)  # the batch is its first _size words
+        self._size = 0
+        self._wide: list[tuple[np.ndarray, np.ndarray]] = []  # (keys, count bits above the word's)
         self._coarse_len = (period + 2) * _COARSE_SCALE
         self._dense = None
 
     def bins(self, values: np.ndarray, weight: int = 1) -> tuple:
-        """Each value counted `weight` times, as (keys, counts) for add_bins; leaves this histogram as it is.
+        """Each value counted `weight` times, for add_bins; leaves this histogram as it is.
 
-        The keys are sorted and distinct; once the bins are coarse, they are
-        None and the counts are per coarse bin, up to the largest of these
-        values. Overwrites a contiguous array.
+        While the bins are fine this is (words, wide) from _pack, one word
+        per distinct key, in key order. Once they are coarse it is (None,
+        counts), per coarse bin up to the largest of these values.
+        Overwrites a contiguous array.
         """
         scaled = values.reshape(-1)
         scaled *= _FINE_SCALE
@@ -145,40 +159,103 @@ class _HistogramAccumulator:
             return None, counts if weight == 1 else counts * weight
         keys.sort()
         starts = _run_starts(keys)
-        return keys[starts], np.diff(starts, append=keys.size) * weight
+        words = np.empty(starts.size, dtype=np.uint64)
+        return words, self._pack(keys[starts], np.diff(starts, append=keys.size) * weight, words)
+
+    def _pack(self, keys, counts, out) -> tuple | None:
+        """out = key << shift | count; the (keys, bits above) of counts too wide for that, or None."""
+        wide = None
+        if counts.size and int(counts.max()) >> self._shift:
+            big = np.flatnonzero(counts >> self._shift)
+            wide = keys[big], counts[big] >> self._shift << self._shift
+            counts = counts & ((1 << self._shift) - 1)
+        out[...] = keys  # keys are never negative
+        out <<= np.uint64(self._shift)
+        out |= counts.view(np.uint64)
+        return wide
+
+    def _add_coarse(self, words, wide) -> None:
+        """Count packed words and (keys, extra) pairs in the coarse bins; overwrites the words.
+
+        The words go a chunk at a time, so that no array holds all their keys.
+        """
+        for lo in range(0, words.size, _CHUNK_WORDS):
+            chunk = words[lo : lo + _CHUNK_WORDS]
+            keys = (chunk >> np.uint64(self._shift)).astype(self._dtype)
+            chunk &= np.uint64((1 << self._shift) - 1)
+            np.add.at(self._dense, _coarse_keys(keys), chunk.view(np.int64))
+        for keys, extra in wide:
+            np.add.at(self._dense, _coarse_keys(keys), extra)
 
     def add_bins(self, bins: tuple) -> None:
         """Count what bins() returned, also if the bins turned coarse in between."""
-        keys, counts = bins
-        if keys is None:
-            self._dense[: counts.size] += counts
+        words, rest = bins
+        if words is None:
+            self._dense[: rest.size] += rest
         elif self._dense is not None:
-            np.add.at(self._dense, _coarse_keys(keys), counts)
+            self._add_coarse(words, [rest] if rest else [])
         else:
-            self._batch.append((keys, counts))
-            self._batch_keys += keys.size
-            if self._batch_keys >= max(self.keys.size, HISTOGRAM_EXACT_LIMIT):
+            if rest:
+                self._wide.append(rest)
+            end = self._size + words.size
+            self._reserve(end)
+            self._words[self._size : end] = words
+            self._size = end
+            if end >= max(self.keys.size, HISTOGRAM_EXACT_LIMIT):
                 self._merge()
 
+    def _reserve(self, size: int) -> None:
+        """Room for `size` words in the buffer, which keeps what it holds."""
+        if size > self._words.size:
+            grown = np.empty(max(size, 2 * self._words.size, _BATCH_WORDS), dtype=np.uint64)
+            grown[: self._size] = self._words[: self._size]
+            self._words = grown
+
     def _merge(self) -> None:
-        """Fold the batch into the histogram: each part's keys are sorted and distinct."""
-        parts = [(self.keys, self.counts)] + self._batch
-        self._batch, self._batch_keys = [], 0
-        keys = np.concatenate([k for k, _ in parts])
-        keys.sort()
-        first = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        if np.count_nonzero(first) > HISTOGRAM_EXACT_LIMIT:
+        """Fold the batch into the histogram by one sort of the buffer, the histogram packed into it.
+
+        The sorted words are read a chunk at a time, so that beside the
+        buffer the merge holds one flag per word and the new histogram.
+        """
+        size = self._size + self.keys.size
+        self._reserve(size)
+        words = self._words[:size]
+        wide = self._pack(self.keys, self.counts, words[self._size :])
+        if wide:
+            self._wide.append(wide)
+        self._size, self.keys, self.counts = 0, None, None
+        words.sort()
+        first = np.empty(size, dtype=bool)  # where each key's run of words starts
+        first[:1] = True
+        for lo in range(0, size, _CHUNK_WORDS):  # a chunk's keys at a time
+            keys = words[lo : lo + _CHUNK_WORDS + 1] >> np.uint64(self._shift)
+            np.not_equal(keys[1:], keys[:-1], out=first[lo + 1 : lo + keys.size])
+        distinct = int(np.count_nonzero(first))
+        if distinct > HISTOGRAM_EXACT_LIMIT:
+            del first
             self.scale = _COARSE_SCALE
             self._dense = np.zeros(self._coarse_len, dtype=np.int64)
-            for k, c in parts:
-                np.add.at(self._dense, _coarse_keys(k), c)
-            self.keys = self.counts = None
+            self._add_coarse(words, self._wide)
+            self._words, self._wide = None, []
             return
-        self.keys = keys = keys[first]
-        self.counts = np.zeros(keys.size, dtype=np.int64)
-        for k, c in parts:
-            self.counts[np.searchsorted(keys, k)] += c
+        self.keys = np.empty(distinct, dtype=self._dtype)
+        self.counts = np.empty(distinct, dtype=np.int64)
+        runs = 0  # key runs that start before the chunk
+        for lo in range(0, size, _CHUNK_WORDS):
+            chunk = words[lo : lo + _CHUNK_WORDS]
+            starts = np.flatnonzero(first[lo : lo + _CHUNK_WORDS])
+            end = runs + starts.size
+            self.keys[runs:end] = chunk[starts] >> np.uint64(self._shift)
+            chunk &= np.uint64((1 << self._shift) - 1)
+            counts = chunk.view(np.int64)
+            if starts.size:
+                self.counts[runs:end] = np.add.reduceat(counts, starts)
+            if not first[lo]:  # the chunk opens inside the last chunk's last run
+                self.counts[runs - 1] += counts[: starts[0] if starts.size else None].sum()
+            runs = end
+        for k, extra in self._wide:
+            self.counts[np.searchsorted(self.keys, k)] += extra
+        self._wide = []
 
     def result(self) -> dict[float, int]:
         if self._dense is None:
@@ -522,11 +599,12 @@ def _parallel_scan(blocks, scanner: PairScanner, reducer: _ScanReducer) -> None:
             raise
 
 
-def _same_column_ok(family: SequenceFamily, symbols: np.ndarray, degs: np.ndarray, sqrt_q: float) -> bool:
+def _same_column_ok(family: SequenceFamily, phases: np.ndarray, degs: np.ndarray, sqrt_q: float) -> bool:
     """Shift-0 correlation of every two members of one column, by one dot product each.
 
-    Members c*v_l and c'*v_l (c != c') reduce to a single polynomial, so the
-    bound is (d_l - 1) * sqrt(q) + 1.
+    phases holds w**symbols, one row per member (the scanner's). Members
+    c*v_l and c'*v_l (c != c') reduce to a single polynomial, so the bound
+    is (d_l - 1) * sqrt(q) + 1.
     """
     c_arr = np.array([s.c for s in family.sequences], dtype=np.int64)
     l_arr = np.array([s.l for s in family.sequences], dtype=np.int64)
@@ -535,8 +613,8 @@ def _same_column_ok(family: SequenceFamily, symbols: np.ndarray, degs: np.ndarra
     for members in np.split(by_column, starts[1:]):
         if members.size < 2:
             continue
-        phases = np.exp(2j * np.pi * (symbols[members] % family.M) / family.M)
-        dots = np.abs(phases @ phases.conj().T)
+        rows = phases[members]
+        dots = np.abs(rows @ rows.conj().T)
         sharp = (degs[members[0]] - 1) * sqrt_q + 1.0
         if np.any((c_arr[members][:, None] != c_arr[members]) & (dots > sharp + TOLERANCE)):
             return False
@@ -600,7 +678,7 @@ def max_correlation(
         histogram_resolution=1.0 / reducer.histogram.scale,
         pair_bound_ok=not i.size,
         pair_bound_violations=[{**labelled(*v[:4]), "pair_bound": v[4]} for v in violations],
-        same_column_bound_ok=_same_column_ok(family, symbols, degs, sqrt_q),
+        same_column_bound_ok=_same_column_ok(family, scanner._phases, degs, sqrt_q),
         backend=scanner.backend,
         scan={
             "symmetry_order": len(scan.elements),

@@ -8,6 +8,7 @@ bug, never a valid outcome. The independent oracle enumerates every monic
 polynomial and sieves out the products of lower-degree irreducibles.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,8 +19,25 @@ from .columns import coset_leaders, root_products
 from .errors import InternalCheckError, ParameterError
 from .family import coset_representatives
 from .fields import ExtensionContext, FieldContext, build_field, check_table_size
-from .intmath import as_prime_power, divisors, euler_phi, mobius
+from .intmath import as_prime_power, divisor_phis, divisors, euler_phi, mobius
 from .sequences import check_alphabet
+
+
+@functools.lru_cache(maxsize=32)
+def _a_f_entries(q: int, f: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(r, d_rf, m_rf, phi(r)) for each r of a_f_set(q, f), with every phi(r) from the one factorization of q**f-1."""
+    if f < 1:
+        raise ParameterError("f must be >= 1")
+    total = q**f - 1
+    smaller = [q**g - 1 for g in range(1, f)]
+    ratio = total // (q - 1)
+    out = []
+    for r, phi in divisor_phis(total).items():
+        if any(s % r == 0 for s in smaller):
+            continue
+        drf = math.gcd(r, ratio)
+        out.append((r, drf, r // drf, phi))
+    return tuple(out)
 
 
 def a_f_set(q: int, f: int) -> list[tuple[int, int, int]]:
@@ -27,18 +45,7 @@ def a_f_set(q: int, f: int) -> list[tuple[int, int, int]]:
 
     d_rf is gcd(r, (q**f-1)/(q-1)); returns (r, d_rf, m_rf) sorted by r.
     """
-    if f < 1:
-        raise ParameterError("f must be >= 1")
-    total = q**f - 1
-    smaller = [q**g - 1 for g in range(1, f)]
-    ratio = total // (q - 1)
-    out = []
-    for r in divisors(total):
-        if any(s % r == 0 for s in smaller):
-            continue
-        drf = math.gcd(r, ratio)
-        out.append((r, drf, r // drf))
-    return out
+    return [entry[:3] for entry in _a_f_entries(q, f)]
 
 
 def yucas_count(ctx: FieldContext, f: int, b: int) -> int:
@@ -46,7 +53,7 @@ def yucas_count(ctx: FieldContext, f: int, b: int) -> int:
     if not 1 <= b < ctx.q:
         raise ParameterError(f"b must be a nonzero field element, in [1, {ctx.q}), not {b}")
     m = ctx.order(b)
-    total = sum(euler_phi(r) for r, _, mrf in a_f_set(ctx.q, f) if mrf == m)
+    total = sum(phi for _, _, mrf, phi in _a_f_entries(ctx.q, f) if mrf == m)
     denom = f * euler_phi(m)
     if total % denom:
         raise InternalCheckError("phi sum is not divisible by f*phi(m)")
@@ -66,7 +73,7 @@ def lambda_size_formula(q: int, d: int) -> int:
     total = 0
     for e in divisors(d):
         allowed = d // e
-        part = sum(euler_phi(r) for r, _, mre in a_f_set(q, e) if allowed % mre == 0)
+        part = sum(phi for _, _, mre, phi in _a_f_entries(q, e) if allowed % mre == 0)
         if part % e:
             raise InternalCheckError("divisor-class sum is not divisible by e")
         total += part // e

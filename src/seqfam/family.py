@@ -158,7 +158,7 @@ def build_family(ext: ExtensionContext, M: int, policy: str = "strict") -> Seque
         used = [l for l in used if l != (q + 1) // 2]
 
     coset_sizes = {l: coset(l, q**d - 1, q).size for l in used}
-    base_columns = {l: column_symbols(ext, l, M) for l in used}
+    base_columns = dict(zip(used, column_symbols(ext, used, M)))
     sequences = []
     for c in range(1, M):
         for l in used:

@@ -48,12 +48,21 @@ def prime_factors(n: int) -> list[int]:
     return sorted(factorize(n))
 
 
+def divisor_phis(n: int) -> dict[int, int]:
+    """Every positive divisor d of n, ascending, mapped to euler_phi(d), from the one factorization of n.
+
+    phi is multiplicative, and phi(p**k) = (p - 1) * p**(k - 1).
+    """
+    phis = {1: 1}
+    for p, e in factorize(n).items():
+        powers = [(1, 1)] + [(p**k, (p - 1) * p ** (k - 1)) for k in range(1, e + 1)]
+        phis = {d * pk: phi * phik for d, phi in phis.items() for pk, phik in powers}
+    return dict(sorted(phis.items()))
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, sorted ascending."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    return list(divisor_phis(n))
 
 
 def euler_phi(n: int) -> int:

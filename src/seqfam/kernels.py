@@ -176,6 +176,16 @@ def scan_blas_threads():
         put(old)
 
 
+def root_phases(symbols, M: int) -> np.ndarray:
+    """w**symbols, w = exp(2j*pi/M), read from a table of the M roots.
+
+    Each entry is np.exp(2j * np.pi * (s % M) / M) to the bit: the table
+    applies the same operations to the same residues, at M exp calls
+    instead of one per symbol.
+    """
+    return np.exp(2j * np.pi * np.arange(M) / M)[np.asarray(symbols) % M]
+
+
 class PairScanner:
     """Per-kernel state for one symbol matrix; serves (row tile x column tile) blocks."""
 
@@ -193,7 +203,7 @@ class PairScanner:
         # Rows per block: a block is one complex product of about a quarter of
         # TILE_ELEMENTS values, twice the size of its |R| in bytes.
         self.band = max(1, TILE_ELEMENTS // (4 * self.tile * self.period))
-        self._phases = np.exp(2j * np.pi * (symbols % M) / M)
+        self._phases = root_phases(symbols, M)
         if self.backend == "fft":
             self._spectra = np.fft.fft(self._phases, axis=1)
 

@@ -108,6 +108,25 @@ def test_column_range_checks(gf25):
         column_sequence(gf25, -1, 4)
 
 
+def test_column_symbols_of_an_index_array_stack_the_single_calls(gf25, gf64_over4, gf256):
+    for ext, M in ((gf25, 4), (gf64_over4, 3), (gf256, 5)):
+        m, n = ext.norm_ratio, ext.size - 1
+        # column 0, every column, l >= m, multiples of size - 1, and one index twice
+        ls = [0, *range(m), m, m + 1, 5 * m - 1, n, 2 * n, 3 * n + 1, 0]
+        single = [column_symbols(ext, l, M) for l in ls]
+        assert all(s.shape == (ext.q - 1,) for s in single)
+        assert np.array_equal(column_symbols(ext, ls, M), np.stack(single))
+        assert np.array_equal(column_symbols(ext, np.array(ls), M), np.stack(single))
+        assert column_symbols(ext, [], M).shape == (0, ext.q - 1)
+        assert np.array_equal(column_symbols(ext, np.int64(3), M), single[4])
+
+
+def test_column_symbols_refuse_a_negative_index(gf25):
+    for l in (-1, [0, 3, -1], np.array([-5])):
+        with pytest.raises(ParameterError):
+            column_symbols(gf25, l, 4)
+
+
 def test_column_polynomial_structure(gf25, gf64_over4):
     for ext in (gf25, gf64_over4):
         base = ext.base

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -497,6 +498,52 @@ def test_histogram_keys_past_int32_count_as_below_it(monkeypatch, limit):
         assert acc.result() == {k / scale: count for k, count in expect.items()}
         assert acc.scale == scale
     assert min(fine) >= high > 2**31
+
+
+@pytest.mark.parametrize("schedule", ["merged-at-the-end", "merging", "switching"])
+@pytest.mark.parametrize("distinct", [30, 3000])
+@pytest.mark.parametrize("period", [40, 2200])
+def test_histogram_merges_equal_a_counter(monkeypatch, period, distinct, schedule):
+    # Parts that share keys, weighted past 2**32 in all, with int32 keys
+    # (period 40) and int64 keys past 2**31 (2200). A packed word leaves a
+    # count 38 and 32 bits there, and a weight of 2**39 + 1 makes counts too
+    # wide for that on every path. The batch is merged only by result(), at
+    # several merges, or with the switch to 1e-3 bins at one of them; three
+    # parts are binned before it and counted after it. The batch buffer
+    # starts at 64 words, so it grows while it holds words, and a merge
+    # reads its words 7 at a time, so runs of one key cross chunks.
+    limit = {"merged-at-the-end": 10**9, "merging": distinct, "switching": distinct // 3}[schedule]
+    monkeypatch.setattr(correlation, "HISTOGRAM_EXACT_LIMIT", limit)
+    monkeypatch.setattr(correlation, "_BATCH_WORDS", 64)
+    monkeypatch.setattr(correlation, "_CHUNK_WORDS", 7)
+    rng = np.random.default_rng(period + distinct)
+    top = period * 10**6
+    pool = np.unique(np.concatenate(([0, top, 10**6 + 500], rng.integers(0, top, distinct - 3))))
+    acc, fine = correlation._HistogramAccumulator(period), Counter()
+    held = []
+    for part in range(60):
+        keys = rng.choice(pool, size=int(rng.integers(1, 3 * distinct // 10 + 2)))
+        weight = int(rng.choice([1, 2, 7, 2**25 + 3, 2**39 + 1]))
+        bins = acc.bins(keys / 10**6, weight)
+        if part < 3:
+            held.append(bins)
+        else:
+            acc.add_bins(bins)
+        for k in keys.tolist():
+            fine[k] += weight
+    for bins in held:
+        acc.add_bins(bins)
+    assert (len(fine) > limit) == (schedule == "switching")
+    assert max(fine.values()) > 2**32
+    expect, scale = fine, 10**6
+    if schedule == "switching":
+        expect, scale = Counter(), 10**3
+        for k, count in fine.items():
+            expect[(k + 500) // 1000] += count
+    got = acc.result()
+    assert got == {k / scale: count for k, count in expect.items()}
+    assert acc.scale == scale
+    assert all(type(count) is int for count in got.values())
 
 
 def _histogram_total(family) -> int:

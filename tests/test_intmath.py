@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from seqfam.intmath import (
     as_prime_power,
+    divisor_phis,
     divisors,
     euler_phi,
     factorize,
@@ -54,3 +57,24 @@ def test_iter_prime_powers():
     qs = [q for _, _, q in got]
     assert qs == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
     assert (2, 3, 8) in got
+
+
+def test_divisor_phis_small():
+    assert divisor_phis(1) == {1: 1}
+    assert divisor_phis(12) == {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
+    for n in range(1, 400):
+        assert list(divisor_phis(n)) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_divisor_phis_equal_euler_phi_on_every_divisor_of_q_power_minus_one():
+    # The phi values the closed-form counts use: every divisor of q**f - 1, q <= 64, f <= 6.
+    checked = 0
+    for _, _, q in iter_prime_powers(2, 64):
+        for f in range(1, 7):
+            n = q**f - 1
+            phis = divisor_phis(n)
+            assert list(phis) == sorted(phis) and all(n % d == 0 for d in phis)
+            assert len(phis) == math.prod(e + 1 for e in factorize(n).values())
+            assert all(phi == euler_phi(d) for d, phi in phis.items())
+            checked += len(phis)
+    assert checked > 10**4

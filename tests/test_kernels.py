@@ -18,6 +18,7 @@ from seqfam.kernels import (
     PairScanner,
     default_backend,
     resolve_backend,
+    root_phases,
     tile_size,
 )
 from seqfam.sequences import MSequence
@@ -53,6 +54,16 @@ def test_gemm_matches_reference(period, M):
     b = PairScanner(symbols, M, backend="reference").correlations_abs(rows, cols)
     assert a.shape == (rows.size, cols.size, period)
     assert np.abs(a - b).max() < 1e-6
+
+
+@pytest.mark.parametrize("M", [*range(2, 65), 255])
+def test_root_table_phases_equal_the_formula_to_the_bit(M):
+    # Symbols past M, and rows of 61, no multiple of a vector width, so that
+    # residues land in vector lanes and in scalar tails.
+    symbols = np.random.default_rng(M).integers(0, 3 * M, (7, 61))
+    direct = np.exp(2j * np.pi * (symbols % M) / M)
+    assert np.array_equal(root_phases(symbols, M).view(np.int64), direct.view(np.int64))
+    assert np.array_equal(PairScanner(symbols, M)._phases.view(np.int64), direct.view(np.int64))
 
 
 def test_trivial_correlation_equals_period():
