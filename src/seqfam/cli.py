@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmds[name].add_argument("--format", dest="fmt", choices=formats.split(), default="text")
     for name in ("correlate", "verify"):  # the benchmark's command lines pass --jobs to these two
         cmds[name].add_argument("--jobs", type=int,
-                                help="has no effect; a GEMM scan runs on every usable CPU")
+                                help="has no effect; scans and table passes run on every usable CPU")
     return parser
 
 

@@ -16,7 +16,7 @@ another, gets the trivial group, whose scan is the plain upper triangle.
 
 import math
 import time
-from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import InternalCheckError, ParameterError
 from .family import SequenceFamily
 from .fields import ExtensionContext, FieldContext
 from .intmath import prime_factors
-from .kernels import PairScanner, scan_blas_threads
+from .kernels import PairScanner, in_order, scan_blas_threads
 from .sequences import MSequence
 
 TOLERANCE = 1e-6
@@ -558,15 +558,12 @@ def _parallel_scan(blocks, scanner: PairScanner, reducer: _ScanReducer) -> None:
 
     This thread takes the blocks in scan order, each with its column tile's
     operand, built once per tile: a tile's blocks are adjacent and share one
-    `cols` array. A pool of scanner.threads threads, one per usable CPU for
-    the GEMM and the FFT kernel alike, runs the kernel and reducer.prepare,
-    which spend most of their time in numpy calls (a matrix product or a
-    batched transform) that release the interpreter lock. This thread keeps
-    at most threads + 1 blocks in flight and folds their results itself, in
-    block order, so the report is the serial pass's whatever the timing. An
-    error cancels the blocks not yet started and comes out once the pool has
-    stopped. With one thread (one usable CPU, or the reference kernel) the
-    blocks run here in turn, with no pool.
+    `cols` array. kernels.in_order runs the kernel and reducer.prepare on
+    scanner.threads threads (one per usable CPU for the GEMM and the FFT
+    kernel alike, one for the reference kernel), and this thread folds
+    their results in block order, so the report is the serial pass's
+    whatever the timing. An error in any stage, the fold's included, stops
+    the pool before it comes out.
     """
     def prepared(rows, cols, weights, operand) -> tuple:
         return reducer.prepare(rows, cols, weights, scanner.correlations_abs(rows, cols, operand))
@@ -578,25 +575,9 @@ def _parallel_scan(blocks, scanner: PairScanner, reducer: _ScanReducer) -> None:
                 cols, operand = block[1], scanner.operand(block[1])
             yield *block, operand
 
-    if scanner.threads == 1:
-        for block in with_operands():
-            reducer.fold(prepared(*block))
-        return
-    from concurrent.futures import ThreadPoolExecutor  # here, as it adds about 10 ms to importing seqfam
-
-    window = deque()
-    with ThreadPoolExecutor(scanner.threads) as pool:
-        try:
-            for block in with_operands():
-                window.append(pool.submit(prepared, *block))
-                if len(window) > scanner.threads:
-                    reducer.fold(window.popleft().result())
-            while window:
-                reducer.fold(window.popleft().result())
-        except BaseException:
-            for future in window:
-                future.cancel()
-            raise
+    with closing(in_order(prepared, with_operands(), scanner.threads)) as results:
+        for result in results:
+            reducer.fold(result)
 
 
 def _same_column_ok(family: SequenceFamily, phases: np.ndarray, degs: np.ndarray, sqrt_q: float) -> bool:

@@ -19,11 +19,11 @@ Two kernels compute it:
 The kernel is picked from the period alone: GEMM up to GEMM_MAX_PERIOD,
 FFT above it. Either kernel forms a block, `band` rows by one column
 tile, in one complex product of about a quarter of TILE_ELEMENTS values.
-A scan runs its blocks on a pool of one thread per usable CPU, whichever
-of the two kernels runs (see correlation._parallel_scan); OpenBLAS runs
-each product on one thread (scan_blas_threads). Measured so on 2 CPUs,
-kernels alone over the upper triangle of 768 random members, in
-microseconds per pair (wall / CPU, two runs):
+A scan runs its blocks through in_order, on one thread per usable CPU
+whichever kernel runs; OpenBLAS runs each product on one thread
+(scan_blas_threads). Measured so on 2 CPUs, kernels alone over the upper
+triangle of 768 random members, in microseconds per pair (wall / CPU,
+two runs):
 
     period   GEMM, 2 threads       FFT, 2 threads
     62       0.74-0.99 / 1.25-1.44 0.81-0.82 / 1.58-1.61
@@ -44,6 +44,7 @@ import ctypes
 import functools
 import os
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,49 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def in_order(fn, items, threads: int):
+    """fn(*item) for each item, yielded in item order, on `threads` threads.
+
+    The items run in rounds of `threads`: a pool of threads - 1 threads,
+    built for this call, runs the first threads - 1 of a round and this
+    thread the last (one pool thread fewer is one malloc arena fewer). The
+    next round goes to the pool before this round's results are yielded,
+    so at most 2 * threads - 1 items are taken beyond the one yielded; fn
+    should release the interpreter lock, as numpy calls do. The first error
+    in item order comes out once the pool has stopped, as does closing the
+    generator, and every item not yet started is cancelled. With one
+    thread the items run here in turn, with no pool.
+    """
+    if threads < 2:
+        for item in items:
+            yield fn(*item)
+        return
+    from concurrent.futures import Future, ThreadPoolExecutor  # here, as it adds about 10 ms to importing seqfam
+
+    def here(item) -> Future:
+        done = Future()
+        try:
+            done.set_result(fn(*item))
+        except Exception as error:  # an interrupt comes out at once, through the finally below
+            done.set_exception(error)
+        return done
+
+    items = iter(items)
+    pool = ThreadPoolExecutor(threads - 1)
+    try:
+        batch = list(islice(items, threads))
+        running = [pool.submit(fn, *item) for item in batch[:-1]]
+        while batch:
+            running.append(here(batch[-1]))
+            batch = list(islice(items, threads))
+            ahead = [pool.submit(fn, *item) for item in batch[:-1]]
+            for future in running:
+                yield future.result()
+            running = ahead
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 # Elements per chunk of a whole-table pass; a shorter pass runs on the caller alone.
 CHUNK = 1 << 17
 
@@ -116,50 +160,21 @@ CHUNK = 1 << 17
 def run_chunks(fn, stop: int, step: int) -> None:
     """fn(lo) for each lo in range(0, stop, step), each call writing its own slice.
 
-    With several chunks and several usable CPUs, this thread and a pool
-    built for this call run them, one thread per usable CPU in all and at
-    most one per chunk, each taking the next start in turn; the passes
-    spend their time in numpy calls that release the interpreter lock.
-    (This thread works too, as each pool thread's malloc arena keeps its
-    freed chunk temporaries.) After an error no thread starts a chunk, and
-    the first error in chunk order comes out once the pool has stopped.
-    Otherwise the calls run here in turn, with no pool.
+    The calls run through in_order on one thread per usable CPU, at most
+    one per chunk, so a pass of one chunk runs here alone.
     """
     starts = range(0, stop, step)
-    threads = min(usable_cpus(), len(starts))
-    if threads < 2:
-        for lo in starts:
-            fn(lo)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # here, as it adds about 10 ms to importing seqfam
-
-    todo, errors = iter(starts), []
-
-    def work():
-        for lo in todo:  # one start per next(), under the interpreter lock
-            if errors:
-                return
-            try:
-                fn(lo)
-            except BaseException as error:
-                errors.append((lo, error))
-
-    with ThreadPoolExecutor(threads - 1) as pool:
-        helpers = [pool.submit(work) for _ in range(threads - 1)]
-        work()
-    for helper in helpers:
-        helper.result()  # work() keeps fn's errors in `errors`; this raises any other
-    if errors:
-        raise min(errors, key=lambda item: item[0])[1]
+    for _ in in_order(fn, zip(starts), min(usable_cpus(), len(starts))):
+        pass
 
 
 @contextmanager
 def scan_blas_threads():
     """One OpenBLAS thread per caller during a scan, the old count restored after it.
 
-    A GEMM scan runs a pool thread on every usable CPU, each calling its own
-    matrix products; with more OpenBLAS threads each product would take
-    CPUs from the other pool threads, and idle OpenBLAS threads spin for a
+    A GEMM scan runs blocks on every usable CPU, each thread calling its
+    own matrix products; with more OpenBLAS threads each product would take
+    CPUs from the other scan threads, and idle OpenBLAS threads spin for a
     while before they sleep. Yields the count set, or None (changing
     nothing) where OpenBLAS is not found.
     """
@@ -197,8 +212,8 @@ class PairScanner:
         self.backend = resolve_backend(backend, self.period)
         self.M = M
         self.tile = tile_size(self.period)
-        # A scan runs its blocks on every usable CPU, one block per thread. On
-        # two, an FFT scan at period 255 took 23 MB more peak memory (README).
+        # A scan runs its blocks through in_order on every usable CPU. On two,
+        # either scan benchmark peaks about 11 MB above one CPU (README).
         self.threads = 1 if self.backend == "reference" else usable_cpus()
         # Rows per block: a block is one complex product of about a quarter of
         # TILE_ELEMENTS values, twice the size of its |R| in bytes.

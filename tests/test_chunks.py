@@ -1,9 +1,10 @@
-"""kernels.run_chunks and the whole-table passes that run through it.
+"""kernels.in_order, kernels.run_chunks and the whole-table passes that run through them.
 
-Every pass must give the table it gives on one thread, whatever the CPU
-count, at sizes one below, at and one above a chunk and over several
-chunks. The module also runs under one CPU in CI (`taskset -c 0`), where
-the unpatched calls take the serial path.
+in_order must yield in item order and stop its pool before an error, or
+the consumer's leaving, comes out. Every pass must give the table it gives
+on one thread, whatever the CPU count, at sizes one below, at and one
+above a chunk and over several chunks. The module also runs under one CPU
+in CI (`taskset -c 0`), where the unpatched calls take the serial path.
 """
 
 import concurrent.futures
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from seqfam import columns, fields, kernels
-from seqfam.kernels import CHUNK, run_chunks
+from seqfam.kernels import CHUNK, in_order, run_chunks
 
 CPU_COUNTS = (1, 2, 3)
 AROUND_A_CHUNK = (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)
@@ -25,7 +26,7 @@ AROUND_A_CHUNK = (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)
 
 @pytest.fixture
 def pools(monkeypatch) -> list:
-    """max_workers of every pool run_chunks builds during the test."""
+    """max_workers of every pool in_order builds during the test."""
     made = []
 
     class Counted(concurrent.futures.ThreadPoolExecutor):
@@ -54,6 +55,124 @@ def _on_each_cpu_count(pools, run, pooled_passes):
     for result in results[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(results[0], result))
     return results[0]
+
+
+@pytest.mark.parametrize("threads", CPU_COUNTS)
+def test_in_order_yields_in_item_order_whatever_the_timing(pools, threads):
+    delays = np.random.default_rng(threads).uniform(0.0, 0.004, 40)
+
+    def item(i):
+        time.sleep(delays[i])
+        return i, threading.get_ident()
+
+    results = list(in_order(item, zip(range(40)), threads))
+    idents = {ident for _, ident in results}
+    assert [i for i, _ in results] == list(range(40))
+    assert threading.get_ident() in idents and len(idents) <= threads  # one thread: all here
+    assert pools == ([threads - 1] if threads > 1 else [])
+
+
+@pytest.mark.parametrize("threads", CPU_COUNTS)
+def test_in_order_takes_at_most_two_rounds_less_one_item_ahead(threads):
+    taken = []
+
+    def items():
+        for i in range(20):
+            taken.append(i)
+            yield (i,)
+
+    ahead = [len(taken) - (i + 1) for i in in_order(lambda i: i, items(), threads)]
+    assert max(ahead) == (2 * threads - 1 if threads > 1 else 0)
+
+
+@pytest.mark.parametrize("threads", CPU_COUNTS)
+@pytest.mark.parametrize("failing", (0, 1, 2, 4, 5))  # pool items and the caller's, in two rounds
+def test_in_order_raises_the_first_error_once_every_started_item_has_finished(threads, failing):
+    started, finished, results = [], [], []
+
+    def item(i):
+        started.append(i)
+        time.sleep(0.005)
+        if i in (failing, failing + 1):  # the next item fails too, and may fail first
+            raise ValueError(i)
+        finished.append(i)
+        return i
+
+    with pytest.raises(ValueError, match=f"^{failing}$"):
+        for result in in_order(item, zip(range(12)), threads):
+            results.append(result)
+    begun, done = sorted(started), sorted(finished)
+    assert results == list(range(failing))
+    assert done == sorted(set(begun) - {failing, failing + 1})  # every item begun has ended
+    # No item starts after the error, and the caller's item of the next round never does.
+    assert max(begun) <= (failing // threads + 2) * threads - 2
+    time.sleep(0.02)
+    assert sorted(started) == begun
+
+
+def test_in_order_cancels_the_items_queued_when_an_error_comes_out():
+    # Three threads: item 0 fails at once while items 1 and 3 hold both pool
+    # threads, so item 4 is still queued when the error comes out, and item
+    # 5, the caller's, has not begun.
+    started = []
+
+    def item(i):
+        started.append(i)
+        if i == 0:
+            raise ValueError(i)
+        time.sleep(0.1 if i in (1, 3) else 0.0)
+
+    with pytest.raises(ValueError, match="^0$"):
+        list(in_order(item, zip(range(9)), 3))
+    assert sorted(started) == [0, 1, 2, 3]
+
+
+def test_in_order_lets_an_interrupt_on_the_caller_out_at_once():
+    # Item 0, on the pool, fails later in time but first in item order; an
+    # interrupt in item 1, the caller's, still comes out, once item 0 has ended.
+    finished = []
+
+    def item(i):
+        if i == 1:
+            raise KeyboardInterrupt
+        time.sleep(0.02)
+        finished.append(i)
+        raise ValueError(i)
+
+    with pytest.raises(KeyboardInterrupt):
+        list(in_order(item, zip(range(4)), 2))
+    assert finished == [0]
+
+
+@pytest.mark.parametrize("threads", CPU_COUNTS)
+def test_in_order_stops_its_pool_when_the_consumer_stops_early(threads):
+    before, started = threading.active_count(), []
+
+    def item(i):
+        started.append(i)
+        time.sleep(0.005)
+        return i
+
+    results = in_order(item, zip(range(100)), threads)
+    assert next(results) == 0
+    results.close()
+    assert threading.active_count() == before  # closed while `results` still refers to it
+    begun = len(started)
+    time.sleep(0.02)
+    assert len(started) == begun <= 2 * threads - 1
+
+
+@pytest.mark.parametrize("threads", (2, 3))
+def test_in_order_runs_the_calling_thread_beside_the_pool(pools, threads):
+    barrier = threading.Barrier(threads, timeout=30)
+
+    def item(i):
+        barrier.wait()  # passes only once an item runs on every thread at once
+        return threading.get_ident()
+
+    idents = list(in_order(item, zip(range(2 * threads)), threads))
+    assert pools == [threads - 1] and len(set(idents)) == threads
+    assert idents[threads - 1] == idents[-1] == threading.get_ident()  # the last item of each round
 
 
 @pytest.mark.parametrize("cpus", CPU_COUNTS)

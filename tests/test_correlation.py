@@ -992,6 +992,41 @@ def test_folds_run_in_block_order_whatever_the_timing(monkeypatch):
         assert threaded.histogram.result() == serial.histogram.result()
 
 
+def test_a_fold_error_stops_the_pool_before_it_comes_out(monkeypatch):
+    # The scan's result generator is kept alive here, as a traceback or a
+    # runtime without reference counting could keep it: only closing it
+    # stops the pool.
+    kept = []
+
+    def in_order(*args):
+        kept.append(kernels.in_order(*args))
+        return kept[-1]
+
+    class Scanner:
+        threads = 3
+
+        def operand(self, cols):
+            return None
+
+        def correlations_abs(self, rows, cols, operand):
+            time.sleep(0.005)
+            return rows
+
+    class Reducer:
+        def prepare(self, rows, cols, weights, vals):
+            return int(vals[0])
+
+        def fold(self, block):
+            if block == 4:
+                raise RuntimeError("fold failed")
+
+    monkeypatch.setattr(correlation, "in_order", in_order)
+    before, cols = threading.active_count(), np.arange(2)
+    with pytest.raises(RuntimeError, match="fold failed"):
+        correlation._parallel_scan(((np.array([i]), cols, None) for i in range(30)), Scanner(), Reducer())
+    assert kept and threading.active_count() == before
+
+
 @pytest.mark.parametrize("stage", ["kernel", "reducer", "fold"])
 def test_an_error_in_either_stage_comes_out_of_the_scan(fam16_m5, monkeypatch, short_switch_interval, stage):
     # 3 threads on 72 blocks. The 1st, then the 3rd call of the stage
@@ -1032,6 +1067,6 @@ def test_an_error_in_either_stage_comes_out_of_the_scan(fam16_m5, monkeypatch, s
             _within(lambda: max_correlation(fam16_m5))
         assert (threading.active_count(), kernels.blas_threads()) == before
         assert set(calls) == {during}
-        # The caller holds at most threads + 1 blocks in flight, and stops
-        # taking blocks once it meets the error.
+        # The caller takes at most one round of threads blocks after the
+        # failing call, and stops taking blocks once it meets the error.
         assert len(taken) <= failed_at[0] + 4 < 72
