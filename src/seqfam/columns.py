@@ -42,36 +42,41 @@ def coset(l: int, modulus: int, q: int) -> CyclotomicCoset:
     return CyclotomicCoset(modulus, min(members), tuple(members))
 
 
-def coset_minima(modulus: int, q: int) -> np.ndarray:
-    """Smallest member of the q-cyclotomic coset of each index mod modulus.
+def coset_leaders(modulus: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Representatives of the q-cyclotomic cosets mod modulus, ascending, and the coset sizes.
 
-    Works in place in int32 while every product index * q stays below 2**31,
-    which the default table cap guarantees, and in int64 above that, one
-    chunk of indices at a time.
+    Candidate elimination, one chunk of indices at a time: each pass
+    multiplies the surviving indices' images by q once more and keeps an
+    index only while its image is not smaller, so after ord(q) - 1 passes
+    only the orbit minima are left, and the passes shrink as they go. One
+    orbit walk over the leaders then gives each its coset size. Works in
+    int32 while every product image * q stays below 2**31, which the
+    default table cap guarantees, and in int64 above that. The chunks run
+    through kernels.run_chunks.
     """
     order, power = 1, q % modulus
     while power != 1 % modulus:
         order, power = order + 1, power * q % modulus
-    reps = np.empty(modulus, dtype=np.int32 if modulus * q < 1 << 31 else np.int64)
+    dtype = np.int32 if modulus * q < 1 << 31 else np.int64
 
     def chunk(lo):
-        mins = reps[lo : lo + CHUNK]
-        mins[:] = np.arange(lo, lo + mins.size)
-        cur = mins.copy()
+        leaders = np.arange(lo, min(lo + CHUNK, modulus), dtype=dtype)
+        image = leaders.copy()
         for _ in range(order - 1):
-            cur *= q
-            cur %= modulus
-            np.minimum(mins, cur, out=mins)
+            image *= q
+            image %= modulus
+            keep = image >= leaders
+            leaders, image = leaders[keep], image[keep]
+        image[:] = leaders
+        sizes = np.full(leaders.size, order, dtype=np.int64)
+        for k in range(1, order):  # image walks each leader's orbit from the leader
+            image *= q
+            image %= modulus
+            sizes[(image == leaders) & (sizes == order)] = k
+        return leaders, sizes
 
-    run_chunks(chunk, modulus, CHUNK)
-    return reps
-
-
-def coset_leaders(modulus: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Representatives of the q-cyclotomic cosets mod modulus, ascending, and the coset sizes."""
-    minima = coset_minima(modulus, q)
-    reps = np.flatnonzero(minima == np.arange(modulus, dtype=minima.dtype))
-    return reps, np.bincount(minima, minlength=modulus)[reps]
+    leaders, sizes = zip(*run_chunks(chunk, modulus, CHUNK))
+    return np.concatenate(leaders).astype(np.int64), np.concatenate(sizes)
 
 
 def column_symbols(ext: ExtensionContext, l, M: int) -> np.ndarray:
@@ -123,16 +128,18 @@ def root_products(ext: ExtensionContext, exponents) -> np.ndarray:
     factor: c * alpha**e is read as exp[log(c) + e], and the coefficients
     shift up by one. The exponents are kept in [-n, 0), n = q**d - 1, so
     the index lies in [-n, n) and a negative one reads exp from the end,
-    which is the wrap mod n. The chunks run through kernels.run_chunks,
-    each writing its own rows of the result.
+    which is the wrap mod n; each chunk reduces its own rows. The chunks
+    run through kernels.run_chunks, each writing its own rows of the result.
     """
     n = ext.size - 1
-    exponents = np.asarray(exponents, dtype=np.int64) % n - n
+    exponents = np.asarray(exponents, dtype=np.int64)
     rows, s = exponents.shape
     out = np.empty((rows, s + 1), dtype=np.int64)
 
     def chunk(lo):
         e = np.ascontiguousarray(exponents[lo : lo + _ROWS].T)
+        e %= n
+        e -= n
         coeff = np.zeros((s + 1, e.shape[1]), dtype=np.int64)  # row j: the coefficients of x**j
         coeff[0] = 1
         for k in range(s):

@@ -284,14 +284,17 @@ def _poly_mul_vec(ctx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+_FACTOR_ROWS = 1 << 14  # factor rows built together, four row chunks of root_products
+
+
 def cyclotomic_factors(ext: ExtensionContext, deep: bool = False) -> list[tuple[int, ...]]:
     """Monic irreducible factors of x**m - 1 over GF(q), m = (q**d-1)/(q-1).
 
     Each factor is multiplied out from the root orbit of one q-cyclotomic
-    coset of exponents of the order-m root of unity alpha**(q-1). The
-    construction checks that every factor is monic with base-field
-    coefficients, that factors are pairwise distinct, and that degrees sum
-    to m. With deep=True it also tests each factor for irreducibility and
+    coset of exponents of the order-m root of unity alpha**(q-1), one
+    chunk of rows of a coset-size group at a time. The construction checks
+    that every factor is monic with base-field coefficients, that factors
+    are pairwise distinct, and that degrees sum to m. With deep=True it also tests each factor for irreducibility and
     multiplies all factors back together (quadratic cost; intended for
     small m).
     """
@@ -303,19 +306,26 @@ def cyclotomic_factors(ext: ExtensionContext, deep: bool = False) -> list[tuple[
     ordered: list[tuple[int, ...]] = [()] * reps.size
     for s in np.unique(sizes).tolist():
         sel = np.flatnonzero(sizes == s)
-        # rep * q**i mod m, every product below m**2
-        members = reps[sel, None] * np.array([pow(q, i, m) for i in range(s)]) % m
-        # x - alpha**((q-1)*e) = x + alpha**((q-1)*e + log(-1))
-        coeff = root_products(ext, (q - 1) * members + log_minus_one)
-        if np.any(coeff[:, s] != 1):
-            raise InternalCheckError("orbit factor is not monic")
-        if coeff.max() >= q:
-            raise InternalCheckError("orbit factor has coefficients outside the base field")
-        for k, row in zip(sel.tolist(), map(tuple, coeff.tolist())):
-            ordered[k] = row
-
-    if len(set(ordered)) != len(ordered):
-        raise InternalCheckError("orbit factors are not pairwise distinct")
+        powers = np.array([pow(q, i, m) for i in range(s)])
+        digits = q ** np.arange(s, dtype=np.int64)
+        keys = np.empty(sel.size, dtype=np.int64)
+        for lo in range(0, sel.size, _FACTOR_ROWS):
+            rows = sel[lo : lo + _FACTOR_ROWS]
+            members = reps[rows, None] * powers % m  # rep * q**i mod m, every product below m**2
+            # x - alpha**((q-1)*e) = x + alpha**((q-1)*e + log(-1))
+            members *= q - 1
+            members += log_minus_one
+            coeff = root_products(ext, members)
+            if np.any(coeff[:, s] != 1):
+                raise InternalCheckError("orbit factor is not monic")
+            if coeff.max() >= q:
+                raise InternalCheckError("orbit factor has coefficients outside the base field")
+            # the s low coefficients in base q: distinct keys are distinct monic factors, as q**s <= q**d
+            keys[lo : lo + rows.size] = coeff[:, :s] @ digits
+            for k, row in zip(rows.tolist(), zip(*coeff.T.tolist())):
+                ordered[k] = row
+        if np.unique(keys).size != keys.size:  # factors of different degrees differ anyway
+            raise InternalCheckError("orbit factors are not pairwise distinct")
     if sum(map(len, ordered)) - len(ordered) != m:
         raise InternalCheckError("factor degrees do not sum to m")
 

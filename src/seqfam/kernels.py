@@ -157,15 +157,14 @@ def in_order(fn, items, threads: int):
 CHUNK = 1 << 17
 
 
-def run_chunks(fn, stop: int, step: int) -> None:
-    """fn(lo) for each lo in range(0, stop, step), each call writing its own slice.
+def run_chunks(fn, stop: int, step: int) -> list:
+    """[fn(lo) for lo in range(0, stop, step)], each call writing its own slice or returning its part.
 
     The calls run through in_order on one thread per usable CPU, at most
     one per chunk, so a pass of one chunk runs here alone.
     """
     starts = range(0, stop, step)
-    for _ in in_order(fn, zip(starts), min(usable_cpus(), len(starts))):
-        pass
+    return list(in_order(fn, zip(starts), min(usable_cpus(), len(starts))))
 
 
 @contextmanager

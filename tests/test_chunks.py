@@ -271,9 +271,11 @@ def test_root_products_on_each_cpu_count(pools, gf256, rows):
     ],
 )
 def test_coset_minima_on_each_cpu_count(pools, modulus, q):
-    (minima,) = _on_each_cpu_count(pools, lambda: (columns.coset_minima(modulus, q),), int(modulus > CHUNK))
-    sample = np.r_[0:3, CHUNK - 2 : min(CHUNK + 2, modulus), modulus - 3 : modulus]
-    assert [int(minima[l]) for l in sample] == [columns.coset(int(l), modulus, q).representative for l in sample]
+    reps, sizes = _on_each_cpu_count(pools, lambda: columns.coset_leaders(modulus, q), int(modulus > CHUNK))
+    assert sizes.sum() == modulus
+    orbits = [columns.coset(int(l), modulus, q) for l in np.r_[0:3, CHUNK - 2 : min(CHUNK + 2, modulus), modulus - 3 : modulus]]
+    at = np.searchsorted(reps, [c.representative for c in orbits])
+    assert [(int(reps[i]), int(sizes[i])) for i in at] == [(c.representative, c.size) for c in orbits]
 
 
 def _doubling_rounds(n: int) -> list[int]:

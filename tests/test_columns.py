@@ -13,7 +13,7 @@ from seqfam.columns import (
     column_sequence,
     column_symbols,
     coset,
-    coset_minima,
+    coset_leaders,
     frobenius_poly,
     root_products,
     shifted_column_polynomial,
@@ -42,13 +42,18 @@ def test_coset_pairs_for_degree_two():
 
 @pytest.mark.parametrize("modulus", [(1 << 20) - 1, (1 << 20) + 1])
 def test_coset_minima_around_the_int32_switch(modulus):
-    # modulus * 2048 is just below 2**31 for the first modulus and just above it for the second
+    # coset_leaders works in int32 while modulus * q < 2**31: modulus * 2048 is
+    # just below 2**31 for the first modulus and just above it for the second
     q = 2048
-    minima = coset_minima(modulus, q)
-    assert minima.dtype == (np.int32 if modulus * q < 1 << 31 else np.int64)
+    reps, sizes = coset_leaders(modulus, q)
+    assert reps.dtype == sizes.dtype == np.int64
+    assert np.all(np.diff(reps) > 0) and sizes.sum() == modulus
     rng = np.random.default_rng(6)
     sample = np.r_[0, 1, rng.integers(0, modulus, 200), modulus - 200 : modulus]
-    assert [int(minima[l]) for l in sample] == [coset(int(l), modulus, q).representative for l in sample]
+    orbits = [coset(int(l), modulus, q) for l in sample]
+    at = np.searchsorted(reps, [c.representative for c in orbits])
+    assert reps[at].tolist() == [c.representative for c in orbits]
+    assert sizes[at].tolist() == [c.size for c in orbits]
 
 
 @pytest.mark.parametrize("M", [2, 4])

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from seqfam import polys
+from seqfam import columns, counting, kernels, polys
 from seqfam.counting import (
     _operation_tables,
     _reducible_mask,
@@ -23,7 +24,7 @@ from seqfam.counting import (
     lambda_size_parts,
     yucas_count,
 )
-from seqfam.errors import ParameterError, TableLimitError
+from seqfam.errors import InternalCheckError, ParameterError, TableLimitError
 from seqfam.family import coset_representatives
 from seqfam.fields import build_field
 from seqfam.intmath import as_prime_power
@@ -151,6 +152,93 @@ def test_cyclotomic_factors_golden(built, p, n, d):
     factors = cyclotomic_factors(built(p, n, d))
     digest = hashlib.sha256(json.dumps([list(f) for f in factors]).encode()).hexdigest()
     assert (len(factors), digest) == GOLDEN_FACTORS[(p, n, d)]
+
+
+@pytest.mark.parametrize("p, n, d, rows", [(2, 5, 4, 1000), (3, 2, 3, 1)])
+def test_cyclotomic_factors_golden_in_small_row_chunks(monkeypatch, built, p, n, d, rows):
+    calls = []
+    monkeypatch.setattr(counting, "root_products", lambda *args: calls.append(1) or columns.root_products(*args))
+    monkeypatch.setattr(counting, "_FACTOR_ROWS", rows)
+    factors = cyclotomic_factors(built(p, n, d))
+    digest = hashlib.sha256(json.dumps([list(f) for f in factors]).encode()).hexdigest()
+    assert (len(factors), digest) == GOLDEN_FACTORS[(p, n, d)]
+    group_rows = np.bincount(columns.coset_leaders(built(p, n, d).norm_ratio, p**n)[1])
+    assert len(calls) == sum(-(-n // rows) for n in group_rows) > np.count_nonzero(group_rows)
+
+
+def _first_chunks_edited(monkeypatch, edit):
+    """cyclotomic_factors in chunks of 16 rows, edit(coeff, earlier) applied to its fourth root_products result.
+
+    Over GF(4) -> 4**5 (m = 341) the first call is the coset of 0 and the
+    next five are the 68 factors of degree 5, in chunks of 16, 16, 16, 16
+    and 4; earlier is the list of the results before.
+    """
+    calls = []
+
+    def products(ext, exponents):
+        coeff = columns.root_products(ext, exponents)
+        if len(calls) == 3:
+            edit(coeff, calls)
+        calls.append(coeff)
+        return coeff
+
+    monkeypatch.setattr(counting, "root_products", products)
+    monkeypatch.setattr(counting, "_FACTOR_ROWS", 16)
+
+
+def _non_monic(coeff, earlier):
+    coeff[3, -1] = 0
+
+
+def _coefficient_q(coeff, earlier):
+    coeff[3, 0] = 4
+
+
+def _duplicate_in_a_chunk(coeff, earlier):
+    coeff[3] = coeff[4]
+
+
+def _duplicate_across_chunks(coeff, earlier):
+    coeff[0] = earlier[2][-1]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_non_monic, "not monic"),
+        (_coefficient_q, "outside the base field"),
+        (_duplicate_in_a_chunk, "not pairwise distinct"),
+        (_duplicate_across_chunks, "not pairwise distinct"),
+    ],
+    ids=["non-monic", "coefficient-q", "duplicate-in-a-chunk", "duplicate-across-chunks"],
+)
+def test_cyclotomic_factors_checks_fire_in_chunks(monkeypatch, built, edit, message):
+    _first_chunks_edited(monkeypatch, edit)
+    with pytest.raises(InternalCheckError, match=message):
+        cyclotomic_factors(built(2, 2, 5))
+
+
+def test_cyclotomic_factors_checks_the_degree_sum(monkeypatch, built):
+    monkeypatch.setattr(counting, "coset_leaders", lambda m, q: tuple(a[:-1] for a in columns.coset_leaders(m, q)))
+    with pytest.raises(InternalCheckError, match="do not sum to m"):
+        cyclotomic_factors(built(2, 2, 5))
+
+
+def test_factor_lists_and_coset_leaders_trace_in_bounded_memory(built):
+    # GF(2) -> 2**20 on two CPUs: 42.9 and 20.4 MiB traced when the factor
+    # lists were built a whole coset-size group at a time and the leaders
+    # from a full table of orbit minima; 22.3-22.5 and 4.4-4.9 MiB in chunks.
+    ext = built(2, 1, 20)
+    peaks = []
+    with mock.patch.object(kernels, "usable_cpus", lambda: 2):
+        for call in (lambda: cyclotomic_factors(ext), lambda: coset_representatives(2, 20)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+    assert peaks[0] < 26 and peaks[1] < 6, peaks
 
 
 def test_oversized_order_is_refused_before_factoring():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from seqfam.family import (
 )
 from seqfam.fields import build_extension, build_field
 from seqfam.intmath import iter_prime_powers
+from seqfam.kernels import CHUNK
 
 
 def test_coset_representatives_small():
@@ -46,6 +48,31 @@ def test_coset_representatives_and_sizes_match_orbit_enumeration():
         reps, sizes = coset_leaders(m, q)
         assert coset_representatives(q, d) == reps.tolist() == sorted(orbits), (q, d)
         assert sizes.tolist() == [orbits[r] for r in reps.tolist()], (q, d)
+
+
+def _orbits(m: int, q: int) -> dict[int, int]:
+    """{representative: size} of every q-cyclotomic coset mod m, walked one coset() at a time."""
+    seen, orbits = bytearray(m), {}
+    for l in range(m):
+        if not seen[l]:
+            c = coset(l, m, q)
+            orbits[c.representative] = c.size
+            for member in c.members:
+                seen[member] = 1
+    return orbits
+
+
+# m = 1; q = 1 (729 mod 7 and mod 13) and q = -1 (16 mod 255); composite m; and
+# CHUNK + 5 = 23 * 41 * 139, two chunks, where 2 has order 15,180
+@pytest.mark.parametrize(
+    "m, q",
+    [(m, q) for m in (1, 2, 7, 13, 21, 255, 1001, CHUNK + 5) for q in (2, 3, 5, 4, 16, 729) if math.gcd(m, q) == 1],
+)
+def test_coset_leaders_match_coset_walks(m, q):
+    orbits = _orbits(m, q)
+    reps, sizes = coset_leaders(m, q)
+    assert reps.tolist() == sorted(orbits)
+    assert sizes.tolist() == [orbits[r] for r in reps.tolist()]
 
 
 def test_check_restrictions_examples():
