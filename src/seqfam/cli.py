@@ -4,7 +4,7 @@ Subcommands: generate (sequences in the export format), family (manifest
 plus payload), correlate (exhaustive scan report), count (size report or
 sweep table), verify (the full per-parameter-set verification suite).
 Exit codes: 0 success, 1 verification failure, 2 parameter/usage error
-(including an --out path that cannot be written).
+(including an --out path that cannot be written, and running out of memory).
 """
 
 import argparse
@@ -14,7 +14,7 @@ import sys
 from .correlation import max_correlation
 from .counting import asymptotic_size, count_report, lambda_size_formula
 from .errors import InternalCheckError, ParameterError, SeqfamError
-from .family import SequenceFamily, build_family, check_family_parameters
+from .family import POLICIES, SequenceFamily, build_family, check_family_parameters
 from .fields import build_extension, build_field, check_extension, check_field_order, table_limit
 from .sequences import check_alphabet, format_sequence, sidelnikov_sequence, sidelnikov_sequence_ext
 from .columns import column_sequence
@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmds["generate"].add_argument("--column", type=int, help="column index (needs --d)")
     cmds["generate"].add_argument("--tau", type=int, help="cyclic shift applied to the sequence")
     for name in ("family", "correlate", "verify"):
-        cmds[name].add_argument("--policy", choices=("strict", "relaxed-d2"), default="strict")
+        cmds[name].add_argument("--policy", choices=POLICIES, default="strict")
     for name, formats in (("correlate", "json csv text"), ("count", "json csv text"), ("verify", "json text")):
         cmds[name].add_argument("--format", dest="fmt", choices=formats.split(), default="text")
     for name in ("correlate", "verify"):  # the benchmark's command lines pass --jobs to these two
@@ -221,6 +221,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy's message names the size asked for
+        print(f"error: out of memory in {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalCheckError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -559,8 +559,7 @@ def _parallel_scan(blocks, scanner: PairScanner, reducer: _ScanReducer) -> None:
     This thread takes the blocks in scan order, each with its column tile's
     operand, built once per tile: a tile's blocks are adjacent and share one
     `cols` array. kernels.in_order runs the kernel and reducer.prepare on
-    scanner.threads threads (one per usable CPU for the GEMM and the FFT
-    kernel alike, one for the reference kernel), and this thread folds
+    scanner.threads threads, one per usable CPU, and this thread folds
     their results in block order, so the report is the serial pass's
     whatever the timing. An error in any stage, the fold's included, stops
     the pool before it comes out.

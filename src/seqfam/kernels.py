@@ -35,9 +35,9 @@ The two are about even in wall time at period 62, and FFT is ahead from
 period 80 on, at half the CPU time or less. The boundary stays where it was
 set when FFT ran on one thread (even at 80), so each period keeps its
 kernel and its values their last bits; the tests pin a GEMM report at
-periods 63 and 80, which a move would change. A slow pure-Python
-"reference" path, run on the calling thread alone, is the independent
-oracle for tests at tiny sizes.
+periods 63 and 80, which a move would change. The tests check both
+kernels against correlation.cross_correlation, a direct sum over the
+symbols that shares no code with them.
 """
 
 import ctypes
@@ -58,7 +58,7 @@ COMPILED_AVAILABLE = False
 GEMM_MAX_PERIOD = 80
 # A tile holds about this many |R| values: tile**2 * period <= TILE_ELEMENTS.
 TILE_ELEMENTS = 1 << 20
-BACKENDS = ("gemm", "fft", "reference")
+BACKENDS = ("gemm", "fft")
 
 
 def default_backend(period: int | None = None) -> str:
@@ -213,7 +213,7 @@ class PairScanner:
         self.tile = tile_size(self.period)
         # A scan runs its blocks through in_order on every usable CPU. On two,
         # either scan benchmark peaks about 11 MB above one CPU (README).
-        self.threads = 1 if self.backend == "reference" else usable_cpus()
+        self.threads = usable_cpus()
         # Rows per block: a block is one complex product of about a quarter of
         # TILE_ELEMENTS values, twice the size of its |R| in bytes.
         self.band = max(1, TILE_ELEMENTS // (4 * self.tile * self.period))
@@ -221,11 +221,9 @@ class PairScanner:
         if self.backend == "fft":
             self._spectra = np.fft.fft(self._phases, axis=1)
 
-    def operand(self, cols) -> np.ndarray | None:
-        """What column tile `cols` contributes to every block it meets: Circ(conj A), conj F, or None (reference)."""
+    def operand(self, cols) -> np.ndarray:
+        """What column tile `cols` contributes to every block it meets: Circ(conj A) or conj F."""
         cols = np.asarray(cols, dtype=np.int64)
-        if self.backend == "reference":
-            return None
         if self.backend == "fft":
             return np.conj(self._spectra[cols])
         period = self.period
@@ -240,20 +238,9 @@ class PairScanner:
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        if self.backend == "reference":
-            return self._reference(rows, cols)
         if operand is None:
             operand = self.operand(cols)
         if self.backend == "gemm":
             return np.abs(self._phases[rows] @ operand).reshape(rows.size, cols.size, self.period)
         spectra = self._spectra[rows][:, None, :] * operand[None, :, :]
         return np.abs(np.fft.fft(spectra, axis=2, norm="forward", out=spectra))
-
-    def _reference(self, rows, cols) -> np.ndarray:
-        out = np.empty((rows.size, cols.size, self.period), dtype=np.float64)
-        for a, i in enumerate(rows):
-            for b, j in enumerate(cols):
-                for tau in range(self.period):
-                    prod = self._phases[i] * np.conj(np.roll(self._phases[j], -tau))
-                    out[a, b, tau] = abs(prod.sum())
-        return out

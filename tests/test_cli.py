@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from unittest import mock
 import pytest
 
 import seqfam
+from seqfam import cli, errors
 from seqfam.cli import _build_parser, main
 from seqfam.correlation import max_correlation
 
@@ -342,3 +344,76 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert target.read_text().splitlines()[1] == "1,3,0,2"
+
+
+def test_correlate_text(capsys, fam16_m5):
+    code, out, _ = run(capsys, "correlate", *BASE.split())
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 6
+    assert lines[:5] == [
+        "family q=16 d=2 M=5 policy=strict: 32 sequences",
+        "delta_max = 10.207522 (bound 13.000000) OK",
+        "per-pair bounds: OK",
+        "cyclically inequivalent: True",
+        f"histogram bins: {len(max_correlation(fam16_m5).histogram)} at resolution 1e-06",
+    ]
+    assert lines[5].startswith("backend: gemm, elapsed ")
+
+
+def test_verify_text(capsys):
+    code, out, _ = run(capsys, "verify", *BASE.split())
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0] == "verification for q=16 (p=2, n=4), d=2, M=5, policy=strict"
+    assert len(lines) > 2 and all(line.startswith("PASS  ") for line in lines[1:-1])
+    assert lines[-1].startswith("overall: PASS in ")
+
+
+def test_family_to_stdout(capsys):
+    code, out, _ = run(capsys, "family", *BASE.split())
+    assert code == 0
+    manifest, payload = out.split("\n}\n")
+    assert json.loads(manifest + "}")["size"] == 32
+    lines = payload.splitlines()
+    assert len(lines) == 64 and lines[0] == "# q=16 d=2 M=5 l=1 c=1"
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (errors.InternalCheckError("factor product is not x**m - 1"),
+         "internal consistency failure: factor product is not x**m - 1\n"),
+        (errors.SeqfamError("something else"), "error: something else\n"),
+    ],
+    ids=["internal-check", "other"],
+)
+def test_errors_that_are_not_bad_input_exit_1(capsys, error, message):
+    with mock.patch.dict(cli._COMMANDS, {"count": mock.Mock(side_effect=error)}):
+        assert run(capsys, "count", *BASE.split()) == (1, "", message)
+
+
+def test_out_of_memory_exits_2(capsys):
+    oom = MemoryError("Unable to allocate 128. MiB for an array with shape (16777215,) and data type int64")
+    with mock.patch("seqfam.cli.build_field", side_effect=oom):
+        code, out, err = run(capsys, "generate", "--p", "2", "--n", "12", "--d", "2", "--M", "3", "--column", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: out of memory in generate: {oom}\n"
+
+
+def test_out_of_memory_under_an_address_space_cap_exits_2():
+    # The cap is the child's own import peak plus 64 MiB, set in that child alone; GF(2**24)'s
+    # exp table takes 128 MiB.
+    env = {**os.environ, "PYTHONPATH": str(Path(seqfam.__file__).resolve().parent.parent)}
+    env.pop("SEQFAM_TABLE_LIMIT", None)
+    peak = "import seqfam.cli; print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmPeak:')))"
+    baseline = int(subprocess.run([sys.executable, "-c", peak], env=env, capture_output=True, text=True,
+                                  check=True, timeout=CLI_TIMEOUT).stdout) * 1024
+    cap = baseline + (64 << 20)
+    done = subprocess.run(
+        [sys.executable, "-m", "seqfam.cli", *"generate --p 2 --n 12 --d 2 --M 3 --column 1".split()],
+        env=env, capture_output=True, text=True, timeout=CLI_TIMEOUT,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: out of memory in generate: Unable to allocate 128. MiB")
+    assert "Traceback" not in done.stderr

@@ -224,6 +224,28 @@ def test_cyclotomic_factors_checks_the_degree_sum(monkeypatch, built):
         cyclotomic_factors(built(2, 2, 5))
 
 
+def _mul_off_by_one(ctx, a, b, real=polys.mul):
+    product = real(ctx, a, b)
+    return (ctx.add(product[0], 1), *product[1:])
+
+
+@pytest.mark.parametrize(
+    "patches, message",
+    [
+        ({"is_irreducible": lambda ctx, f: False}, "is reducible"),
+        ({"is_irreducible": lambda ctx, f: True, "mul": _mul_off_by_one}, "not x\\*\\*m - 1"),
+    ],
+    ids=["reducible", "product"],
+)
+def test_cyclotomic_factors_deep_checks_fire(monkeypatch, built, patches, message):
+    ext = built(5, 1, 2)  # m = 6: x - 1, x + 1 and two quadratics
+    cyclotomic_factors(ext, deep=True)
+    for name, fn in patches.items():
+        monkeypatch.setattr(polys, name, fn)
+    with pytest.raises(InternalCheckError, match=message):
+        cyclotomic_factors(ext, deep=True)
+
+
 def test_factor_lists_and_coset_leaders_trace_in_bounded_memory(built):
     # GF(2) -> 2**20 on two CPUs: 42.9 and 20.4 MiB traced when the factor
     # lists were built a whole coset-size group at a time and the leaders

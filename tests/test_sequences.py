@@ -171,6 +171,12 @@ def test_read_sequences_rejects_malformed_input(text, message):
         read_sequences(io.StringIO(text))
 
 
+def test_read_sequences_skips_blank_lines():
+    text = "\n# q=16 d=2 M=5 l=3 c=1\n\n0,1,2\n  \n# q=16 d=2 M=5 l=4 c=2\n4,3\n\n"
+    back = read_sequences(io.StringIO(text))
+    assert [(s.l, s.c, s.symbols.tolist()) for s in back] == [(3, 1, [0, 1, 2]), (4, 2, [4, 3])]
+
+
 def test_msequence_validation():
     with pytest.raises(ParameterError):
         MSequence(np.array([0, 1, 5]), 3, 4, "column", 5)
