@@ -4,7 +4,8 @@ Subcommands: generate (sequences in the export format), family (manifest
 plus payload), correlate (exhaustive scan report), count (size report or
 sweep table), verify (the full per-parameter-set verification suite).
 Exit codes: 0 success, 1 verification failure, 2 parameter/usage error
-(including an --out path that cannot be written, and running out of memory).
+(including an --out path that cannot be written, running out of memory,
+and a worker thread that cannot be started).
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 
 from .correlation import max_correlation
 from .counting import asymptotic_size, count_report, lambda_size_formula
-from .errors import InternalCheckError, ParameterError, SeqfamError
+from .errors import InternalCheckError, ParameterError, SeqfamError, ThreadStartError
 from .family import POLICIES, SequenceFamily, build_family, check_family_parameters
 from .fields import build_extension, build_field, check_extension, check_field_order, table_limit
 from .sequences import check_alphabet, format_sequence, sidelnikov_sequence, sidelnikov_sequence_ext
@@ -219,7 +220,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (ParameterError, OSError) as exc:
+    except (ParameterError, ThreadStartError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # numpy's message names the size asked for

@@ -615,6 +615,8 @@ def max_correlation(
     (c1, l1, c2, l2, tau) in member order and capped at WITNESS_CAP entries.
     The members' least-rotation keys serve both the symmetry search and the
     cyclic-inequivalence verdict, which equals cyclic_inequivalence(family).
+    The histogram's counts must add up to P * N(N+1)/2 - N, at either
+    resolution, or InternalCheckError is raised.
     """
     if family.size < 1:
         raise ParameterError("family is empty")
@@ -640,6 +642,8 @@ def max_correlation(
     bound = (2 * family.d - 1) * sqrt_q + 1.0
     inequivalent, witness = _shift_witness(family.sequences, shared)
     counts = reducer.histogram.result()  # the last merge decides the resolution
+    if sum(counts.values()) != period * n * (n + 1) // 2 - n:  # every pair at every shift, less the n trivial ones
+        raise InternalCheckError("histogram total is not P * N(N+1)/2 - N")
     delta_max = reducer.delta_max
     # The group keeps degrees and the pair swap keeps their sum: the bound of the scanned hit.
     i, j, tau, value = reducer.violations
@@ -764,15 +768,27 @@ def empirical_character_sum(ctx: FieldContext, M: int, terms) -> complex:
     """
     if (ctx.q - 1) % M != 0:
         raise ParameterError("M must divide q-1")
-    xs = np.arange(ctx.q, dtype=np.int64)
-    total = np.zeros(ctx.q, dtype=np.int64)
-    for poly, power, coeff in terms:
+    terms = list(terms)
+    for _, power, coeff in terms:
         if power % M == 0:
             raise ParameterError("characters must be nontrivial")
         if coeff == 0:
             raise ParameterError("polynomial coefficients must be nonzero")
+    return _character_sum(ctx, M, 0, [(poly, power % M, coeff) for poly, power, coeff in terms])
+
+
+def _character_sum(ctx: FieldContext, M: int, phase: int, terms) -> complex:
+    """Sum over x in ctx of w**(phase + the sum of power * log(coeff * poly(x))), w = exp(2j*pi/M).
+
+    terms holds (poly, power, coeff) with 0 <= power < M; log(0) = 0. The
+    exponents are summed in int64: power * log, with the log read from the
+    int32 table, passes 2**31 once M * q does (M = 65535 at q = 2**16).
+    """
+    xs = np.arange(ctx.q, dtype=np.int64)
+    total = np.full(ctx.q, phase, dtype=np.int64)
+    for poly, power, coeff in terms:
         vals = ctx.mul_arr(np.int64(coeff), polys.eval_arr(ctx, poly, xs))
-        total += (power % M) * ctx.log[vals]
+        total += power * ctx.log[vals].astype(np.int64)
     return complex(np.exp(2j * np.pi * (total % M) / M).sum())
 
 
@@ -786,16 +802,11 @@ def correlation_via_character_sum(
     minus the zero-term bookkeeping contribution. Must match the direct
     symbol-domain computation to floating-point accuracy.
     """
-    base, d, q = ext.base, ext.d, ext.q
+    base, d = ext.base, ext.d
     cp1 = column_polynomial(ext, l1)
     shifted = shifted_column_polynomial(ext, l2, tau)
 
     k1 = (c1 * (d // cp1.min_poly_degree)) % M
     k2 = (-c2 * (d // (len(shifted) - 1))) % M
     phase0 = (c1 * l1 - c2 * l2 - c2 * d * tau) % M
-    xs = np.arange(q, dtype=np.int64)
-    logs1 = base.log[polys.eval_arr(base, cp1.min_poly, xs)]
-    logs2 = base.log[polys.eval_arr(base, shifted, xs)]
-    total = phase0 + k1 * logs1 + k2 * logs2
-    inner = np.exp(2j * np.pi * (total % M) / M).sum()
-    return complex(inner - 1.0)
+    return _character_sum(base, M, phase0, [(cp1.min_poly, k1, 1), (shifted, k2, 1)]) - 1.0

@@ -13,5 +13,9 @@ class TableLimitError(ParameterError):
     """Requested field exceeds the configured log-table size cap."""
 
 
+class ThreadStartError(SeqfamError):
+    """A worker thread could not be started, as under a memory or process limit (CLI exit code 2)."""
+
+
 class InternalCheckError(SeqfamError):
     """A built-in consistency identity failed; indicates a bug, never bad input."""

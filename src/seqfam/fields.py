@@ -18,6 +18,13 @@ and otherwise a GF(p)-linear map applied through lookup tables (see
 _exp_table), and log is its inverse permutation. Raw polynomial
 arithmetic finds the generator and rechecks it against the finished
 tables.
+
+Both tables are int32, 4 bytes per entry: check_table_size keeps the
+field size at or below 2**30, so every entry and every sum of two logs
+(mul_arr, root_products) fits as it is. Products that can pass 2**31
+are formed in int64: the prime-field doubling x * c mod p in
+_exp_table, norm_arr's log * norm_ratio, and the character sums in
+correlation.py, which scale logs by a power.
 """
 
 import itertools
@@ -32,6 +39,9 @@ from .intmath import is_prime, prime_factors
 from .kernels import CHUNK, run_chunks
 
 DEFAULT_TABLE_LIMIT = 1 << 24
+# exp and log are int32 tables. check_table_size keeps the field size at or below 2**30 whatever
+# the table limit says, so every entry, and every sum of two logs, fits in int32.
+_TABLE_MAX = 1 << 30
 
 
 def table_limit(override: int | None = None) -> int:
@@ -53,9 +63,10 @@ def check_table_size(base: int, exponent: int, limit: int | None = None, name: s
     A base above the limit, or an exponent above the limit's bit length, is
     refused without forming the power, so a huge input is turned away before
     any primality test or table; the message names the size as
-    base**exponent. A base below 2 is left to the caller's own checks.
+    base**exponent. The cap is never above 2**30, as the tables hold int32
+    (see _TABLE_MAX). A base below 2 is left to the caller's own checks.
     """
-    cap = table_limit(limit)
+    cap = min(table_limit(limit), _TABLE_MAX)
     if base >= 2 and (base > cap or exponent > cap.bit_length() or base**exponent > cap):
         raise TableLimitError(f"{name} = {base}**{exponent} exceeds the table limit {cap}")
 
@@ -188,12 +199,13 @@ def _doubling_table(multiples: np.ndarray, add) -> np.ndarray:
     return table
 
 
-def _map_block(exp: np.ndarray, take: int, into: int, image) -> None:
-    """exp[into + t] = image(exp[t]) for every t < take, chunk by chunk; into = 0 maps in place."""
+def _map_block(table: np.ndarray, take: int, into: int, image, out: np.ndarray | None = None) -> None:
+    """out[into + t] = image(table[t]) for every t < take, chunk by chunk; out defaults to table."""
+    out = table if out is None else out
 
     def chunk(lo):
         hi = min(lo + CHUNK, take)
-        exp[into + lo : into + hi] = image(exp[lo:hi])
+        out[into + lo : into + hi] = image(table[lo:hi])
 
     run_chunks(chunk, take, CHUNK)
 
@@ -216,16 +228,19 @@ def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray
     next round's constant is c**2, so its images c**2 * p**j are this
     round's map applied to this round's images. For odd p the finished
     table is packed back to base p by slice lookups too. Each round, and
-    the packing, maps the table chunk by chunk (_map_block).
+    the packing, maps the table chunk by chunk (_map_block). The rounds run
+    in the int32 table itself unless the spread form is wider (odd p with
+    many digits: 39 bits for p = 3 with 13 digits); then they run in an
+    int64 work table, and the packing writes into the int32 table.
     """
     n = size - 1
-    exp = np.empty(n, dtype=np.int64)
+    exp = np.empty(n, dtype=np.int32)
     exp[0] = 1
     if digits == 1:
         c, filled = beta, 1
         while filled < n:
             take = min(filled, n - filled)
-            _map_block(exp, take, filled, lambda x: x * c % p)  # exact in int64: p < 2**31 for any table that fits in memory
+            _map_block(exp, take, filled, lambda x: x.astype(np.int64) * c % p)  # x * c passes 2**31
             c, filled = raw_mul(c, c), filled + take
         return exp
     bits = 1 if p == 2 else (p - 1).bit_length() + 1
@@ -233,6 +248,8 @@ def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray
     slices = [(lo, min(width, digits - lo)) for lo in range(0, digits, width)]
     ones = sum(1 << bits * j for j in range(digits))
     spread = np.min_scalar_type(-(2 << bits * digits))  # holds a + b
+    work = exp if spread.itemsize <= exp.itemsize else np.empty(n, dtype=np.int64)
+    work[0] = 1
     places = bits * np.arange(digits, dtype=np.int64)  # digit j's shift in spread form
     scalars = np.arange(1 << bits)[:, None, None]
 
@@ -255,12 +272,12 @@ def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray
         digit_rows = basis[:, None] >> places & (1 << bits) - 1
         multiples = ((scalars * digit_rows % p * (scalars < p)) << places).sum(axis=2).astype(spread)
         tables = [_doubling_table(multiples[:, lo : lo + w], add) for lo, w in slices]
-        _map_block(exp, take, filled, lambda x: apply(tables, x.astype(spread, copy=False), add))
+        _map_block(work, take, filled, lambda x: apply(tables, x.astype(spread, copy=False), add))
         basis = apply(tables, basis, add)
         filled += take
     if p != 2:
         unspread = [_doubling_table(scalars[:, 0] * p ** np.arange(lo, lo + w), np.add) for lo, w in slices]
-        _map_block(exp, n, 0, lambda x: apply(unspread, x, np.add))
+        _map_block(work, n, 0, lambda x: apply(unspread, x, np.add), out=exp)
     return exp
 
 
@@ -278,7 +295,7 @@ def _power_tables(exp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(exp, log) of g0**k from g0's exp table: exp[t*k mod n] for each t, and its inverse with log(0) = 0."""
     n = exp.size
     out = exp if k == 1 else np.empty_like(exp)
-    log = np.zeros(n + 1, dtype=np.int64)
+    log = np.zeros(n + 1, dtype=exp.dtype)
 
     def chunk(lo):
         t = np.arange(lo, min(lo + CHUNK, n), dtype=np.int64)
@@ -413,7 +430,9 @@ class ExtensionContext(_TableField):
 
     def norm_arr(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
-        idx = (self.log[xs] * self.norm_ratio) % (self.size - 1)
+        idx = self.log[xs].astype(np.int64)  # log * norm_ratio passes 2**31
+        idx *= self.norm_ratio
+        idx %= self.size - 1
         return np.where(xs != 0, self.exp[idx], 0)
 
     def frobenius(self, x: int, k: int = 1) -> int:

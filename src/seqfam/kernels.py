@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ThreadStartError
 
 # Kept for callers that still ask whether a compiled kernel was built;
 # there is none any more.
@@ -120,8 +120,10 @@ def in_order(fn, items, threads: int):
     so at most 2 * threads - 1 items are taken beyond the one yielded; fn
     should release the interpreter lock, as numpy calls do. The first error
     in item order comes out once the pool has stopped, as does closing the
-    generator, and every item not yet started is cancelled. With one
-    thread the items run here in turn, with no pool.
+    generator, and every item not yet started is cancelled. A pool thread
+    that cannot be started (a memory or process limit) raises
+    ThreadStartError. With one thread the items run here in turn, with no
+    pool.
     """
     if threads < 2:
         for item in items:
@@ -137,15 +139,21 @@ def in_order(fn, items, threads: int):
             done.set_exception(error)
         return done
 
+    def submit(item) -> Future:
+        try:
+            return pool.submit(fn, *item)
+        except RuntimeError as error:  # a thread start, as the pool is shut down only below
+            raise ThreadStartError(f"cannot start a worker thread: {error}") from error
+
     items = iter(items)
     pool = ThreadPoolExecutor(threads - 1)
     try:
         batch = list(islice(items, threads))
-        running = [pool.submit(fn, *item) for item in batch[:-1]]
+        running = [submit(item) for item in batch[:-1]]
         while batch:
             running.append(here(batch[-1]))
             batch = list(islice(items, threads))
-            ahead = [pool.submit(fn, *item) for item in batch[:-1]]
+            ahead = [submit(item) for item in batch[:-1]]
             for future in running:
                 yield future.result()
             running = ahead

@@ -3,13 +3,14 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 import seqfam
-from seqfam import cli, errors
+from seqfam import cli, errors, kernels
 from seqfam.cli import _build_parser, main
 from seqfam.correlation import max_correlation
 
@@ -393,7 +394,7 @@ def test_errors_that_are_not_bad_input_exit_1(capsys, error, message):
 
 
 def test_out_of_memory_exits_2(capsys):
-    oom = MemoryError("Unable to allocate 128. MiB for an array with shape (16777215,) and data type int64")
+    oom = MemoryError("Unable to allocate 64.0 MiB for an array with shape (16777215,) and data type int32")
     with mock.patch("seqfam.cli.build_field", side_effect=oom):
         code, out, err = run(capsys, "generate", "--p", "2", "--n", "12", "--d", "2", "--M", "3", "--column", "1")
     assert (code, out) == (2, "")
@@ -401,19 +402,32 @@ def test_out_of_memory_exits_2(capsys):
 
 
 def test_out_of_memory_under_an_address_space_cap_exits_2():
-    # The cap is the child's own import peak plus 64 MiB, set in that child alone; GF(2**24)'s
-    # exp table takes 128 MiB.
+    # The cap is the child's own import peak plus 32 MiB, set in that child alone; GF(2**24)'s
+    # exp table takes 64 MiB, and nothing before it comes near 32.
     env = {**os.environ, "PYTHONPATH": str(Path(seqfam.__file__).resolve().parent.parent)}
     env.pop("SEQFAM_TABLE_LIMIT", None)
     peak = "import seqfam.cli; print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmPeak:')))"
     baseline = int(subprocess.run([sys.executable, "-c", peak], env=env, capture_output=True, text=True,
                                   check=True, timeout=CLI_TIMEOUT).stdout) * 1024
-    cap = baseline + (64 << 20)
+    cap = baseline + (32 << 20)
     done = subprocess.run(
         [sys.executable, "-m", "seqfam.cli", *"generate --p 2 --n 12 --d 2 --M 3 --column 1".split()],
         env=env, capture_output=True, text=True, timeout=CLI_TIMEOUT,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr.startswith("error: out of memory in generate: Unable to allocate 128. MiB")
+    assert done.stderr.startswith("error: out of memory in generate: Unable to allocate 64.0 MiB")
     assert "Traceback" not in done.stderr
+
+
+def test_a_thread_that_cannot_start_exits_2(capsys, monkeypatch):
+    # As under a tight address-space cap: the scan's pool cannot start its thread. Two usable CPUs
+    # give the scan a pool even where the tests run on one.
+    def refuse(thread):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, out, err = run(capsys, *"correlate --p 2 --n 8 --d 2 --M 15".split())
+    assert (code, out) == (2, "")
+    assert err == "error: cannot start a worker thread: can't start new thread\n"

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import hashlib
 import json
@@ -6,6 +7,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqfam import correlation, kernels
+from seqfam import correlation, kernels, polys
 from seqfam.correlation import (
     WITNESS_CAP,
     correlation_via_character_sum,
@@ -413,6 +415,37 @@ def test_empirical_character_sum_respects_weil_bound(gf256):
     assert abs(val) <= bound + 1e-6
 
 
+def _python_int_character_sum(ctx, M, phase, terms) -> complex:
+    """The sum of w**(phase + sum of power * log(poly(x))) with every exponent formed in Python ints."""
+    logs = [ctx.log[polys.eval_arr(ctx, poly, np.arange(ctx.q))].tolist() for poly, _ in terms]
+    powers = [power for _, power in terms]
+    exponents = (phase + sum(k * v for k, v in zip(powers, row)) for row in zip(*logs))
+    return sum(cmath.exp(2j * cmath.pi * (e % M) / M) for e in exponents)
+
+
+def test_empirical_character_sum_at_q65536(built):
+    # 40000 * log(x) passes 2**31 for most x; the int32 log table must be widened before the product.
+    gf = built(2, 16)
+    terms = [((0, 1), 40000), ((1, 1, 1), 65534)]  # x and x**2 + x + 1
+    val = empirical_character_sum(gf, 65535, [(poly, power, 1) for poly, power in terms])
+    assert abs(val - _python_int_character_sum(gf, 65535, 0, terms)) < 1e-9
+
+
+def test_correlation_via_character_sum_at_q65536(built, monkeypatch):
+    # k * log passes 2**31 at q = 2**16, M = 65535. No extension of GF(2**16) fits the table cap, so
+    # a stand-in supplies the two column polynomials; the rest of the identity runs as it is.
+    gf, M = built(2, 16), 65535
+    first, shifted = (1, 1, 1), (5, 3, 1)  # two quadratics over GF(2**16)
+    monkeypatch.setattr(correlation, "column_polynomial",
+                        lambda ext, l: SimpleNamespace(min_poly=first, min_poly_degree=2))
+    monkeypatch.setattr(correlation, "shifted_column_polynomial", lambda ext, l, tau: shifted)
+    c1, l1, c2, l2, tau = 40000, 3, 1, 5, 7  # d = 2 with quadratics: k1 = c1, k2 = -c2 mod M
+    val = correlation_via_character_sum(SimpleNamespace(base=gf, d=2), M, c1, l1, c2, l2, tau)
+    phase = (c1 * l1 - c2 * l2 - c2 * 2 * tau) % M
+    expect = _python_int_character_sum(gf, M, phase, [(first, c1), (shifted, M - c2)])
+    assert abs(val - (expect - 1)) < 1e-9
+
+
 def test_empirical_character_sum_validation(gf16):
     with pytest.raises(ParameterError):
         empirical_character_sum(gf16, 5, [((0, 1), 5, 1)])  # trivial character
@@ -783,7 +816,8 @@ def test_offset_off_by_one_fails_the_spot_check(fam16_m5, monkeypatch):
 
 @pytest.mark.parametrize("extra", [1, 2])
 def test_weight_off_by_one_fails_the_histogram_total(fam16_m5, monkeypatch, extra):
-    # One pair's weight off by one (extra=1) or by two (extra=2).
+    # One pair's weight off by one (extra=1) or by two (extra=2), with exact bins and with
+    # bins that turn coarse partway through the scan.
     blocks = correlation._OrbitScan.blocks
 
     def skewed(self, tile):
@@ -793,11 +827,10 @@ def test_weight_off_by_one_fails_the_histogram_total(fam16_m5, monkeypatch, extr
             yield rows, cols, weights
 
     monkeypatch.setattr(correlation._OrbitScan, "blocks", skewed)
-    try:
-        total = sum(max_correlation(fam16_m5).histogram.values())
-    except InternalCheckError:
-        total = None
-    assert total != _histogram_total(fam16_m5)
+    for exact_limit in (correlation.HISTOGRAM_EXACT_LIMIT, 20):
+        monkeypatch.setattr(correlation, "HISTOGRAM_EXACT_LIMIT", exact_limit)
+        with pytest.raises(InternalCheckError, match="histogram total"):
+            max_correlation(fam16_m5)
 
 
 @pytest.mark.parametrize(

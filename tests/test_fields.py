@@ -76,6 +76,34 @@ def test_table_limit_env(monkeypatch):
     build_field(2, 4)  # exactly at the cap
 
 
+def test_table_cap_keeps_entries_and_log_sums_in_int32(monkeypatch):
+    monkeypatch.setenv("SEQFAM_TABLE_LIMIT", str(1 << 40))
+    check_table_size(2, 30)
+    with pytest.raises(TableLimitError, match=r"q = 2\*\*31 exceeds the table limit 1073741824"):
+        check_table_size(2, 31)
+
+
+def test_tables_are_int32(gf16, gf256):
+    for ctx in (gf16, gf256):
+        assert ctx.exp.dtype == ctx.log.dtype == np.int32
+        assert (ctx.exp.nbytes, ctx.log.nbytes) == (4 * ctx.exp.size, 4 * ctx.log.size)
+
+
+def test_prime_field_exp_above_2_16():
+    # Each doubling round forms x * c mod p, which passes 2**31 once p > 2**16.
+    p = 1048573
+    gf = build_field(p, 1)
+    ts = np.random.default_rng(3).integers(0, p - 1, size=200).tolist() + [p - 2]
+    assert [int(gf.exp[t]) for t in ts] == [pow(gf.beta, t, p) for t in ts]
+
+
+def test_norm_arr_of_gf2_22_over_gf2_11():
+    # log * norm_ratio reaches (2**22 - 2) * 2049, about 8.6e9.
+    ext = build_extension(build_field(2, 11), 2)
+    xs = np.random.default_rng(4).integers(0, ext.size, size=200).tolist() + [0, int(ext.exp[-1])]
+    assert ext.norm_arr(xs).tolist() == [ext.pow_(x, ext.norm_ratio) for x in xs]
+
+
 def test_determinism(gf16, gf256):
     again = build_field(2, 4)
     assert again.descriptor() == gf16.descriptor()
