@@ -45,16 +45,20 @@ _TABLE_MAX = 1 << 30
 
 
 def table_limit(override: int | None = None) -> int:
-    """Effective log-table cap: explicit override, else SEQFAM_TABLE_LIMIT, else default."""
+    """Effective log-table cap: explicit override, else SEQFAM_TABLE_LIMIT, else default; below 1 is refused."""
     if override is not None:
-        return int(override)
-    env = os.environ.get("SEQFAM_TABLE_LIMIT")
-    if not env:
-        return DEFAULT_TABLE_LIMIT
-    try:
-        return int(env)
-    except ValueError:
-        raise ParameterError(f"SEQFAM_TABLE_LIMIT={env!r} is not an integer") from None
+        limit = int(override)
+    else:
+        env = os.environ.get("SEQFAM_TABLE_LIMIT")
+        if not env:
+            return DEFAULT_TABLE_LIMIT
+        try:
+            limit = int(env)
+        except ValueError:
+            raise ParameterError(f"SEQFAM_TABLE_LIMIT={env!r} is not an integer") from None
+    if limit < 1:
+        raise ParameterError(f"table limit must be a positive integer, got {limit}")
+    return limit
 
 
 def check_table_size(base: int, exponent: int, limit: int | None = None, name: str = "q") -> None:

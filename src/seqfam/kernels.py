@@ -21,23 +21,30 @@ FFT above it. Either kernel forms a block, `band` rows by one column
 tile, in one complex product of about a quarter of TILE_ELEMENTS values.
 A scan runs its blocks through in_order, on one thread per usable CPU
 whichever kernel runs; OpenBLAS runs each product on one thread
-(scan_blas_threads). Measured so on 2 CPUs, kernels alone over the upper
-triangle of 768 random members, in microseconds per pair (wall / CPU,
-two runs):
+(scan_blas_threads). Measured so on 2 CPUs, whole max_correlation scans of
+real families, each kernel three times in alternation, in microseconds
+per scanned pair (wall / CPU):
 
-    period   GEMM, 2 threads       FFT, 2 threads
-    62       0.74-0.99 / 1.25-1.44 0.81-0.82 / 1.58-1.61
-    80       1.07-1.09 / 1.96-2.03 0.58-0.58 / 1.11-1.11
-    100      1.71-1.71 / 3.12-3.21 0.65-0.73 / 1.28-1.40
-    126      2.45-2.52 / 4.60-4.78 1.00-1.03 / 1.89-1.98
+    period  family                     GEMM                   FFT
+    28      q=29 d=3 M=14              0.43-0.48 / 0.69-0.75  0.41-0.41 / 0.64-0.66
+    31      q=32 d=3 M=31              0.28-0.30 / 0.48-0.50  0.43-0.48 / 0.76-0.84
+    36      q=37 d=2 M=36 relaxed-d2   0.99-1.05 / 1.38-1.44  0.95-0.98 / 1.30-1.32
+    40      q=41 d=3 M=8               0.40-0.41 / 0.72-0.74  0.35-0.38 / 0.63-0.67
+    46      q=47 d=3 M=2               0.50-0.51 / 0.87-0.89  0.55-0.71 / 0.94-1.16
+    52      q=53 d=3 M=4               0.55-0.58 / 0.98-1.04  0.45-0.46 / 0.80-0.82
+    58      q=59 d=3 M=2               0.61-0.65 / 1.08-1.14  0.63-0.64 / 1.11-1.13
+    63      q=64 d=2 M=63              1.34-1.52 / 1.99-2.56  1.11-1.18 / 1.85-2.19
+    70      q=71 d=3 M=5               0.85-0.90 / 1.56-1.64  0.66-0.76 / 1.20-1.34
+    80      q=81 d=3 M=4               1.15-1.18 / 2.00-2.05  0.68-0.90 / 1.14-1.59
 
-The two are about even in wall time at period 62, and FFT is ahead from
-period 80 on, at half the CPU time or less. The boundary stays where it was
-set when FFT ran on one thread (even at 80), so each period keeps its
-kernel and its values their last bits; the tests pin a GEMM report at
-periods 63 and 80, which a move would change. The tests check both
-kernels against correlation.cross_correlation, a direct sum over the
-symbols that shares no code with them.
+A row counts the scan's bookkeeping too, so a small family's fixed costs
+show in its figures; compare the kernels within a row. FFT is ahead from
+period 36 on, about even at 46 = 2*23 and 58 = 2*29, and well ahead at
+52, 63, 70 and 80. Prime periods are slow in pocketfft: at 31 GEMM takes
+two thirds of FFT's wall time, so GEMM_MAX_PERIOD is 31. No family has a
+period from 32 to 35, as none of 33 to 36 is a prime power. The tests
+check both kernels against correlation.cross_correlation, a direct sum
+over the symbols that shares no code with them.
 """
 
 import ctypes
@@ -55,7 +62,7 @@ from .errors import ParameterError, ThreadStartError
 # there is none any more.
 COMPILED_AVAILABLE = False
 
-GEMM_MAX_PERIOD = 80
+GEMM_MAX_PERIOD = 31
 # A tile holds about this many |R| values: tile**2 * period <= TILE_ELEMENTS.
 TILE_ELEMENTS = 1 << 20
 BACKENDS = ("gemm", "fft")

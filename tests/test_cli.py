@@ -329,6 +329,19 @@ def test_table_limit_env_not_an_integer(monkeypatch, capsys):
     assert "SEQFAM_TABLE_LIMIT" in err and "Traceback" not in err
 
 
+def test_table_limit_flag_not_positive(capsys):
+    code, out, err = run(capsys, "generate", "--p", "5", "--M", "4", "--table-limit", "-3")
+    assert (code, out) == (2, "")
+    assert err == "error: table limit must be a positive integer, got -3\n"
+
+
+def test_table_limit_env_not_positive(monkeypatch, capsys):
+    monkeypatch.setenv("SEQFAM_TABLE_LIMIT", "-5")
+    code, out, err = run(capsys, "generate", "--p", "5", "--M", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: table limit must be a positive integer, got -5\n"
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(
         capsys, "verify", "--p", "2", "--n", "4", "--d", "2", "--M", "5", "--format", "json"

@@ -65,19 +65,28 @@ def test_max_correlation_q16_m5(fam16_m5):
     assert report.histogram_resolution == 1e-6
 
 
+def _assert_golden_scan(monkeypatch, fam, backend, ran, delta_max, digest):
+    """max_correlation(fam, backend) ran kernel `ran` and gave these delta_max and histogram bits, on one CPU and on two."""
+    for cpus in (1, 2):
+        monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        report = max_correlation(fam, backend)
+        assert (report.backend, report.scan["threads"]) == (ran, cpus)
+        assert repr(report.delta_max) == delta_max
+        histogram = json.dumps(report.to_dict()["histogram"]).encode()
+        assert hashlib.sha256(histogram).hexdigest() == digest
+
+
 def test_golden_fft_scan(monkeypatch):
     # q=256 d=2 M=5: period 255, above GEMM_MAX_PERIOD, so the scan runs the
     # FFT kernel. Pinned bit for bit: any change in the transform's rounding
     # moves the fine histogram keys or delta_max. The same on one scan
     # thread as on two, as the blocks are folded in scan order.
     fam = build_family(build_extension(build_field(2, 8), 2), 5)
-    for cpus in (1, 2):
-        monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
-        report = max_correlation(fam)
-        assert (report.backend, fam.period, fam.size, report.scan["threads"]) == ("fft", 255, 512, cpus)
-        assert repr(report.delta_max) == "48.416407864998746"
-        histogram = json.dumps(report.to_dict()["histogram"]).encode()
-        assert hashlib.sha256(histogram).hexdigest() == "89aa700245e4771e8ab0516faa81840df94184f4f5123278f8ec0e6f891a3b37"
+    assert (fam.period, fam.size) == (255, 512)
+    _assert_golden_scan(
+        monkeypatch, fam, "auto", "fft", "48.416407864998746",
+        "89aa700245e4771e8ab0516faa81840df94184f4f5123278f8ec0e6f891a3b37",
+    )
 
 
 @pytest.mark.parametrize(
@@ -90,17 +99,51 @@ def test_golden_fft_scan(monkeypatch):
     ],
 )
 def test_golden_gemm_scan(monkeypatch, p, n, M, policy, period, size, delta_max, digest):
-    # Periods 63 and 80, the top of the GEMM range: pinned bit for bit, as in
-    # test_golden_fft_scan, so that a move of GEMM_MAX_PERIOD, which hands
-    # these periods to the FFT kernel, shows in their last bits.
+    # Periods 63 and 80 on the GEMM kernel, asked for by name: pinned bit for
+    # bit, as in test_golden_fft_scan. The default kernel there is FFT
+    # (test_golden_auto_scan); both give the same histogram.
     fam = build_family(build_extension(build_field(p, n), 2), M, policy=policy)
-    for cpus in (1, 2):
-        monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
-        report = max_correlation(fam)
-        assert (report.backend, fam.period, fam.size, report.scan["threads"]) == ("gemm", period, size, cpus)
-        assert repr(report.delta_max) == delta_max
-        histogram = json.dumps(report.to_dict()["histogram"]).encode()
-        assert hashlib.sha256(histogram).hexdigest() == digest
+    assert (fam.period, fam.size) == (period, size)
+    _assert_golden_scan(monkeypatch, fam, "gemm", "gemm", delta_max, digest)
+
+
+@pytest.mark.parametrize(
+    "p, n, M, policy, period, size, delta_max, digest",
+    [
+        (37, 1, 6, "relaxed-d2", 36, 90, "19.157244060668017",
+         "573c50dc91ed3af276c5773dd8f4464d92ec1cfbb2b66167102b3de7566f329e"),
+        (41, 1, 8, "relaxed-d2", 40, 140, "18.70041784251816",
+         "e7a56f82d15e5b4c11804c0b632ffa419995df8cf25e712148a6e5200c835f7e"),
+        (2, 6, 7, "strict", 63, 192, "24.41614132496512",
+         "ba93ac2884471bab654e923de1c797a399957cdf6c41a6c94c5dcdea27542aca"),
+        (3, 4, 5, "relaxed-d2", 80, 160, "24.378409937149772",
+         "0381adc57ed505506dd2a2e850f9451889f610d73cf24a26ded1bcf64ef65390"),
+    ],
+)
+def test_golden_auto_scan(monkeypatch, p, n, M, policy, period, size, delta_max, digest):
+    # Periods 36-80, above GEMM_MAX_PERIOD: the default kernel is FFT, pinned
+    # bit for bit as in test_golden_fft_scan, so that a move of the boundary
+    # shows in delta_max's last bits.
+    fam = build_family(build_extension(build_field(p, n), 2), M, policy=policy)
+    assert (fam.period, fam.size) == (period, size)
+    _assert_golden_scan(monkeypatch, fam, "auto", "fft", delta_max, digest)
+
+
+@pytest.mark.parametrize("p, n, d, M, policy", [
+    (37, 1, 2, 6, "relaxed-d2"),
+    (41, 1, 2, 8, "relaxed-d2"),
+    (2, 6, 2, 7, "strict"),
+    (3, 4, 2, 5, "relaxed-d2"),
+    (41, 1, 3, 2, "strict"),  # GEMM gives 24.0 exactly, FFT 24.000000000000007
+])
+def test_kernels_agree_above_the_boundary(p, n, d, M, policy):
+    # The two kernels differ only in the last bits of |R|: the same histogram
+    # key for key, the same witnesses, and delta_max within 1e-12.
+    fam = build_family(build_extension(build_field(p, n), d), M, policy=policy)
+    gemm, fft = (max_correlation(fam, backend=backend) for backend in ("gemm", "fft"))
+    assert gemm.histogram == fft.histogram
+    assert _key_list(fam, gemm.argmax) == _key_list(fam, fft.argmax)
+    assert abs(gemm.delta_max - fft.delta_max) <= 1e-12
 
 
 def test_max_correlation_backends_agree(fam16_m5):

@@ -81,8 +81,10 @@ def test_trivial_correlation_equals_period():
 
 
 def test_backend_resolution():
-    assert resolve_backend("auto", 40) == default_backend(40) == "gemm"
-    assert resolve_backend("auto", 255) == default_backend(255) == "fft"
+    # Period 31, prime, is slow in pocketfft and stays on GEMM; 36 and 40 go to FFT.
+    assert resolve_backend("auto", 31) == default_backend(31) == "gemm"
+    for period in (36, 40, 255):
+        assert resolve_backend("auto", period) == default_backend(period) == "fft"
     assert default_backend(GEMM_MAX_PERIOD) == "gemm"
     assert default_backend(GEMM_MAX_PERIOD + 1) == "fft"
     assert default_backend() == "auto"
@@ -93,8 +95,9 @@ def test_backend_resolution():
             resolve_backend(name, 40)
     with pytest.raises(ParameterError):  # "auto" is the one spelling of the default
         resolve_backend(None, 40)
-    assert PairScanner(np.zeros((2, 40), dtype=np.int64), 2).backend == "gemm"
-    assert PairScanner(np.zeros((2, 255), dtype=np.int64), 2).backend == "fft"
+    assert PairScanner(np.zeros((2, 31), dtype=np.int64), 2).backend == "gemm"
+    for period in (36, 40, 255):
+        assert PairScanner(np.zeros((2, period), dtype=np.int64), 2).backend == "fft"
 
 
 def test_tile_size_follows_period():
