@@ -101,7 +101,7 @@ def column_sequence(ext: ExtensionContext, l: int, M: int) -> MSequence:
     """Column l of the array listing, as a period-(q-1) sequence."""
     if not 0 <= l < ext.norm_ratio:
         raise ParameterError(f"column index {l} out of range [0, {ext.norm_ratio})")
-    return MSequence(column_symbols(ext, l, M), ext.q - 1, M, "column", ext.q, ext.d, l, 1)
+    return MSequence(column_symbols(ext, l, M), M, ext.q, ext.d, l)
 
 
 def column_from_long_sequence(ext: ExtensionContext, l: int, M: int, long_seq: MSequence) -> MSequence:
@@ -113,7 +113,7 @@ def column_from_long_sequence(ext: ExtensionContext, l: int, M: int, long_seq: M
     if not 0 <= l < ext.norm_ratio:
         raise ParameterError(f"column index {l} out of range [0, {ext.norm_ratio})")
     idx = (np.arange(ext.q - 1, dtype=np.int64) * ext.norm_ratio + l) % (ext.size - 1)
-    return MSequence(long_seq.symbols[idx], ext.q - 1, M, "column", ext.q, ext.d, l, 1)
+    return MSequence(long_seq.symbols[idx], M, ext.q, ext.d, l)
 
 
 _ROWS = 4096  # rows of root_products multiplied out together

@@ -153,20 +153,11 @@ def build_family(ext: ExtensionContext, M: int, policy: str = "strict") -> Seque
     report = check_family_parameters(q, d, M, policy)
 
     reps = coset_representatives(q, d)
-    used = [l for l in reps if l != 0]
-    if policy == "relaxed-d2":
-        used = [l for l in used if l != (q + 1) // 2]
-
-    coset_sizes = {l: coset(l, q**d - 1, q).size for l in used}
-    base_columns = dict(zip(used, column_symbols(ext, used, M)))
-    sequences = []
-    for c in range(1, M):
-        for l in used:
-            sequences.append(
-                MSequence(
-                    (c * base_columns[l]) % M, q - 1, M, "family", q, d, l, c
-                )
-            )
+    used = [l for l in reps if l not in (0, report.dropped_column)]
+    columns = column_symbols(ext, used, M)
+    sequences = tuple(
+        MSequence(c * symbols % M, M, q, d, l, c) for c in range(1, M) for l, symbols in zip(used, columns)
+    )
     return SequenceFamily(
         q=q,
         d=d,
@@ -174,8 +165,8 @@ def build_family(ext: ExtensionContext, M: int, policy: str = "strict") -> Seque
         policy=policy,
         lambda_reps=tuple(reps),
         used_columns=tuple(used),
-        coset_sizes=coset_sizes,
-        sequences=tuple(sequences),
+        coset_sizes={l: coset(l, q**d - 1, q).size for l in used},
+        sequences=sequences,
         restrictions=report,
     )
 

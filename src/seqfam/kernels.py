@@ -224,7 +224,6 @@ class PairScanner:
             raise ParameterError("symbols must be a 2-D (sequence, time) array")
         self.count, self.period = symbols.shape
         self.backend = resolve_backend(backend, self.period)
-        self.M = M
         self.tile = tile_size(self.period)
         # A scan runs its blocks through in_order on every usable CPU. On two,
         # either scan benchmark peaks about 11 MB above one CPU (README).

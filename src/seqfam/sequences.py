@@ -15,18 +15,14 @@ from .fields import ExtensionContext, FieldContext
 
 @dataclass(frozen=True, eq=False)
 class MSequence:
-    """An M-ary sequence of known period with construction provenance.
+    """An M-ary sequence of period len(symbols), with the (q, d, l, c) it was built under.
 
-    kind is one of "sidelnikov" (period q-1 base sequence), "long"
-    (period q**d-1 sequence over the extension), "column" (one column of
-    the array listing) or "family" (constant multiple of a column).
-    The l index is -1 for kinds that are not tied to a single column.
+    l is the array column it comes from, -1 for a sequence tied to no
+    single column, and c the multiple of that column.
     """
 
     symbols: np.ndarray
-    period: int
     M: int
-    kind: str
     q: int
     d: int = 1
     l: int = -1
@@ -36,17 +32,18 @@ class MSequence:
         sym = np.asarray(self.symbols, dtype=np.int64)
         sym.setflags(write=False)
         object.__setattr__(self, "symbols", sym)
-        if sym.shape != (self.period,):
-            raise ParameterError("symbol array length must equal the period")
+        if sym.ndim != 1:
+            raise ParameterError("symbols must be a 1-D array")
         if sym.size and (sym.min() < 0 or sym.max() >= self.M):
             raise ParameterError("symbols must lie in [0, M)")
 
+    @property
+    def period(self) -> int:
+        return self.symbols.size
+
     def shifted(self, tau: int) -> "MSequence":
         """Cyclic shift: result(t) = self(t + tau)."""
-        return MSequence(
-            np.roll(self.symbols, -tau), self.period, self.M, self.kind,
-            self.q, self.d, self.l, self.c,
-        )
+        return MSequence(np.roll(self.symbols, -tau), self.M, self.q, self.d, self.l, self.c)
 
     def header(self) -> str:
         return f"# q={self.q} d={self.d} M={self.M} l={self.l} c={self.c}"
@@ -64,7 +61,7 @@ def sidelnikov_sequence(ctx: FieldContext, M: int) -> MSequence:
     check_alphabet(ctx.q, M)
     shifted = ctx.add_arr(ctx.exp, 1)
     symbols = ctx.log[shifted] % M
-    return MSequence(symbols, ctx.q - 1, M, "sidelnikov", ctx.q, 1, 0, 1)
+    return MSequence(symbols, M, ctx.q, l=0)
 
 
 def sidelnikov_sequence_via_cosets(ctx: FieldContext, M: int) -> MSequence:
@@ -82,7 +79,7 @@ def sidelnikov_sequence_via_cosets(ctx: FieldContext, M: int) -> MSequence:
     klass[members] = np.arange(q - 1) % M
     symbols = klass[ctx.exp].copy()
     symbols[ctx.exp == minus_one] = 0
-    return MSequence(symbols, q - 1, M, "sidelnikov", q, 1, 0, 1)
+    return MSequence(symbols, M, q, l=0)
 
 
 def sidelnikov_sequence_ext(ext: ExtensionContext, M: int) -> MSequence:
@@ -96,7 +93,7 @@ def sidelnikov_sequence_ext(ext: ExtensionContext, M: int) -> MSequence:
     shifted = ext.add_arr(ext.exp, 1)
     norms = ext.norm_arr(shifted)
     symbols = ext.base.log[norms] % M
-    return MSequence(symbols, ext.size - 1, M, "long", ext.q, ext.d, -1, 1)
+    return MSequence(symbols, M, ext.q, ext.d)
 
 
 def sidelnikov_sequence_ext_direct(ext: ExtensionContext, M: int) -> MSequence:
@@ -104,7 +101,7 @@ def sidelnikov_sequence_ext_direct(ext: ExtensionContext, M: int) -> MSequence:
     check_alphabet(ext.q, M)
     shifted = ext.add_arr(ext.exp, 1)
     symbols = ext.log[shifted] % M
-    return MSequence(symbols, ext.size - 1, M, "long", ext.q, ext.d, -1, 1)
+    return MSequence(symbols, M, ext.q, ext.d)
 
 
 @dataclass(frozen=True)
@@ -174,12 +171,7 @@ def read_sequences(fp) -> list[MSequence]:
         if header is None:
             raise ParameterError("symbol line without a preceding header")
         symbols = np.array(_ints(line.split(","), "symbol"), dtype=np.int64)
-        out.append(
-            MSequence(
-                symbols, len(symbols), header["M"], "imported",
-                header["q"], header["d"], header["l"], header["c"],
-            )
-        )
+        out.append(MSequence(symbols, header["M"], header["q"], header["d"], header["l"], header["c"]))
         header = None
     if header is not None:
         raise ParameterError("header without a symbol line")

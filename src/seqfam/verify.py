@@ -97,7 +97,7 @@ def run_verification(
         col_detail = f"exhaustive over {m} columns"
     else:
         cols = range(0, m, max(1, m // 256))
-        col_detail = f"strided sample of {len(range(0, m, max(1, m // 256)))} of {m} columns"
+        col_detail = f"strided sample of {len(cols)} of {m} columns"
     col_ok = np.array_equal(
         column_symbols(ext, cols, M),
         [column_from_long_sequence(ext, l, M, long_norm).symbols for l in cols],

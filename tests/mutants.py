@@ -1,0 +1,93 @@
+"""Committed mutation checks: each row is one exact text replacement in src/ and the tests that must catch it.
+
+`python tests/run_mutants.py` applies each mutant to a copy of src/ and runs its
+selector there; tests/test_mutants.py keeps every `old` text present exactly
+once, so a refactor that moves the code has to update this table. A mutant that
+survives gets a new test, or a stated reason why it is equivalent.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/
+    old: str  # occurs exactly once in the file
+    new: str
+    selector: tuple[str, ...]  # pytest arguments, run from the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "fft-without-forward-norm",
+        "seqfam/kernels.py",
+        'np.fft.fft(spectra, axis=2, norm="forward", out=spectra)',
+        "np.fft.fft(spectra, axis=2, out=spectra)",
+        ("tests/test_kernels.py::test_fft_matches_reference",),
+    ),
+    Mutant(
+        "gemm-without-conjugate",
+        "seqfam/kernels.py",
+        "circ = np.conj(self._phases[cols])[:, shifts]",
+        "circ = self._phases[cols][:, shifts]",
+        ("tests/test_kernels.py::test_gemm_matches_reference",),
+    ),
+    Mutant(
+        "histogram-keys-floor-for-rint",
+        "seqfam/correlation.py",
+        "keys = np.rint(scaled, out=scaled)",
+        "keys = np.floor(scaled, out=scaled)",
+        ("tests/test_correlation.py::test_tiled_scan_matches_brute_force",),
+    ),
+    Mutant(
+        "factor-product-comparison-removed",
+        "seqfam/counting.py",
+        '        if leaves[0] != (base.neg(1), *[0] * (m - 1), 1):\n'
+        '            raise InternalCheckError("factor product is not x**m - 1")\n',
+        "",
+        ("tests/test_counting.py::test_cyclotomic_factors_deep_checks_fire",),
+    ),
+    Mutant(
+        "memory-error-exits-1",
+        "seqfam/cli.py",
+        'print(f"error: out of memory in {args.command}: {exc}", file=sys.stderr)\n        return EXIT_USAGE',
+        'print(f"error: out of memory in {args.command}: {exc}", file=sys.stderr)\n        return 1',
+        ("tests/test_cli.py::test_out_of_memory_exits_2",),
+    ),
+    Mutant(
+        "norm-arr-without-int64-upcast",
+        "seqfam/fields.py",
+        "idx = self.log[xs].astype(np.int64)  # log * norm_ratio passes 2**31",
+        "idx = self.log[xs]",
+        ("tests/test_fields.py::test_norm_arr_of_gf2_22_over_gf2_11",),
+    ),
+    Mutant(
+        "histogram-total-check-removed",
+        "seqfam/correlation.py",
+        "    if sum(counts.values()) != period * n * (n + 1) // 2 - n:",
+        "    if False:",
+        ("tests/test_correlation.py::test_weight_off_by_one_fails_the_histogram_total",),
+    ),
+    Mutant(
+        "symbol-range-check-removed",
+        "seqfam/sequences.py",
+        "        if sym.size and (sym.min() < 0 or sym.max() >= self.M):\n"
+        '            raise ParameterError("symbols must lie in [0, M)")\n',
+        "",
+        ("tests/test_sequences.py::test_msequence_validation",),
+    ),
+    Mutant(
+        "family-keeps-the-relaxed-d2-column",
+        "seqfam/family.py",
+        "used = [l for l in reps if l not in (0, report.dropped_column)]",
+        "used = [l for l in reps if l != 0]",
+        ("tests/test_family.py::test_relaxed_policy_drops_middle_column",),
+    ),
+    Mutant(
+        "hit-merge-drops-chunks-after-the-second",
+        "seqfam/correlation.py",
+        "for lo in range(0, hits[0].size, _EXPAND_CHUNK):",
+        "for lo in range(0, min(hits[0].size, 2 * _EXPAND_CHUNK), _EXPAND_CHUNK):",
+        ("tests/test_correlation.py::test_merges_in_several_expand_chunks_keep_the_first_violations",),
+    ),
+)

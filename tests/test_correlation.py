@@ -349,8 +349,8 @@ def test_cyclic_inequivalence(fam16_m5):
 
 @pytest.mark.parametrize("period, M", [(6, 2), (5, 4)])
 def test_cyclic_inequivalence_rejects_mixed_sequences(period, M):
-    a = MSequence(np.array([0, 1, 1, 0, 1]), 5, 2, "column", 5)
-    b = MSequence(np.array([0, 1, 1, 0, 1, 0][:period]), period, M, "column", 5)
+    a = MSequence(np.array([0, 1, 1, 0, 1]), 2, 5)
+    b = MSequence(np.array([0, 1, 1, 0, 1, 0][:period]), M, 5)
     with pytest.raises(ParameterError):
         cyclic_inequivalence([a, b])
 
@@ -756,6 +756,37 @@ def test_orbit_scan_expands_pair_bound_violations(fam16_m5, triangle_scan, asser
     assert not report.same_column_bound_ok
     assert_same_scan(report, triangle_scan(family))
     _assert_first_violation_recomputes(family, report)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_merges_in_several_expand_chunks_keep_the_first_witnesses(fam16_m5, chunk):
+    # The many-ties family: more than WITNESS_CAP ties, merged a few hits at a time.
+    base = fam16_m5.sequences[3]
+    family = _with_members(fam16_m5, [dataclasses.replace(base.shifted(k), c=100 + k) for k in range(20)])
+    brute = _brute_force(family)
+    ties = sorted(k for k, v in brute.items() if v >= max(brute.values()) - 1e-9)
+    assert len(ties) > WITNESS_CAP
+    with mock.patch.object(kernels, "TILE_ELEMENTS", 60):
+        for backend in ("gemm", "fft"):
+            whole = max_correlation(family, backend=backend)
+            with mock.patch.object(correlation, "_EXPAND_CHUNK", chunk):
+                chunked = max_correlation(family, backend=backend)
+            assert _key_list(family, chunked.argmax) == ties[:WITNESS_CAP]
+            assert chunked.argmax == whole.argmax
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_merges_in_several_expand_chunks_keep_the_first_violations(fam16_m5, chunk, triangle_scan, assert_same_scan):
+    # The degree-1 family: most pairs break the pair bound, merged a few hits at a time.
+    family = dataclasses.replace(fam16_m5, coset_sizes={l: 1 for l in fam16_m5.used_columns})
+    whole = max_correlation(family)
+    with mock.patch.object(correlation, "_EXPAND_CHUNK", chunk):
+        chunked = max_correlation(family)
+    assert len(chunked.pair_bound_violations) == WITNESS_CAP
+    assert chunked.pair_bound_violations == whole.pair_bound_violations
+    assert chunked.argmax == whole.argmax
+    assert_same_scan(chunked, triangle_scan(family))
+    _assert_first_violation_recomputes(family, chunked)
 
 
 def test_expand_keeps_each_triple_once_with_its_least_value():

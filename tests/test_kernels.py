@@ -41,7 +41,7 @@ def _matches_cross_correlation(backend, period, M, seed):
     symbols, rows, cols = _random_case(np.random.default_rng(seed), 40, period, M)
     vals = PairScanner(symbols, M, backend=backend).correlations_abs(rows, cols)
     assert vals.shape == (rows.size, cols.size, period)
-    seqs = [MSequence(s, period, M, "column", M + 1) for s in symbols]
+    seqs = [MSequence(s, M, M + 1) for s in symbols]
     expect = [[[abs(cross_correlation(seqs[i], seqs[j], tau)) for tau in range(period)] for j in cols] for i in rows]
     assert np.abs(vals - expect).max() < 1e-6
 
@@ -134,7 +134,7 @@ def test_tile_matches_cross_correlation(backend, case):
     symbols, M, rows, cols = case
     n, period = symbols.shape
     scanner = PairScanner(symbols, M, backend=backend)
-    seqs = [MSequence(s, period, M, "column", M + 1) for s in symbols]
+    seqs = [MSequence(s, M, M + 1) for s in symbols]
     # Each call builds the operand of its columns: switch them, then switch back.
     for left, right in ((rows, cols), (cols, rows), (cols, rows)):
         vals = scanner.correlations_abs(left, right)

@@ -179,13 +179,13 @@ def test_read_sequences_skips_blank_lines():
 
 def test_msequence_validation():
     with pytest.raises(ParameterError):
-        MSequence(np.array([0, 1, 5]), 3, 4, "column", 5)
+        MSequence(np.array([0, 1, 5]), 4, 5)
     with pytest.raises(ParameterError):
-        MSequence(np.array([0, 1]), 3, 4, "column", 5)
+        MSequence(np.array([[0, 1], [1, 0]]), 4, 5)
 
 
 def test_shifted():
-    seq = MSequence(np.array([0, 1, 2, 3]), 4, 4, "column", 5)
+    seq = MSequence(np.array([0, 1, 2, 3]), 4, 5)
     assert list(seq.shifted(1).symbols) == [1, 2, 3, 0]
     assert list(seq.shifted(4).symbols) == [0, 1, 2, 3]
 
@@ -196,9 +196,7 @@ def _exported(draw):
     length = draw(st.integers(1, 300))
     return MSequence(
         np.array(draw(st.lists(st.integers(0, M - 1), min_size=length, max_size=length))),
-        length,
         M,
-        "imported",
         draw(st.integers(2, 1 << 24)),
         draw(st.integers(1, 8)),
         draw(st.one_of(st.just(-1), st.integers(0, 1 << 20))),
@@ -208,7 +206,7 @@ def _exported(draw):
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(_exported(), min_size=1, max_size=4))
-@example([MSequence(np.array([0]), 1, 2, "imported", 2, 1, -1, 1)])
+@example([MSequence(np.array([0]), 2, 2, 1, -1, 1)])
 def test_export_roundtrip_random(seqs):
     buf = io.StringIO()
     write_sequences(buf, seqs)

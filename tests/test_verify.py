@@ -44,3 +44,22 @@ def test_verify_times_each_check_and_is_deterministic_apart_from_timings():
         {**result, "elapsed": None, "checks": [{**c, "elapsed": None} for c in result["checks"]]} for result in runs
     ]
     assert untimed[0] == untimed[1]
+
+
+def test_verify_samples_columns_above_2048():
+    # q=47 d=3: m = 2257 columns, so the stride and root-free checks sample them.
+    result = run_verification(47, 1, 3, 2)
+    assert result["ok"], [c for c in result["checks"] if not c["ok"]]
+    checks = {c["name"]: c["detail"] for c in result["checks"]}
+    assert list(checks) == [
+        "construction-determinism", "field-invariants", "restriction-gcd", "restriction-size-bound",
+        "long-sequence-route-equivalence", "column-stride-vs-closed-form", "column-polynomial-structure",
+        "column-polynomial-orbit-product", "column-symbols-from-polynomial", "column-q-multiple-identity",
+        "column-polynomial-root-free", "column-reflection-shift-identity", "base-autocorrelation-bound",
+        "family-size-identity", "correlation-bound", "correlation-pair-bounds", "correlation-same-column-bound",
+        "correlation-character-sum-identity", "cyclic-inequivalence", "cyclic-inequivalence-negative-control",
+        "count-cross-validation", "count-constant-term-oracle", "count-estimate-gap",
+    ]
+    assert checks["column-stride-vs-closed-form"] == "strided sample of 283 of 2257 columns"
+    assert checks["column-polynomial-root-free"] == "no base-field roots for 1025 of 2256 nonzero columns"
+    assert checks["family-size-identity"] == "752 sequences"
