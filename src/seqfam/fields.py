@@ -23,8 +23,8 @@ Both tables are int32, 4 bytes per entry: check_table_size keeps the
 field size at or below 2**30, so every entry and every sum of two logs
 (mul_arr, root_products) fits as it is. Products that can pass 2**31
 are formed in int64: the prime-field doubling x * c mod p in
-_exp_table, norm_arr's log * norm_ratio, and the character sums in
-correlation.py, which scale logs by a power.
+_exp_table, and the character sums in correlation.py, which scale logs
+by a power.
 """
 
 import itertools
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import polys
 from .errors import InternalCheckError, ParameterError, TableLimitError
-from .intmath import is_prime, prime_factors
+from .intmath import is_prime, power, prime_factors
 from .kernels import CHUNK, run_chunks
 
 DEFAULT_TABLE_LIMIT = 1 << 24
@@ -285,16 +285,6 @@ def _exp_table(size: int, beta: int, raw_mul, p: int, digits: int) -> np.ndarray
     return exp
 
 
-def _raw_pow(raw_mul, a: int, k: int) -> int:
-    out = 1
-    while k:
-        if k & 1:
-            out = raw_mul(out, a)
-        a = raw_mul(a, a)
-        k >>= 1
-    return out
-
-
 def _power_tables(exp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(exp, log) of g0**k from g0's exp table: exp[t*k mod n] for each t, and its inverse with log(0) = 0."""
     n = exp.size
@@ -333,7 +323,7 @@ def _generator_tables(raw_mul, p: int, digits: int, ratio: int, target: int, fir
     n = size - 1
     primes = prime_factors(n)
     for g0 in range(first, size):
-        if all(_raw_pow(raw_mul, g0, n // r) != 1 for r in primes) and _raw_pow(raw_mul, g0, n) == 1:
+        if all(power(raw_mul, g0, n // r, 1) != 1 for r in primes) and power(raw_mul, g0, n, 1) == 1:
             break
     else:
         raise InternalCheckError("no primitive element found; field arithmetic is broken")
@@ -353,7 +343,7 @@ def _generator_tables(raw_mul, p: int, digits: int, ratio: int, target: int, fir
         g = int(exp[k])
     exp, log = _power_tables(exp, k)
     if (
-        _raw_pow(raw_mul, g, ratio) != target
+        power(raw_mul, g, ratio, 1) != target
         or exp[0] != 1
         or any(raw_mul(int(exp[t]), g) != int(exp[(t + 1) % n]) for t in (0, n // 2, n - 1))
     ):
@@ -434,9 +424,8 @@ class ExtensionContext(_TableField):
 
     def norm_arr(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
-        idx = self.log[xs].astype(np.int64)  # log * norm_ratio passes 2**31
-        idx *= self.norm_ratio
-        idx %= self.size - 1
+        # log(x**ratio) = (log x mod (q-1)) * ratio, below q**d - 1, so int32 holds it
+        idx = self.log[xs] % (self.q - 1) * self.norm_ratio
         return np.where(xs != 0, self.exp[idx], 0)
 
     def frobenius(self, x: int, k: int = 1) -> int:

@@ -1,26 +1,33 @@
-"""Elementary integer number theory (trial-division scale).
+"""Elementary integer number theory (trial-division scale), and the one square and multiply.
 
-Everything here works on plain Python ints, so values beyond 64 bits are
-fine; inputs are expected to stay below ~2**40 where trial division is
-still instant.
+Everything here but power works on plain Python ints, so values beyond
+64 bits are fine; inputs are expected to stay below ~2**40 where trial
+division is still instant. power works in any ring its caller multiplies.
 """
 
 from functools import reduce
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
+
+
+def power(mul, x, k: int, one):
+    """x**k for k >= 0 in whatever ring mul multiplies, with x**0 = one.
+
+    Left-to-right square and multiply: bit_length(k) - 1 squarings and
+    popcount(k) - 1 products by x, never a product with one.
+    """
+    if k < 0:
+        raise ValueError("power expects k >= 0")
+    if k == 0:
+        return one
+    out = x
+    for i in range(k.bit_length() - 2, -1, -1):
+        out = mul(out, out)
+        if k >> i & 1:
+            out = mul(out, x)
+    return out
 
 
 def factorize(n: int) -> dict[int, int]:

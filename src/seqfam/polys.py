@@ -8,7 +8,7 @@ and its element count ``size``; eval_arr also uses the array ops.
 
 import numpy as np
 
-from .intmath import prime_factors
+from .intmath import power, prime_factors
 
 ZERO_POLY = (0,)
 
@@ -69,14 +69,7 @@ def mul(ctx, a, b) -> tuple:
 
 
 def pow_(ctx, a, k: int) -> tuple:
-    out = (1,)
-    base = trim(a)
-    while k:
-        if k & 1:
-            out = mul(ctx, out, base)
-        base = mul(ctx, base, base)
-        k >>= 1
-    return out
+    return power(lambda x, y: mul(ctx, x, y), trim(a), k, (1,))
 
 
 def divmod_(ctx, a, b) -> tuple[tuple, tuple]:
@@ -134,15 +127,8 @@ def eval_arr(ctx, poly, xs):
 
 
 def pow_mod(ctx, a, e: int, modulus) -> tuple:
-    """a**e reduced modulo the given polynomial, by square and multiply."""
-    result = (1,)
-    base = mod(ctx, a, modulus)
-    while e:
-        if e & 1:
-            result = mod(ctx, mul(ctx, result, base), modulus)
-        base = mod(ctx, mul(ctx, base, base), modulus)
-        e >>= 1
-    return result
+    """a**e reduced modulo the given polynomial."""
+    return power(lambda x, y: mod(ctx, mul(ctx, x, y), modulus), mod(ctx, a, modulus), e, (1,))
 
 
 def is_irreducible(ctx, poly) -> bool:

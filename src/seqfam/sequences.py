@@ -118,8 +118,13 @@ class Character:
         return complex(np.exp(2j * np.pi * (self.field.dlog(x) % self.M) / self.M))
 
 
+_FORMAT_CHUNK = 1 << 16  # symbols per joined piece: one str per symbol of a 2**24-symbol line takes about 1 GB
+
+
 def format_sequence(seq: MSequence) -> str:
-    return seq.header() + "\n" + ",".join(str(int(s)) for s in seq.symbols)
+    sym = seq.symbols
+    pieces = (",".join(map(str, sym[lo : lo + _FORMAT_CHUNK].tolist())) for lo in range(0, sym.size, _FORMAT_CHUNK))
+    return seq.header() + "\n" + ",".join(pieces)
 
 
 def write_sequences(fp, sequences) -> None:

@@ -55,10 +55,10 @@ MUTANTS = (
         ("tests/test_cli.py::test_out_of_memory_exits_2",),
     ),
     Mutant(
-        "norm-arr-without-int64-upcast",
+        "norm-arr-unreduced-log",
         "seqfam/fields.py",
-        "idx = self.log[xs].astype(np.int64)  # log * norm_ratio passes 2**31",
-        "idx = self.log[xs]",
+        "idx = self.log[xs] % (self.q - 1) * self.norm_ratio",
+        "idx = self.log[xs] * self.norm_ratio",
         ("tests/test_fields.py::test_norm_arr_of_gf2_22_over_gf2_11",),
     ),
     Mutant(
@@ -82,6 +82,20 @@ MUTANTS = (
         "used = [l for l in reps if l not in (0, report.dropped_column)]",
         "used = [l for l in reps if l != 0]",
         ("tests/test_family.py::test_relaxed_policy_drops_middle_column",),
+    ),
+    Mutant(
+        "power-returns-x-at-k-0",
+        "seqfam/intmath.py",
+        "    if k == 0:\n        return one\n",
+        "    if k == 0:\n        return x\n",
+        ("tests/test_intmath.py::test_power_matches_pow_over_the_integers_mod_p",),
+    ),
+    Mutant(
+        "is-prime-without-its-guard",
+        "seqfam/intmath.py",
+        "return n >= 2 and factorize(n) == {n: 1}",
+        "return factorize(n) == {n: 1}",
+        ("tests/test_intmath.py::test_is_prime",),
     ),
     Mutant(
         "hit-merge-drops-chunks-after-the-second",

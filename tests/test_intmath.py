@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from seqfam import polys
 from seqfam.intmath import (
     as_prime_power,
     divisor_phis,
@@ -11,14 +12,60 @@ from seqfam.intmath import (
     is_prime,
     iter_prime_powers,
     mobius,
+    power,
     prime_factors,
 )
 
+POWER_EXPONENTS = (0, 1, 2, 3, 2**20 - 1, 2**20)
+
 
 def test_is_prime():
-    primes = [2, 3, 5, 7, 11, 13, 41, 997, 1021, 1723]
+    primes = [2, 3, 5, 7, 11, 13, 41, 997, 1021, 1723, 2**31 - 1]
     assert all(is_prime(p) for p in primes)
-    assert not any(is_prime(n) for n in (0, 1, 4, 9, 15, 1024, 1681))
+    assert not any(is_prime(n) for n in (-7, 0, 1, 4, 9, 15, 1024, 1681, 65537 * 65521))
+
+
+def test_power_matches_pow_over_the_integers_mod_p():
+    p = 1048573
+    for x in (0, 1, 2, 12345, p - 1):
+        assert [power(lambda a, b: a * b % p, x, k, 1) for k in POWER_EXPONENTS] == [
+            pow(x, k, p) for k in POWER_EXPONENTS
+        ]
+
+
+def test_power_matches_repeated_poly_mul_over_gf16(gf16, gf256):
+    # Modulo gf256's irreducible quadratic over GF(16) the units form a group of order 255,
+    # so a unit's k-th power is its (k mod 255)-th, which repeated products reach.
+    def mul_mod(a, b):
+        return polys.mod(gf16, polys.mul(gf16, a, b), gf256.modulus)
+
+    for x in ((0, 1), (3, 7), (5,)):
+        reduced, plain = [(1,)], [(1,)]
+        while len(reduced) < 255:
+            reduced.append(mul_mod(reduced[-1], x))
+        while len(plain) < 4:
+            plain.append(polys.mul(gf16, plain[-1], x))
+        for k in POWER_EXPONENTS:
+            assert power(mul_mod, x, k, (1,)) == reduced[k % 255]
+            assert polys.pow_mod(gf16, x, k, gf256.modulus) == reduced[k % 255]
+        for k in POWER_EXPONENTS[:4]:
+            assert polys.pow_(gf16, x, k) == plain[k]
+    assert [polys.pow_(gf16, (0, 0), k) for k in POWER_EXPONENTS] == [(1,)] + [(0,)] * 5
+
+
+def test_power_forms_no_product_with_one_and_no_square_past_the_top_bit():
+    for k in (*POWER_EXPONENTS, 5, 6, 0b1011011):
+        products = []
+
+        def mul(a, b):
+            assert a is not None and b is not None  # one is None here: a product with it would fail
+            products.append((a, b))
+            return a + b
+
+        assert power(mul, 1, k, None) == (k if k else None)
+        assert len(products) == (k.bit_length() - 1 + k.bit_count() - 1 if k else 0)
+    with pytest.raises(ValueError):
+        power(lambda a, b: a + b, 1, -1, None)
 
 
 def test_factorize():

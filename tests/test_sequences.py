@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seqfam import sequences
 from seqfam.errors import ParameterError
 from seqfam.sequences import (
     Character,
@@ -130,6 +131,14 @@ def test_character_matches_symbols(gf5):
         lhs = w ** int(seq.symbols[t])
         rhs = chi.value(gf5.add(int(gf5.exp[t]), 1))
         assert lhs == pytest.approx(rhs)
+
+
+@pytest.mark.parametrize("length", [0, 7, 8, 15])
+def test_format_sequence_in_chunks_equals_the_per_symbol_join(monkeypatch, length):
+    monkeypatch.setattr(sequences, "_FORMAT_CHUNK", 7)
+    seq = MSequence(np.random.default_rng(length).integers(0, 40, length), 40, 41, 3, 5, 2)
+    per_symbol = seq.header() + "\n" + ",".join(str(int(s)) for s in seq.symbols)
+    assert format_sequence(seq).encode() == per_symbol.encode()
 
 
 def test_export_roundtrip(gf25):
