@@ -17,7 +17,7 @@ from .counting import asymptotic_size, count_report, lambda_size_formula
 from .errors import InternalCheckError, ParameterError, SeqfamError, ThreadStartError
 from .family import POLICIES, SequenceFamily, build_family, check_family_parameters
 from .fields import build_extension, build_field, check_extension, check_field_order, table_limit
-from .sequences import check_alphabet, format_sequence, sidelnikov_sequence, sidelnikov_sequence_ext
+from .sequences import check_alphabet, format_sequence, sidelnikov_sequence, sidelnikov_sequence_ext, write_sequences
 from .columns import column_sequence
 from .verify import format_verification, run_verification
 
@@ -114,16 +114,16 @@ def _family(args) -> SequenceFamily:
 
 def cmd_family(args) -> int:
     fam = _family(args)
-    manifest = json.dumps(fam.manifest(), indent=2)
-    payload = "\n".join(format_sequence(s) for s in fam.sequences)
+    manifest = json.dumps(fam.manifest(), indent=2) + "\n"
     if args.out:
         with open(args.out + ".manifest.json", "w") as fp:
-            fp.write(manifest + "\n")
+            fp.write(manifest)
         with open(args.out + ".sequences.txt", "w") as fp:
-            fp.write(payload + "\n")
+            write_sequences(fp, fam.sequences)
         sys.stdout.write(f"{args.out}.manifest.json\n{args.out}.sequences.txt\n")
     else:
-        sys.stdout.write(manifest + "\n" + payload + "\n")
+        sys.stdout.write(manifest)
+        write_sequences(sys.stdout, fam.sequences)
     return EXIT_OK
 
 
@@ -170,9 +170,7 @@ def cmd_count(args) -> int:
     if args.fmt == "csv":
         _emit(_count_sweep_csv(args), args.out)
         return EXIT_OK
-    check_alphabet(_field_order(args), args.M)
-    ctx = build_field(args.p, args.n, args.table_limit)
-    report = count_report(ctx.q, args.d, args.M, ctx)
+    report = count_report(_field_order(args), args.d, args.M, args.table_limit)
     if args.fmt == "json":
         _emit(json.dumps(report.to_dict(), indent=2), args.out)
     else:

@@ -65,16 +65,15 @@ def cross_correlation(a: MSequence, b: MSequence, tau: int) -> complex:
     return complex(np.exp(2j * np.pi * (diff % a.M) / a.M).sum())
 
 
-def weil_bound(terms: tuple[tuple[int, int], ...], q: int) -> float:
-    """(sum of degrees - 1) * sqrt(q) + total root count.
+def weil_bound(degree_sum, q: int):
+    """(degree_sum - 1) * sqrt(q) + 1, elementwise: Weil's bound (Lidl and Niederreiter, Thm 5.41) on |R|.
 
-    terms holds the (degree, GF(q)-root count) of each distinct monic irreducible argument.
+    Every bound the scan reports: the family's at 2d, a pair's at its columns' degrees summed, a column's
+    own at its degree. The 1 is the character sum's x = 0 term, which R leaves out.
     """
-    if len(terms) < 1:
-        raise ParameterError("at least one polynomial term is required")
-    degs = sum(t[0] for t in terms)
-    roots = sum(t[1] for t in terms)
-    return (degs - 1) * math.sqrt(q) + roots
+    if np.any(np.less(degree_sum, 1)):
+        raise ParameterError("degree sums must be at least 1")
+    return (degree_sum - 1) * math.sqrt(q) + 1.0
 
 
 @dataclass
@@ -482,10 +481,10 @@ class _ScanReducer:
     result on the caller, in scan order.
     """
 
-    def __init__(self, scan: _OrbitScan, degs: np.ndarray, sqrt_q: float):
+    def __init__(self, scan: _OrbitScan, degs: np.ndarray, q: int):
         self.scan = scan
         self.degs = degs
-        self.sqrt_q = sqrt_q
+        self.q = q
         self.delta_max = -1.0
         no_hits = (np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)
         self.witnesses = self.violations = no_hits  # (i, j, tau, value) arrays, as from _OrbitScan.expand
@@ -508,7 +507,7 @@ class _ScanReducer:
         tile_max = float(vals.max())
 
         violations = candidates = None
-        pair_bound = (self.degs[rows][:, None] + self.degs[cols] - 1) * self.sqrt_q + 1.0
+        pair_bound = weil_bound(self.degs[rows][:, None] + self.degs[cols], self.q)
         if tile_max > pair_bound.min() + TOLERANCE:
             violations = _hits(rows, cols, vals, vals > (pair_bound + TOLERANCE)[:, :, None])
         threshold = max(self.delta_max, tile_max) - _MATCH_TOL
@@ -579,12 +578,12 @@ def _parallel_scan(blocks, scanner: PairScanner, reducer: _ScanReducer) -> None:
             reducer.fold(result)
 
 
-def _same_column_ok(family: SequenceFamily, phases: np.ndarray, degs: np.ndarray, sqrt_q: float) -> bool:
+def _same_column_ok(family: SequenceFamily, phases: np.ndarray, degs: np.ndarray) -> bool:
     """Shift-0 correlation of every two members of one column, by one dot product each.
 
     phases holds w**symbols, one row per member (the scanner's). Members
     c*v_l and c'*v_l (c != c') reduce to a single polynomial, so the bound
-    is (d_l - 1) * sqrt(q) + 1.
+    is weil_bound(d_l, q), (d_l - 1) * sqrt(q) + 1.
     """
     c_arr = np.array([s.c for s in family.sequences], dtype=np.int64)
     l_arr = np.array([s.l for s in family.sequences], dtype=np.int64)
@@ -595,7 +594,7 @@ def _same_column_ok(family: SequenceFamily, phases: np.ndarray, degs: np.ndarray
             continue
         rows = phases[members]
         dots = np.abs(rows @ rows.conj().T)
-        sharp = (degs[members[0]] - 1) * sqrt_q + 1.0
+        sharp = weil_bound(degs[members[0]], family.q)
         if np.any((c_arr[members][:, None] != c_arr[members]) & (dots > sharp + TOLERANCE)):
             return False
     return True
@@ -624,14 +623,13 @@ def max_correlation(
     symbols = family.symbols_matrix()
     n, period = symbols.shape
     scanner = PairScanner(symbols, family.M, backend=backend)
-    sqrt_q = math.sqrt(family.q)
     degs = family.degree_per_sequence()
     keys, starts = _rotation_keys(symbols)
     index, shared = _key_index(keys)
     generators = [] if shared else _find_generators(symbols, family.M, degs, prime_factors(family.q)[0], index, starts)
     _spot_check(family.sequences, generators, period)
     scan = _OrbitScan(generators, n, period)
-    reducer = _ScanReducer(scan, degs, sqrt_q)
+    reducer = _ScanReducer(scan, degs, family.q)
     with scan_blas_threads() as blas_threads:
         _parallel_scan(scan.blocks((scanner.band, scanner.tile)), scanner, reducer)
 
@@ -639,7 +637,7 @@ def max_correlation(
         a, b = family.sequences[i], family.sequences[j]
         return {"c1": int(a.c), "l1": int(a.l), "c2": int(b.c), "l2": int(b.l), "tau": tau, "value": value}
 
-    bound = (2 * family.d - 1) * sqrt_q + 1.0
+    bound = weil_bound(2 * family.d, family.q)
     inequivalent, witness = _shift_witness(family.sequences, shared)
     counts = reducer.histogram.result()  # the last merge decides the resolution
     if sum(counts.values()) != period * n * (n + 1) // 2 - n:  # every pair at every shift, less the n trivial ones
@@ -647,7 +645,7 @@ def max_correlation(
     delta_max = reducer.delta_max
     # The group keeps degrees and the pair swap keeps their sum: the bound of the scanned hit.
     i, j, tau, value = reducer.violations
-    violations = zip(*(c.tolist() for c in (i, j, tau, value, (degs[i] + degs[j] - 1) * sqrt_q + 1.0)))
+    violations = zip(*(c.tolist() for c in (i, j, tau, value, weil_bound(degs[i] + degs[j], family.q))))
     return CorrelationReport(
         q=family.q,
         d=family.d,
@@ -662,7 +660,7 @@ def max_correlation(
         histogram_resolution=1.0 / reducer.histogram.scale,
         pair_bound_ok=not i.size,
         pair_bound_violations=[{**labelled(*v[:4]), "pair_bound": v[4]} for v in violations],
-        same_column_bound_ok=_same_column_ok(family, scanner._phases, degs, sqrt_q),
+        same_column_bound_ok=_same_column_ok(family, scanner._phases, degs),
         backend=scanner.backend,
         scan={
             "symmetry_order": len(scan.elements),

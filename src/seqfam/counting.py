@@ -1,11 +1,11 @@
 """Family-size counting: exact closed form, asymptotics, brute-force oracles.
 
-The column count splits over divisor classes of the extension degree; the
-closed form sums Euler-phi values over divisor sets of q**e - 1, and a
-second route goes through the per-constant-term irreducible counts. Both
-are computed independently and compared; a disagreement is an internal
-bug, never a valid outcome. The independent oracle enumerates every monic
-polynomial and sieves out the products of lower-degree irreducibles.
+The column count splits over divisor classes of the extension degree and
+the order of the constant term. One closed form sums Euler-phi values over
+divisor sets of q**e - 1; the coset partition (count_report) and the factors
+of x**m - 1 built from their roots (cyclotomic_factors) check it, and a
+disagreement is an internal bug. Yucas' per-constant-term counts have their
+own oracle, a sieve over every monic polynomial of the degree.
 """
 
 import functools
@@ -18,7 +18,7 @@ from . import polys
 from .columns import coset_leaders, root_products
 from .errors import InternalCheckError, ParameterError
 from .family import coset_representatives
-from .fields import ExtensionContext, FieldContext, build_field, check_table_size
+from .fields import ExtensionContext, FieldContext, check_table_size
 from .intmath import as_prime_power, divisor_phis, divisors, euler_phi, mobius
 from .sequences import check_alphabet
 
@@ -68,61 +68,49 @@ def irreducible_total(q: int, f: int) -> int:
     return total // f
 
 
-def lambda_size_formula(q: int, d: int) -> int:
-    """Column count by the closed-form divisor sum (no field tables needed)."""
-    total = 0
-    for e in divisors(d):
-        allowed = d // e
-        part = sum(phi for _, _, mre, phi in _a_f_entries(q, e) if allowed % mre == 0)
-        if part % e:
-            raise InternalCheckError("divisor-class sum is not divisible by e")
-        total += part // e
-    return total
+def lambda_size_parts(q: int, d: int) -> dict[tuple[int, int], int]:
+    """The column count split by degree e | d and constant-term order m | gcd(d/e, q-1).
 
-
-def lambda_size_parts(ctx: FieldContext, d: int) -> dict[tuple[int, int], int]:
-    """Per-(degree, constant-term-order) breakdown of the triple sum."""
-    q = ctx.q
-    exps = np.arange(q - 1, dtype=np.int64)
-    orders = (q - 1) // np.gcd(exps, q - 1)
+    Part (e, m) is the sum of phi(r)/e over the r in A_e with m_re = m,
+    which is the paper's triple sum of Yucas' counts N(e, b, q) over the b
+    of order m, taken class by class.
+    """
+    if d < 2:
+        raise ParameterError("d must be >= 2")
     parts: dict[tuple[int, int], int] = {}
     for e in divisors(d):
         for m in divisors(d // e):
             if (q - 1) % m:
                 continue
-            bs = ctx.exp[exps[orders == m]]
-            parts[(e, m)] = sum(yucas_count(ctx, e, int(b)) for b in bs)
+            part = sum(phi for _, _, mre, phi in _a_f_entries(q, e) if mre == m)
+            if part % e:
+                raise InternalCheckError("divisor-class sum is not divisible by e")
+            parts[(e, m)] = part // e
     return parts
 
 
-def _checked_lambda(ctx: FieldContext, d: int) -> tuple[int, dict[tuple[int, int], int]]:
-    """Closed-form column count, cross-checked against the triple sum, and its parts."""
-    if d < 2:
-        raise ParameterError("d must be >= 2")
-    formula = lambda_size_formula(ctx.q, d)
-    parts = lambda_size_parts(ctx, d)
-    triple = sum(parts.values())
-    if formula != triple:
-        raise InternalCheckError(f"count mismatch: closed form {formula}, triple sum {triple}")
-    return formula, parts
+def lambda_size_formula(q: int, d: int) -> int:
+    """Column count by the closed-form divisor sum: the sum of lambda_size_parts."""
+    return sum(lambda_size_parts(q, d).values())
 
 
 def lambda_size_with_ctx(ctx: FieldContext, d: int) -> int:
-    """Column count with the closed form cross-checked against the triple sum."""
-    return _checked_lambda(ctx, d)[0]
+    """Column count over the order of ctx; the tables are not read."""
+    return lambda_size_formula(ctx.q, d)
 
 
-def _field_of_order(q: int) -> FieldContext:
-    check_table_size(q, 1)  # before factorize's trial division
+def _check_order(q: int, limit: int | None = None) -> None:
+    """Refuse a q that is not a prime power, trial-dividing it only once it fits the table limit."""
+    check_table_size(q, 1, limit)  # before factorize's trial division
     try:
-        p, n = as_prime_power(q)
+        as_prime_power(q)
     except ValueError:
         raise ParameterError(f"q={q} is not a prime power") from None
-    return build_field(p, n)
 
 
 def lambda_size(q: int, d: int) -> int:
-    return lambda_size_with_ctx(_field_of_order(q), d)
+    _check_order(q)
+    return lambda_size_formula(q, d)
 
 
 def asymptotic_size(q: int, d: int, M: int) -> float:
@@ -168,13 +156,12 @@ class CountReport:
         return {**vars(self), "breakdown": {f"e={e},m={m}": v for (e, m), v in sorted(self.breakdown.items())}}
 
 
-def count_report(q: int, d: int, M: int, ctx: FieldContext | None = None) -> CountReport:
+def count_report(q: int, d: int, M: int, limit: int | None = None) -> CountReport:
+    """Sizes at (q, d, M), the closed form checked against the coset partition; no field is built."""
     check_alphabet(q, M)
-    if ctx is None:
-        ctx = _field_of_order(q)
-    elif ctx.q != q:
-        raise ParameterError(f"field context has q={ctx.q}, not q={q}")
-    lam, parts = _checked_lambda(ctx, d)
+    _check_order(q, limit)
+    parts = lambda_size_parts(q, d)
+    lam = sum(parts.values())
     lam_cosets = len(coset_representatives(q, d))
     if lam != lam_cosets:
         raise InternalCheckError(f"closed form {lam} disagrees with coset count {lam_cosets}")

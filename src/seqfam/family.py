@@ -64,7 +64,7 @@ def check_restrictions(q: int, d: int) -> RestrictionReport:
         gcd_value=g,
         gcd_ok=g == 1,
         bound_rhs=rhs,
-        bound_ok=d < rhs,
+        bound_ok=(2 * d - 1) ** 2 * q < (q - 2) ** 2,  # d < rhs as (2d-1)*sqrt(q) < q-2, squared (d >= 1)
         relaxation_available=relax,
         dropped_column=(q + 1) // 2 if relax else None,
     )

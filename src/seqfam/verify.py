@@ -191,7 +191,7 @@ def run_verification(
     record("cyclic-inequivalence-negative-control", not dup_ok,
            f"injected duplicate detected: {dup_wit}")
 
-    creport = count_report(q, d, M, ctx)
+    creport = count_report(q, d, M, table_limit)
     factors = cyclotomic_factors(ext, deep=size <= _DEEP_LIMIT)
     record("count-cross-validation",
            creport.lambda_formula == creport.lambda_cosets == len(factors),

@@ -104,4 +104,35 @@ MUTANTS = (
         "for lo in range(0, min(hits[0].size, 2 * _EXPAND_CHUNK), _EXPAND_CHUNK):",
         ("tests/test_correlation.py::test_merges_in_several_expand_chunks_keep_the_first_violations",),
     ),
+    Mutant(
+        "same-column-check-with-the-pair-bound",
+        "seqfam/correlation.py",
+        "sharp = weil_bound(degs[members[0]], family.q)",
+        "sharp = weil_bound(2 * degs[members[0]], family.q)",
+        ("tests/test_correlation.py::test_same_column_bound_is_the_single_polynomial_one",),
+    ),
+    Mutant(
+        "lambda-parts-without-the-order-filter",
+        "seqfam/counting.py",
+        "            if (q - 1) % m:\n                continue\n",
+        "",
+        ("tests/test_counting.py::test_lambda_parts_equal_the_triple_sum_of_yucas_counts",),
+    ),
+    Mutant(
+        "count-report-without-its-q-check",
+        "seqfam/counting.py",
+        "    check_alphabet(q, M)\n    _check_order(q, limit)\n",
+        "    check_alphabet(q, M)\n",
+        (
+            "tests/test_counting.py::test_not_a_prime_power",
+            "tests/test_counting.py::test_oversized_order_is_refused_before_factoring",
+        ),
+    ),
+    Mutant(
+        "size-restriction-with-2d-3",
+        "seqfam/family.py",
+        "bound_ok=(2 * d - 1) ** 2 * q < (q - 2) ** 2,",
+        "bound_ok=(2 * d - 3) ** 2 * q < (q - 2) ** 2,",
+        ("tests/test_family.py::test_size_restriction_at_its_closest_cases",),
+    ),
 )

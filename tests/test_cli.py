@@ -13,6 +13,7 @@ import seqfam
 from seqfam import cli, errors, kernels
 from seqfam.cli import _build_parser, main
 from seqfam.correlation import max_correlation
+from seqfam.sequences import format_sequence
 
 CLI_TIMEOUT = 10  # seconds; pytest has no timeout of its own here, so a hang must fail, not stall
 
@@ -126,6 +127,40 @@ def test_count_text_and_json(capsys):
     )
     payload = json.loads(out)
     assert payload["family_size"] == 574
+
+
+def test_count_builds_no_field(capsys):
+    # The report at q=13 d=4 as the field-based triple sum gave it: the closed form alone now.
+    expected = {
+        "q": 13, "d": 4, "M": 3, "lambda_formula": 604, "lambda_cosets": 604, "family_size": 1206,
+        "asymptotic": 1098.5, "ratio": 1.0978607191624943,
+        "breakdown": {"e=1,m=1": 1, "e=1,m=2": 1, "e=1,m=4": 2, "e=2,m=1": 6, "e=2,m=2": 6, "e=4,m=1": 588},
+    }
+    with mock.patch.object(cli, "build_field", side_effect=AssertionError("built a field")):
+        code, out, err = run(capsys, "count", "--p", "13", "--d", "4", "--M", "3", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_count_checks_q_against_the_given_table_limit(capsys, monkeypatch):
+    # q = 101 is above the environment's limit but q**2 is within --table-limit, which governs.
+    monkeypatch.setenv("SEQFAM_TABLE_LIMIT", "100")
+    argv = ["count", "--p", "101", "--d", "2", "--M", "4"]
+    code, out, err = run(capsys, *argv, "--format", "json", "--table-limit", "20000")
+    assert (code, err) == (0, "") and json.loads(out)["lambda_formula"] == 52
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: q = 101**1 exceeds the table limit 100\n")
+
+
+def test_family_stdout_is_the_two_files(tmp_path, capsys):
+    argv = ["family", "--p", "13", "--d", "2", "--M", "4", "--policy", "relaxed-d2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--out", str(tmp_path / "fam"))[0] == 0
+    files = [(tmp_path / f"fam.{kind}").read_text() for kind in ("manifest.json", "sequences.txt")]
+    assert out == "".join(files) and files[0].endswith("}\n")
+    family = cli._family(_build_parser().parse_args(argv))
+    assert files[1] == "".join(format_sequence(s) + "\n" for s in family.sequences)
 
 
 def test_count_sweep_csv(capsys):

@@ -271,6 +271,18 @@ def test_same_column_bound_violation_is_reported(fam16_m5):
     assert max_correlation(fam16_m5).same_column_bound_ok
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_same_column_bound_is_the_single_polynomial_one(degree):
+    # Two members c = 1, 2 of one column that agree at shift 0 correlate to the period 15. The bound
+    # (d_l - 1) * 4 + 1 passes that from d_l = 5 on; the two-polynomial one, (2 d_l - 1) * 4 + 1, would from 3.
+    family = SimpleNamespace(q=16, sequences=[SimpleNamespace(c=c, l=7) for c in (1, 2)])
+    phases = np.ones((2, 15), dtype=complex)
+    degs = np.full(2, degree, dtype=np.int64)
+    assert correlation._same_column_ok(family, phases, degs) == (degree == 5)
+    family.sequences[1].c = 1  # one multiple twice: a trivial correlation, which is not checked
+    assert correlation._same_column_ok(family, phases, degs)
+
+
 def test_coarse_histogram_ignores_member_order(fam16_m5, monkeypatch):
     # Few keys before the switch to 1e-3 bins, and many tiles, so that the
     # switch happens partway through the scan at a point the order decides.
@@ -437,11 +449,21 @@ def test_least_rotation_periodic_inputs(block, repeats, shift, defect):
 
 
 def test_weil_bound_values():
-    assert weil_bound(((2, 0), (2, 0)), 16) == pytest.approx(3 * 4)
-    assert weil_bound(((2, 0),), 16) == pytest.approx(4.0)
-    assert weil_bound(((1, 1),), 16) == pytest.approx(1.0)
-    with pytest.raises(ParameterError):
-        weil_bound((), 16)
+    assert weil_bound(4, 16) == 3 * 4 + 1.0
+    assert weil_bound(2, 16) == 5.0
+    assert weil_bound(1, 16) == 1.0
+    for degree_sum in (0, np.array([2, 0])):
+        with pytest.raises(ParameterError, match="degree sums must be at least 1"):
+            weil_bound(degree_sum, 16)
+
+
+def test_weil_bound_on_an_array_equals_the_scalar_calls():
+    sums = np.array([[2, 3, 6], [4, 5, 12]], dtype=np.int64)
+    for q in (16, 41, 256, 4093):
+        bounds = weil_bound(sums, q)
+        assert bounds.dtype == np.float64
+        assert bounds.tolist() == [[weil_bound(int(s), q) for s in row] for row in sums.tolist()]
+    assert weil_bound(np.empty(0, dtype=np.int64), 16).size == 0
 
 
 def test_empirical_character_sum_identity_x(gf16):
@@ -454,7 +476,7 @@ def test_empirical_character_sum_respects_weil_bound(gf256):
     p1 = column_polynomial(gf256, 1).min_poly
     p2 = column_polynomial(gf256, 3).min_poly
     val = empirical_character_sum(base, 5, [(p1, 1, 1), (p2, 2, 1)])
-    bound = weil_bound(((2, 0), (2, 0)), 16)
+    bound = weil_bound(4, 16) - 1  # the character sum itself, without R's x = 0 term
     assert abs(val) <= bound + 1e-6
 
 
@@ -947,7 +969,7 @@ def _serial_fold(family, backend="auto", prepare_first=False):
     generators = correlation._find_generators(symbols, family.M, degs, prime_factors(family.q)[0], index, starts)
     scan = correlation._OrbitScan(generators, n, period)
     scanner = kernels.PairScanner(symbols, family.M, backend)
-    reducer = correlation._ScanReducer(scan, degs, math.sqrt(family.q))
+    reducer = correlation._ScanReducer(scan, degs, family.q)
     coarse_from = None
     with kernels.scan_blas_threads():
         blocks = list(scan.blocks((scanner.band, scanner.tile)))
@@ -1056,7 +1078,7 @@ def test_a_fold_keeps_only_the_witnesses_of_the_maximum_at_its_turn():
             vals[0, 0, tau], vals[0, 1, 2] = top, 10 - 5e-10
             yield np.array([0]), np.array([1, 2]), np.ones((1, 2), dtype=np.int64), vals
 
-    serial, lagging = (correlation._ScanReducer(scan, np.ones(3, dtype=np.int64), 100.0) for _ in range(2))
+    serial, lagging = (correlation._ScanReducer(scan, np.ones(3, dtype=np.int64), 10_000) for _ in range(2))
     for block in blocks():
         serial.fold(serial.prepare(*block))
     for prepared in [lagging.prepare(*block) for block in blocks()]:
@@ -1097,7 +1119,7 @@ def test_folds_run_in_block_order_whatever_the_timing(monkeypatch):
         blocks = [(np.array([0]), np.array([1, 2])), (np.array([1]), np.array([2]))]
         blocks += [(np.array([2]), np.array([0]))] * after
         blocks = [(rows, cols, np.ones((1, cols.size), dtype=np.int64)) for rows, cols in blocks]
-        serial, threaded = (correlation._ScanReducer(scan, np.ones(3, dtype=np.int64), 100.0) for _ in range(2))
+        serial, threaded = (correlation._ScanReducer(scan, np.ones(3, dtype=np.int64), 10_000) for _ in range(2))
         for block in blocks:
             serial.fold(serial.prepare(*block, vals[int(block[0][0])].copy()))
         _within(lambda: correlation._parallel_scan(iter(blocks), Scanner(), threaded))

@@ -27,7 +27,7 @@ from seqfam.counting import (
 from seqfam.errors import InternalCheckError, ParameterError, TableLimitError
 from seqfam.family import coset_representatives
 from seqfam.fields import build_field
-from seqfam.intmath import as_prime_power
+from seqfam.intmath import as_prime_power, divisors
 
 
 def test_a_f_set_examples(gf5):
@@ -83,13 +83,53 @@ def test_lambda_size_identities():
     assert lambda_size(32, 3) == 353
 
 
+def test_lambda_parts_equal_the_triple_sum_of_yucas_counts():
+    # The paper's triple sum: lambda = sum over e | d, then over the m | d/e, of N(e, b, q) for every b of
+    # order m, read off GF(q) itself. Each (e, m) with such a b is a key of the parts, and no other is.
+    cases = 0
+    for q in range(2, 1025):
+        try:
+            ctx = build_field(*as_prime_power(q))
+        except ValueError:
+            continue
+        orders = [ctx.order(b) for b in range(1, q)]
+        d = 2
+        while q**d <= 1 << 24:
+            triple: dict[tuple[int, int], int] = {}
+            for e in divisors(d):
+                for b, m in enumerate(orders, start=1):
+                    if (d // e) % m == 0:
+                        triple[(e, m)] = triple.get((e, m), 0) + yucas_count(ctx, e, b)
+            assert lambda_size_parts(q, d) == triple, (q, d)
+            assert lambda_size_formula(q, d) == sum(triple.values())
+            cases += 1
+            d += 1
+    assert cases == 362
+
+
+@pytest.mark.parametrize("d", [1, 0])
+def test_lambda_size_refuses_a_degree_below_two(d):
+    for call in (lambda_size_parts, lambda_size_formula):
+        with pytest.raises(ParameterError, match="d must be >= 2"):
+            call(16, d)
+
+
+@pytest.mark.parametrize("q, d, M, lam", [(41, 3, 8, 575), (64, 2, 7, 33)])
+def test_count_report_builds_no_field(q, d, M, lam):
+    # Every build_field starts from the prime field, whichever namespace calls it.
+    with mock.patch("seqfam.fields._prime_context", side_effect=AssertionError("built a field")):
+        rep = count_report(q, d, M)
+        assert lambda_size(q, d) == lam
+    assert (rep.lambda_formula, rep.lambda_cosets, rep.family_size) == (lam, lam, (M - 1) * (lam - 1))
+
+
 def test_lambda_size_matches_cosets():
     for q, d in ((4, 2), (4, 3), (5, 2), (16, 2), (8, 3), (9, 2), (3, 5)):
         assert lambda_size_formula(q, d) == len(coset_representatives(q, d))
 
 
 def test_lambda_parts_orders_divide(gf16):
-    parts = lambda_size_parts(gf16, 4)
+    parts = lambda_size_parts(16, 4)
     for (e, m), _count in parts.items():
         assert (4 // e) % m == 0
         # witnesses: an element of that order evaluates to 1 at power d/e
@@ -99,8 +139,8 @@ def test_lambda_parts_orders_divide(gf16):
             assert gf16.pow_(b, m) == 1
 
 
-def test_count_report(gf16):
-    rep = count_report(16, 2, 5, gf16)
+def test_count_report():
+    rep = count_report(16, 2, 5)
     assert rep.lambda_formula == rep.lambda_cosets == 9
     assert rep.family_size == 32
     assert rep.asymptotic == pytest.approx(32.0)
@@ -108,7 +148,7 @@ def test_count_report(gf16):
     d = rep.to_dict()
     assert d["breakdown"]["e=1,m=1"] == 1
     with pytest.raises(ParameterError):
-        count_report(16, 2, 4, gf16)
+        count_report(16, 2, 4)
 
 
 def test_asymptotic_size():
@@ -296,11 +336,6 @@ def test_oracle_degree_one(gf13):
     counts = constant_term_counts(gf13, 1)
     # x + c has constant c = -b, every nonzero b appears exactly once
     assert counts == {b: 1 for b in range(1, 13)}
-
-
-def test_count_report_rejects_a_field_of_another_order(gf13):
-    with pytest.raises(ParameterError, match="q=13, not q=16"):
-        count_report(16, 2, 5, gf13)
 
 
 @pytest.mark.parametrize("p, n", [(3, 2), (2, 4)])

@@ -89,6 +89,28 @@ def test_check_restrictions_examples():
     assert r13.relaxation_available and r13.dropped_column == 7
 
 
+def test_size_restriction_is_decided_in_integers():
+    # bound_ok is (2d-1)**2 * q < (q-2)**2: the family bound (2d-1)*sqrt(q)+1 lies below the period q-1.
+    # Over this range it agrees with the float d < bound_rhs, which comes closest at q=53, d=4.
+    closest = (math.inf, None)
+    for _, _, q in iter_prime_powers(2, 1 << 15):
+        d = 2
+        while q**d <= 1 << 30:
+            report = check_restrictions(q, d)
+            assert report.bound_ok == (d < report.bound_rhs), (q, d)
+            closest = min(closest, (abs(report.bound_rhs - d), (q, d)))
+            d += 1
+    assert closest[1] == (53, 4) and closest[0] == pytest.approx(0.0027, abs=1e-4)
+
+
+@pytest.mark.parametrize("q, d, lhs, rhs", [(53, 4, 2597, 2601), (29, 3, 725, 729), (13, 2, 117, 121)])
+def test_size_restriction_at_its_closest_cases(q, d, lhs, rhs):
+    assert ((2 * d - 1) ** 2 * q, (q - 2) ** 2) == (lhs, rhs)
+    assert check_restrictions(q, d).bound_ok
+    assert not check_restrictions(q, d + 1).bound_ok
+    assert (2 * d - 1) * math.sqrt(q) + 1 < q - 1 < (2 * d + 1) * math.sqrt(q) + 1
+
+
 def test_build_family_sizes(gf256):
     for M, count in ((3, 16), (5, 32), (15, 112)):
         fam = build_family(gf256, M)

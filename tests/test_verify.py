@@ -1,3 +1,9 @@
+import dataclasses
+
+import pytest
+
+from seqfam import cli, columns, fields, polys, verify
+from seqfam.errors import InternalCheckError
 from seqfam.verify import format_verification, run_verification
 
 
@@ -63,3 +69,58 @@ def test_verify_samples_columns_above_2048():
     assert checks["column-stride-vs-closed-form"] == "strided sample of 283 of 2257 columns"
     assert checks["column-polynomial-root-free"] == "no base-field roots for 1025 of 2256 nonzero columns"
     assert checks["family-size-identity"] == "752 sequences"
+
+
+def _wrong_norm_coefficient(index):
+    """A column_polynomial wrapper whose norm polynomial has coefficient `index` moved to the next element."""
+    def wrapped(ext, l):
+        cp = columns.column_polynomial(ext, l)
+        coeffs = list(cp.norm_poly)
+        coeffs[index] = (coeffs[index] + 1) % ext.q
+        return dataclasses.replace(cp, norm_poly=tuple(coeffs))
+    return wrapped
+
+
+def _raise_internal(*args):
+    raise InternalCheckError("planted")
+
+
+# (attribute owner, attribute, replacement given the original) and the checks it must fail.
+_PLANTED_FAULTS = {
+    "extension-invariant": (
+        (fields.ExtensionContext, "validate", lambda original: _raise_internal),
+        ["field-invariants"],
+    ),
+    "constant-term": (
+        (verify, "column_polynomial", lambda original: _wrong_norm_coefficient(0)),
+        ["column-polynomial-structure", "column-symbols-from-polynomial"],
+    ),
+    "trace-coefficient": (
+        (verify, "column_polynomial", lambda original: _wrong_norm_coefficient(1)),
+        ["column-polynomial-structure", "column-symbols-from-polynomial"],
+    ),
+    "orbit-conjugates": (
+        (verify, "frobenius_poly", lambda original: lambda *args: polys.mul(args[0], original(*args), (0, 1))),
+        ["column-polynomial-orbit-product"],
+    ),
+    "character-sum": (
+        (verify, "correlation_via_character_sum", lambda original: lambda *args: original(*args) + 1),
+        ["correlation-character-sum-identity"],
+    ),
+    "yucas-count": (
+        (verify, "yucas_count", lambda original: lambda *args: original(*args) + 1),
+        ["count-constant-term-oracle"],
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", _PLANTED_FAULTS)
+def test_each_verify_check_fails_on_its_planted_fault(fault, monkeypatch):
+    (owner, name, replacement), failing = _PLANTED_FAULTS[fault]
+    monkeypatch.setattr(owner, name, replacement(getattr(owner, name)))
+    result = run_verification(2, 4, 2, 5)
+    checks = {c["name"]: c["ok"] for c in result["checks"]}
+    assert [name for name, ok in checks.items() if not ok] == failing
+    assert not result["ok"]
+    if fault == "yucas-count":
+        assert cli.main(["verify", "--p", "2", "--n", "4", "--d", "2", "--M", "5"]) == 1
