@@ -6,6 +6,7 @@ l carries a degree-d polynomial (the norm form of alpha**l x + 1) whose
 irreducible part is controlled by the q-cyclotomic coset of l.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,16 +31,29 @@ class CyclotomicCoset:
         return len(self.members)
 
 
+def _unit_order(q: int, modulus: int) -> int:
+    """Multiplicative order of q mod modulus, refused unless q is a unit there: no orbit walk would end."""
+    if math.gcd(q, modulus) != 1:
+        raise ParameterError(f"q = {q} is not a unit mod {modulus}")
+    order, power = 1, q % modulus
+    while power != 1 % modulus:
+        order, power = order + 1, power * q % modulus
+    return order
+
+
+def _orbit_sizes(ls: np.ndarray, q: int, modulus: int) -> np.ndarray:
+    """Size of the q-orbit of each l mod modulus: the order of q mod modulus / gcd(l, modulus)."""
+    cofactors, at = np.unique(modulus // np.gcd(ls, modulus), return_inverse=True)
+    return np.array([_unit_order(q, c) for c in cofactors.tolist()], dtype=np.int64)[at]
+
+
 def coset(l: int, modulus: int, q: int) -> CyclotomicCoset:
     """q-cyclotomic coset of l mod modulus, members in orbit order from l."""
     if not 0 <= l < modulus:
         raise ParameterError(f"coset index {l} out of range [0, {modulus})")
-    members = [l]
-    cur = (l * q) % modulus
-    while cur != l:
-        members.append(cur)
-        cur = (cur * q) % modulus
-    return CyclotomicCoset(modulus, min(members), tuple(members))
+    size = _unit_order(q, modulus // math.gcd(l, modulus))  # as in _orbit_sizes
+    members = tuple(l * pow(q, i, modulus) % modulus for i in range(size))
+    return CyclotomicCoset(modulus, min(members), members)
 
 
 def coset_leaders(modulus: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -48,15 +62,13 @@ def coset_leaders(modulus: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     Candidate elimination, one chunk of indices at a time: each pass
     multiplies the surviving indices' images by q once more and keeps an
     index only while its image is not smaller, so after ord(q) - 1 passes
-    only the orbit minima are left, and the passes shrink as they go. One
-    orbit walk over the leaders then gives each its coset size. Works in
-    int32 while every product image * q stays below 2**31, which the
-    default table cap guarantees, and in int64 above that. The chunks run
-    through kernels.run_chunks.
+    only the orbit minima are left, and the passes shrink as they go; then
+    _orbit_sizes gives each leader its coset size. Works in int32 while
+    every product image * q stays below 2**31, which the default table cap
+    guarantees, and in int64 above that. The chunks run through
+    kernels.run_chunks.
     """
-    order, power = 1, q % modulus
-    while power != 1 % modulus:
-        order, power = order + 1, power * q % modulus
+    order = _unit_order(q, modulus)
     dtype = np.int32 if modulus * q < 1 << 31 else np.int64
 
     def chunk(lo):
@@ -67,13 +79,7 @@ def coset_leaders(modulus: int, q: int) -> tuple[np.ndarray, np.ndarray]:
             image %= modulus
             keep = image >= leaders
             leaders, image = leaders[keep], image[keep]
-        image[:] = leaders
-        sizes = np.full(leaders.size, order, dtype=np.int64)
-        for k in range(1, order):  # image walks each leader's orbit from the leader
-            image *= q
-            image %= modulus
-            sizes[(image == leaders) & (sizes == order)] = k
-        return leaders, sizes
+        return leaders, _orbit_sizes(leaders, q, modulus)
 
     leaders, sizes = zip(*run_chunks(chunk, modulus, CHUNK))
     return np.concatenate(leaders).astype(np.int64), np.concatenate(sizes)
@@ -117,6 +123,7 @@ def column_from_long_sequence(ext: ExtensionContext, l: int, M: int, long_seq: M
 
 
 _ROWS = 4096  # rows of root_products multiplied out together
+_ORBIT_ROWS = 1 << 14  # orbit rows formed together, four row chunks of root_products
 
 
 def root_products(ext: ExtensionContext, exponents) -> np.ndarray:
@@ -157,17 +164,46 @@ def root_products(ext: ExtensionContext, exponents) -> np.ndarray:
     return out
 
 
+def orbit_products(ext: ExtensionContext, ls, modulus: int, scale: int, offsets):
+    """Yield (rows, coeff), coeff[i] = prod (x + alpha**(scale*e + offset)) over the q-orbit e of l.
+
+    l is ls[rows[i]], its orbit taken mod modulus, and offset is
+    offsets[rows[i]], or offsets itself when it is one exponent for all.
+    The rows come grouped by orbit size s, ascending, _ORBIT_ROWS at a
+    time; each chunk's orbits are formed and multiplied out by one
+    root_products call into s + 1 coefficients, constant term first. A
+    full Frobenius orbit of roots gives a monic product over the base
+    field when scale * modulus and (q - 1) * offset are multiples of
+    q**d - 1; each chunk is checked for both.
+    """
+    q = ext.q
+    ls = np.asarray(ls, dtype=np.int64) % modulus
+    offsets = np.broadcast_to(np.asarray(offsets, dtype=np.int64), ls.shape)
+    sizes = _orbit_sizes(ls, q, modulus)
+    for s in np.unique(sizes).tolist():
+        powers = np.array([pow(q, i, modulus) for i in range(s)], dtype=np.int64)
+        sel = np.flatnonzero(sizes == s)
+        for lo in range(0, sel.size, _ORBIT_ROWS):
+            rows = sel[lo : lo + _ORBIT_ROWS]
+            exponents = ls[rows, None] * powers % modulus  # l * q**i mod modulus, every product below modulus**2
+            exponents *= scale
+            exponents += offsets[rows, None]
+            coeff = root_products(ext, exponents)
+            if np.any(coeff[:, s] != 1):
+                raise InternalCheckError("orbit factor is not monic")
+            if coeff.max() >= q:
+                raise InternalCheckError("orbit factor has coefficients outside the base field")
+            yield rows, coeff
+
+
 def shifted_column_polynomial(ext: ExtensionContext, l: int, tau: int) -> tuple:
     """Product of (x + alpha**(-j) * beta**(-tau)) over the coset of l mod q**d-1.
 
     This is min_poly of column l with its roots scaled by beta**-tau, a
     base-field polynomial for every tau. beta = alpha**m, m the column count.
     """
-    exponents = [(-j - tau * ext.norm_ratio) % (ext.size - 1) for j in coset(l, ext.size - 1, ext.q).members]
-    shifted = tuple(root_products(ext, [exponents])[0].tolist())
-    if any(c >= ext.q for c in shifted):
-        raise InternalCheckError("shifted column polynomial left the base field")
-    return shifted
+    ((_, coeff),) = orbit_products(ext, [l], ext.size - 1, -1, -tau * ext.norm_ratio)
+    return tuple(coeff[0].tolist())
 
 
 def frobenius_poly(ext: ExtensionContext, poly, k: int = 1) -> tuple:

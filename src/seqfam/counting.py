@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polys
-from .columns import coset_leaders, root_products
+from .columns import coset_leaders, orbit_products
 from .errors import InternalCheckError, ParameterError
 from .family import coset_representatives
 from .fields import ExtensionContext, FieldContext, check_table_size
@@ -261,50 +261,31 @@ def constant_term_counts(ctx: FieldContext, f: int, limit: int = 1 << 20) -> dic
 # -- explicit factor construction for x**m - 1 --------------------------------
 
 
-_FACTOR_ROWS = 1 << 14  # factor rows built together, four row chunks of root_products
-
-
 def cyclotomic_factors(ext: ExtensionContext, deep: bool = False) -> list[tuple[int, ...]]:
     """Monic irreducible factors of x**m - 1 over GF(q), m = (q**d-1)/(q-1).
 
-    Each factor is multiplied out from the root orbit of one q-cyclotomic
-    coset of exponents of the order-m root of unity alpha**(q-1), one
-    chunk of rows of a coset-size group at a time. The construction checks
-    that every factor is monic with base-field coefficients, that factors
-    are pairwise distinct, and that degrees sum to m. With deep=True it
-    also tests each factor for irreducibility and multiplies all factors
-    back together through polys.mul, a schoolbook product in Python:
-    3.5 ms at m = 65, the largest m that verify passes deep=True, but
-    0.25 s at m = 1,365 and 0.9 s at m = 4,095.
+    Each factor is the orbit_products product over one q-cyclotomic coset
+    of exponents of the order-m root of unity alpha**(q-1), checked there
+    to be monic over GF(q); here factors are checked to be pairwise
+    distinct, with degrees summing to m. With deep=True it also tests each
+    factor for irreducibility and multiplies all factors back together
+    through polys.mul, a schoolbook product in Python: 3.5 ms at m = 65,
+    the largest m that verify passes deep=True, but 0.25 s at m = 1,365
+    and 0.9 s at m = 4,095.
     """
     q, m = ext.q, ext.norm_ratio
     base = ext.base
-    reps, sizes = coset_leaders(m, q)
-    log_minus_one = int(ext.log[ext.neg(1)])
-
+    reps = coset_leaders(m, q)[0]
     ordered: list[tuple[int, ...]] = [()] * reps.size
-    for s in np.unique(sizes).tolist():
-        sel = np.flatnonzero(sizes == s)
-        powers = np.array([pow(q, i, m) for i in range(s)])
-        digits = q ** np.arange(s, dtype=np.int64)
-        keys = np.empty(sel.size, dtype=np.int64)
-        for lo in range(0, sel.size, _FACTOR_ROWS):
-            rows = sel[lo : lo + _FACTOR_ROWS]
-            members = reps[rows, None] * powers % m  # rep * q**i mod m, every product below m**2
-            # x - alpha**((q-1)*e) = x + alpha**((q-1)*e + log(-1))
-            members *= q - 1
-            members += log_minus_one
-            coeff = root_products(ext, members)
-            if np.any(coeff[:, s] != 1):
-                raise InternalCheckError("orbit factor is not monic")
-            if coeff.max() >= q:
-                raise InternalCheckError("orbit factor has coefficients outside the base field")
-            # the s low coefficients in base q: distinct keys are distinct monic factors, as q**s <= q**d
-            keys[lo : lo + rows.size] = coeff[:, :s] @ digits
-            for k, row in zip(rows.tolist(), zip(*coeff.T.tolist())):
-                ordered[k] = row
-        if np.unique(keys).size != keys.size:  # factors of different degrees differ anyway
-            raise InternalCheckError("orbit factors are not pairwise distinct")
+    keys = np.empty(reps.size, dtype=np.int64)
+    # x - alpha**((q-1)*e) = x + alpha**((q-1)*e + log(-1))
+    for rows, coeff in orbit_products(ext, reps, m, q - 1, int(ext.log[ext.neg(1)])):
+        # base-q digits, the leading 1 included, so keys of any degrees differ; under the table cap q**(d+1) <= 2**60
+        keys[rows] = coeff @ q ** np.arange(coeff.shape[1], dtype=np.int64)
+        for k, row in zip(rows.tolist(), zip(*coeff.T.tolist())):
+            ordered[k] = row
+    if np.unique(keys).size != keys.size:
+        raise InternalCheckError("orbit factors are not pairwise distinct")
     if sum(map(len, ordered)) - len(ordered) != m:
         raise InternalCheckError("factor degrees do not sum to m")
 

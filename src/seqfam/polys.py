@@ -118,11 +118,11 @@ def eval_at(ctx, poly, x):
 
 
 def eval_arr(ctx, poly, xs):
-    """Horner evaluation at an array of element encodings."""
+    """Horner evaluation at an array of element encodings; a (rows, k) block of polynomials gives a row each."""
     xs = np.asarray(xs, dtype=np.int64)
     acc = np.zeros(xs.shape, dtype=np.int64)
-    for c in reversed(trim(poly)):
-        acc = ctx.add_arr(ctx.mul_arr(acc, xs), int(c))
+    for c in np.asarray(poly, dtype=np.int64).T[::-1]:
+        acc = ctx.add_arr(ctx.mul_arr(acc, xs), c[..., None])
     return acc
 
 

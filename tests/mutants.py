@@ -135,4 +135,27 @@ MUTANTS = (
         "bound_ok=(2 * d - 3) ** 2 * q < (q - 2) ** 2,",
         ("tests/test_family.py::test_size_restriction_at_its_closest_cases",),
     ),
+    Mutant(
+        "orbit-products-without-the-base-field-check",
+        "seqfam/columns.py",
+        '            if coeff.max() >= q:\n'
+        '                raise InternalCheckError("orbit factor has coefficients outside the base field")\n',
+        "",
+        ("tests/test_counting.py::test_cyclotomic_factors_checks_fire_in_chunks",),
+    ),
+    Mutant(
+        "root-free-check-skips-zero",
+        "seqfam/verify.py",
+        "field_elements = np.arange(q, dtype=np.int64)",
+        "field_elements = np.arange(1, q, dtype=np.int64)",
+        ("tests/test_verify.py::test_each_verify_check_fails_on_its_planted_fault",),
+    ),
+    Mutant(
+        "factors-without-the-distinct-keys-check",
+        "seqfam/counting.py",
+        '    if np.unique(keys).size != keys.size:\n'
+        '        raise InternalCheckError("orbit factors are not pairwise distinct")\n',
+        "",
+        ("tests/test_counting.py::test_cyclotomic_factors_checks_fire_in_chunks",),
+    ),
 )

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqfam
 from seqfam import polys
 from seqfam.columns import (
     column_from_long_sequence,
@@ -15,6 +19,7 @@ from seqfam.columns import (
     coset,
     coset_leaders,
     frobenius_poly,
+    orbit_products,
     root_products,
     shifted_column_polynomial,
 )
@@ -30,6 +35,29 @@ def test_coset_basics():
     assert set(c.members) == {1, 4} and c.representative == 1 and c.size == 2
     with pytest.raises(ParameterError):
         coset(5, 5, 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "coset(1, 4, 2)",
+        "coset_leaders(4, 2)",
+        "list(orbit_products(build_extension(build_field(2, 1), 2), [1], 4, 1, 0))",
+    ],
+    ids=["coset", "coset_leaders", "orbit_products"],
+)
+def test_orbits_refuse_a_q_that_is_not_a_unit(call):
+    # 2 is no unit mod 4: the orbit 1 -> 2 -> 0 -> 0 never returns to 1, and no power of 2 is 1 mod 4,
+    # so an orbit walk would never end. A fresh interpreter, killed after 10 s, turns a hang into a failure.
+    script = (
+        "from seqfam.columns import coset, coset_leaders, orbit_products\n"
+        "from seqfam.errors import ParameterError\n"
+        "from seqfam.fields import build_extension, build_field\n"
+        f"try:\n    {call}\nexcept ParameterError as exc:\n    print(exc)\n"
+    )
+    env = {"PYTHONPATH": str(Path(seqfam.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "q = 2 is not a unit mod 4\n", "")
 
 
 def test_coset_pairs_for_degree_two():
@@ -228,6 +256,15 @@ def test_column_polynomials_golden(gf4096_over16):
     }
     for tau, digest in golden_shifted.items():
         assert _digest([list(shifted_column_polynomial(ext, l, tau)) for l in reps]) == digest
+
+
+def test_orbit_products_give_every_column_s_min_poly(gf25, gf256, gf64_over4):
+    for ext in (gf25, gf256, gf64_over4):
+        m, found = ext.norm_ratio, {}
+        for rows, coeff in orbit_products(ext, range(m), ext.size - 1, -1, 0):
+            found.update(zip(rows.tolist(), map(tuple, coeff.tolist())))
+        assert sorted(found) == list(range(m))
+        assert all(found[l] == column_polynomial(ext, l).min_poly for l in range(m))
 
 
 @pytest.fixture(scope="module")

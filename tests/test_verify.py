@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from seqfam import cli, columns, fields, polys, verify
@@ -52,8 +53,8 @@ def test_verify_times_each_check_and_is_deterministic_apart_from_timings():
     assert untimed[0] == untimed[1]
 
 
-def test_verify_samples_columns_above_2048():
-    # q=47 d=3: m = 2257 columns, so the stride and root-free checks sample them.
+def test_verify_checks_every_column_above_2048():
+    # q=47 d=3: m = 2257 columns, more than 2048; the stride and root-free checks still take every one.
     result = run_verification(47, 1, 3, 2)
     assert result["ok"], [c for c in result["checks"] if not c["ok"]]
     checks = {c["name"]: c["detail"] for c in result["checks"]}
@@ -66,8 +67,8 @@ def test_verify_samples_columns_above_2048():
         "correlation-character-sum-identity", "cyclic-inequivalence", "cyclic-inequivalence-negative-control",
         "count-cross-validation", "count-constant-term-oracle", "count-estimate-gap",
     ]
-    assert checks["column-stride-vs-closed-form"] == "strided sample of 283 of 2257 columns"
-    assert checks["column-polynomial-root-free"] == "no base-field roots for 1025 of 2256 nonzero columns"
+    assert checks["column-stride-vs-closed-form"] == "exhaustive over 2257 columns"
+    assert checks["column-polynomial-root-free"] == "no base-field roots for 2256 of 2256 nonzero columns"
     assert checks["family-size-identity"] == "752 sequences"
 
 
@@ -78,6 +79,29 @@ def _wrong_norm_coefficient(index):
         coeffs = list(cp.norm_poly)
         coeffs[index] = (coeffs[index] + 1) % ext.q
         return dataclasses.replace(cp, norm_poly=tuple(coeffs))
+    return wrapped
+
+
+def _first_min_poly_times_x(original):
+    """An orbit_products wrapper that multiplies the first polynomial it yields by x, a root at 0."""
+    def wrapped(*args):
+        blocks = original(*args)
+        rows, coeff = next(blocks)
+        yield rows[:1], np.insert(coeff[:1], 0, 0, axis=1)
+        yield rows[1:], coeff[1:]
+        yield from blocks
+    return wrapped
+
+
+def _one_symbol_moved(original):
+    """A column_from_long_sequence wrapper that moves the first symbol of column 7 to the next value."""
+    def wrapped(ext, l, M, long_seq):
+        column = original(ext, l, M, long_seq)
+        if l != 7:
+            return column
+        symbols = column.symbols.copy()
+        symbols[0] = (symbols[0] + 1) % M
+        return dataclasses.replace(column, symbols=symbols)
     return wrapped
 
 
@@ -98,6 +122,14 @@ _PLANTED_FAULTS = {
     "trace-coefficient": (
         (verify, "column_polynomial", lambda original: _wrong_norm_coefficient(1)),
         ["column-polynomial-structure", "column-symbols-from-polynomial"],
+    ),
+    "stride-symbol": (
+        (verify, "column_from_long_sequence", _one_symbol_moved),
+        ["column-stride-vs-closed-form"],
+    ),
+    "min-poly-root-at-zero": (
+        (verify, "orbit_products", _first_min_poly_times_x),
+        ["column-polynomial-root-free"],
     ),
     "orbit-conjugates": (
         (verify, "frobenius_poly", lambda original: lambda *args: polys.mul(args[0], original(*args), (0, 1))),
