@@ -56,17 +56,16 @@ def coset(l: int, modulus: int, q: int) -> CyclotomicCoset:
     return CyclotomicCoset(modulus, min(members), members)
 
 
-def coset_leaders(modulus: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Representatives of the q-cyclotomic cosets mod modulus, ascending, and the coset sizes.
+def coset_leaders(modulus: int, q: int) -> np.ndarray:
+    """Representatives of the q-cyclotomic cosets mod modulus, ascending.
 
     Candidate elimination, one chunk of indices at a time: each pass
     multiplies the surviving indices' images by q once more and keeps an
     index only while its image is not smaller, so after ord(q) - 1 passes
-    only the orbit minima are left, and the passes shrink as they go; then
-    _orbit_sizes gives each leader its coset size. Works in int32 while
-    every product image * q stays below 2**31, which the default table cap
-    guarantees, and in int64 above that. The chunks run through
-    kernels.run_chunks.
+    only the orbit minima are left, and the passes shrink as they go.
+    _orbit_sizes gives the coset sizes. Works in int32 while every product
+    image * q stays below 2**31, which the default table cap guarantees,
+    and in int64 above that. The chunks run through kernels.run_chunks.
     """
     order = _unit_order(q, modulus)
     dtype = np.int32 if modulus * q < 1 << 31 else np.int64
@@ -79,10 +78,9 @@ def coset_leaders(modulus: int, q: int) -> tuple[np.ndarray, np.ndarray]:
             image %= modulus
             keep = image >= leaders
             leaders, image = leaders[keep], image[keep]
-        return leaders, _orbit_sizes(leaders, q, modulus)
+        return leaders
 
-    leaders, sizes = zip(*run_chunks(chunk, modulus, CHUNK))
-    return np.concatenate(leaders).astype(np.int64), np.concatenate(sizes)
+    return np.concatenate(run_chunks(chunk, modulus, CHUNK)).astype(np.int64)
 
 
 def column_symbols(ext: ExtensionContext, l, M: int) -> np.ndarray:

@@ -600,10 +600,7 @@ def _same_column_ok(family: SequenceFamily, phases: np.ndarray, degs: np.ndarray
     return True
 
 
-def max_correlation(
-    family: SequenceFamily,
-    backend: str = "auto",
-) -> CorrelationReport:
+def max_correlation(family: SequenceFamily) -> CorrelationReport:
     """Exhaustive scan of all nontrivial auto- and cross-correlations.
 
     Covers every unordered pair (autocorrelations once) at every shift, but
@@ -622,7 +619,7 @@ def max_correlation(
     start = time.perf_counter()
     symbols = family.symbols_matrix()
     n, period = symbols.shape
-    scanner = PairScanner(symbols, family.M, backend=backend)
+    scanner = PairScanner(symbols, family.M)
     degs = family.degree_per_sequence()
     keys, starts = _rotation_keys(symbols)
     index, shared = _key_index(keys)

@@ -275,7 +275,7 @@ def cyclotomic_factors(ext: ExtensionContext, deep: bool = False) -> list[tuple[
     """
     q, m = ext.q, ext.norm_ratio
     base = ext.base
-    reps = coset_leaders(m, q)[0]
+    reps = coset_leaders(m, q)
     ordered: list[tuple[int, ...]] = [()] * reps.size
     keys = np.empty(reps.size, dtype=np.int64)
     # x - alpha**((q-1)*e) = x + alpha**((q-1)*e + log(-1))

@@ -24,7 +24,7 @@ def coset_representatives(q: int, d: int) -> list[int]:
     """Smallest member of every q-cyclotomic coset mod (q**d-1)/(q-1), sorted."""
     if d < 2:
         raise ParameterError("d must be >= 2")
-    return coset_leaders((q**d - 1) // (q - 1), q)[0].tolist()
+    return coset_leaders((q**d - 1) // (q - 1), q).tolist()
 
 
 @dataclass(frozen=True)

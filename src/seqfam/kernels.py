@@ -16,9 +16,10 @@ Two kernels compute it:
   product F_rows[:, None] * conj(F_cols)[None] plus a batched transform.
   Cost grows as period * log(period) per pair.
 
-The kernel is picked from the period alone: GEMM up to GEMM_MAX_PERIOD,
-FFT above it. Either kernel forms a block, `band` rows by one column
-tile, in one complex product of about a quarter of TILE_ELEMENTS values.
+The kernel is picked from the period alone, by default_backend: GEMM up
+to GEMM_MAX_PERIOD, FFT above it. Either kernel forms a block, `band`
+rows by one column tile, in one complex product of about a quarter of
+TILE_ELEMENTS values.
 A scan runs its blocks through in_order, on one thread per usable CPU
 whichever kernel runs; OpenBLAS runs each product on one thread
 (scan_blas_threads). Measured so on 2 CPUs, whole max_correlation scans of
@@ -65,22 +66,13 @@ COMPILED_AVAILABLE = False
 GEMM_MAX_PERIOD = 31
 # A tile holds about this many |R| values: tile**2 * period <= TILE_ELEMENTS.
 TILE_ELEMENTS = 1 << 20
-BACKENDS = ("gemm", "fft")
 
 
 def default_backend(period: int | None = None) -> str:
-    """The kernel used for sequences of this period ("auto" while it is unknown)."""
+    """The kernel that runs sequences of this period ("auto" while it is unknown); no other code picks one."""
     if period is None:
         return "auto"
     return "gemm" if period <= GEMM_MAX_PERIOD else "fft"
-
-
-def resolve_backend(name: str, period: int) -> str:
-    if name == "auto":
-        return default_backend(period)
-    if name not in BACKENDS:
-        raise ParameterError(f"unknown correlation backend {name!r}")
-    return name
 
 
 def tile_size(period: int) -> int:
@@ -218,12 +210,12 @@ def root_phases(symbols, M: int) -> np.ndarray:
 class PairScanner:
     """Per-kernel state for one symbol matrix; serves (row tile x column tile) blocks."""
 
-    def __init__(self, symbols: np.ndarray, M: int, backend: str = "auto"):
+    def __init__(self, symbols: np.ndarray, M: int):
         symbols = np.asarray(symbols)
         if symbols.ndim != 2:
             raise ParameterError("symbols must be a 2-D (sequence, time) array")
         self.count, self.period = symbols.shape
-        self.backend = resolve_backend(backend, self.period)
+        self.backend = default_backend(self.period)
         self.tile = tile_size(self.period)
         # A scan runs its blocks through in_order on every usable CPU. On two,
         # either scan benchmark peaks about 11 MB above one CPU (README).

@@ -93,7 +93,7 @@ def run_verification(
            np.array_equal(long_norm.symbols, sidelnikov_sequence_ext_direct(ext, M).symbols),
            "norm route vs direct extension-log route")
 
-    step = max(1, CHUNK // q)  # columns compared or evaluated together, about CHUNK values at a time
+    step = max(1, CHUNK // q)  # columns or values of l taken together, about CHUNK values at a time
     col_ok = all(
         np.array_equal(
             column_symbols(ext, cols, M), [column_from_long_sequence(ext, l, M, long_norm).symbols for l in cols]
@@ -140,12 +140,14 @@ def run_verification(
     record("column-polynomial-root-free", root_free, f"no base-field roots for {m - 1} of {m - 1} nonzero columns")
 
     ratio_small = (q ** (d - 1) - 1) // (q - 1)
-    ls = np.arange(1, q + 1)
-    lhs = column_symbols(ext, (m - ratio_small * ls) % m, M)
-    rhs = column_symbols(ext, ls % m, M)
-    # np.roll(v, l - 1)[t] = v[t - (l - 1)], row by row
-    rolled = np.take_along_axis(rhs, (np.arange(q - 1) - (ls[:, None] - 1)) % (q - 1), axis=1)
-    reflection_ok = np.array_equal(lhs, rolled)
+
+    def reflects(ls: np.ndarray) -> bool:
+        rhs = column_symbols(ext, ls % m, M)
+        # np.roll(v, l - 1)[t] = v[t - (l - 1)], row by row
+        rolled = np.take_along_axis(rhs, (np.arange(q - 1) - (ls[:, None] - 1)) % (q - 1), axis=1)
+        return np.array_equal(column_symbols(ext, (m - ratio_small * ls) % m, M), rolled)
+
+    reflection_ok = all(reflects(ls) for ls in np.array_split(np.arange(1, q + 1), -(-q // step)))
     record("column-reflection-shift-identity", reflection_ok,
            "mirrored column index equals the column shifted by l-1")
 

@@ -1,3 +1,4 @@
+import sys
 import threading
 from unittest import mock
 
@@ -74,10 +75,20 @@ def fam16_m5(gf256):
     return build_family(gf256, 5)
 
 
-def _triangle_scan(family, **kwargs):
+def _triangle_scan(family):
     """max_correlation with no symmetry found: the plain upper-triangle scan."""
     with mock.patch.object(correlation, "_find_generators", lambda *args: []):
-        return correlation.max_correlation(family, **kwargs)
+        return correlation.max_correlation(family)
+
+
+def _kernel(name: str):
+    """A context in which every PairScanner runs kernel `name`: GEMM_MAX_PERIOD is moved past every period."""
+    return mock.patch.object(kernels, "GEMM_MAX_PERIOD", {"gemm": sys.maxsize, "fft": 0}[name])
+
+
+@pytest.fixture(scope="session")
+def kernel():
+    return _kernel
 
 
 def _entry_keys(entries: list[dict]) -> list[tuple]:

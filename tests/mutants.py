@@ -158,4 +158,25 @@ MUTANTS = (
         "",
         ("tests/test_counting.py::test_cyclotomic_factors_checks_fire_in_chunks",),
     ),
+    Mutant(
+        "gemm-below-its-boundary-period-only",
+        "seqfam/kernels.py",
+        'return "gemm" if period <= GEMM_MAX_PERIOD else "fft"',
+        'return "gemm" if period < GEMM_MAX_PERIOD else "fft"',
+        ("tests/test_kernels.py::test_backend_resolution",),
+    ),
+    Mutant(
+        "coset-leaders-drop-ties-with-their-image",
+        "seqfam/columns.py",
+        "keep = image >= leaders",
+        "keep = image > leaders",
+        ("tests/test_family.py::test_coset_leaders_match_coset_walks",),
+    ),
+    Mutant(
+        "stride-check-skips-the-last-column",
+        "seqfam/verify.py",
+        "np.array_split(range(m), -(-m // step))",
+        "np.array_split(range(m - 1), -(-m // step))",
+        ("tests/test_verify.py::test_stride_check_in_chunks_reaches_the_last_column",),
+    ),
 )

@@ -271,7 +271,8 @@ def test_root_products_on_each_cpu_count(pools, gf256, rows):
     ],
 )
 def test_coset_minima_on_each_cpu_count(pools, modulus, q):
-    reps, sizes = _on_each_cpu_count(pools, lambda: columns.coset_leaders(modulus, q), int(modulus > CHUNK))
+    (reps,) = _on_each_cpu_count(pools, lambda: (columns.coset_leaders(modulus, q),), int(modulus > CHUNK))
+    sizes = columns._orbit_sizes(reps, q, modulus)
     assert sizes.sum() == modulus
     orbits = [columns.coset(int(l), modulus, q) for l in np.r_[0:3, CHUNK - 2 : min(CHUNK + 2, modulus), modulus - 3 : modulus]]
     at = np.searchsorted(reps, [c.representative for c in orbits])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import seqfam
 from seqfam import polys
 from seqfam.columns import (
+    _orbit_sizes,
     column_from_long_sequence,
     column_polynomial,
     column_sequence,
@@ -73,7 +74,8 @@ def test_coset_minima_around_the_int32_switch(modulus):
     # coset_leaders works in int32 while modulus * q < 2**31: modulus * 2048 is
     # just below 2**31 for the first modulus and just above it for the second
     q = 2048
-    reps, sizes = coset_leaders(modulus, q)
+    reps = coset_leaders(modulus, q)
+    sizes = _orbit_sizes(reps, q, modulus)
     assert reps.dtype == sizes.dtype == np.int64
     assert np.all(np.diff(reps) > 0) and sizes.sum() == modulus
     rng = np.random.default_rng(6)

@@ -65,11 +65,11 @@ def test_max_correlation_q16_m5(fam16_m5):
     assert report.histogram_resolution == 1e-6
 
 
-def _assert_golden_scan(monkeypatch, fam, backend, ran, delta_max, digest):
-    """max_correlation(fam, backend) ran kernel `ran` and gave these delta_max and histogram bits, on one CPU and on two."""
+def _assert_golden_scan(monkeypatch, fam, ran, delta_max, digest):
+    """max_correlation(fam) ran kernel `ran` and gave these delta_max and histogram bits, on one CPU and on two."""
     for cpus in (1, 2):
         monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
-        report = max_correlation(fam, backend)
+        report = max_correlation(fam)
         assert (report.backend, report.scan["threads"]) == (ran, cpus)
         assert repr(report.delta_max) == delta_max
         histogram = json.dumps(report.to_dict()["histogram"]).encode()
@@ -84,7 +84,7 @@ def test_golden_fft_scan(monkeypatch):
     fam = build_family(build_extension(build_field(2, 8), 2), 5)
     assert (fam.period, fam.size) == (255, 512)
     _assert_golden_scan(
-        monkeypatch, fam, "auto", "fft", "48.416407864998746",
+        monkeypatch, fam, "fft", "48.416407864998746",
         "89aa700245e4771e8ab0516faa81840df94184f4f5123278f8ec0e6f891a3b37",
     )
 
@@ -98,13 +98,45 @@ def test_golden_fft_scan(monkeypatch):
          "0381adc57ed505506dd2a2e850f9451889f610d73cf24a26ded1bcf64ef65390"),
     ],
 )
-def test_golden_gemm_scan(monkeypatch, p, n, M, policy, period, size, delta_max, digest):
-    # Periods 63 and 80 on the GEMM kernel, asked for by name: pinned bit for
-    # bit, as in test_golden_fft_scan. The default kernel there is FFT
+def test_golden_gemm_scan(monkeypatch, kernel, p, n, M, policy, period, size, delta_max, digest):
+    # Periods 63 and 80 on the GEMM kernel, forced there by the helper: pinned
+    # bit for bit, as in test_golden_fft_scan. The default kernel there is FFT
     # (test_golden_auto_scan); both give the same histogram.
     fam = build_family(build_extension(build_field(p, n), 2), M, policy=policy)
     assert (fam.period, fam.size) == (period, size)
-    _assert_golden_scan(monkeypatch, fam, "gemm", "gemm", delta_max, digest)
+    with kernel("gemm"):
+        _assert_golden_scan(monkeypatch, fam, "gemm", delta_max, digest)
+
+
+@pytest.mark.parametrize(
+    "p, n, M, bins, digest, witnesses",
+    [
+        (2, 4, 15, 5034, "e3c2413a32d6e333c6ddde74a02ad811038ffb4d4b0f9aad92f0709dae4ae2e6",
+         [(1, 3, 4, 1, 0), (1, 4, 4, 5, 11), (2, 2, 8, 6, 0), (2, 7, 8, 8, 14), (7, 6, 13, 2, 0),
+          (7, 8, 13, 7, 1), (11, 1, 14, 3, 0), (11, 5, 14, 4, 4)]),
+        (2, 5, 31, 220803, "9de2bd424840ed3fe4a2d415fd66113cb466e7622a71621ad12e9f82dca0a9fd",
+         [(1, 15, 18, 11, 22), (2, 9, 5, 11, 9), (4, 12, 10, 11, 21), (8, 6, 20, 11, 0), (9, 11, 16, 3, 26),
+          (11, 11, 23, 6, 0), (13, 11, 30, 15, 9), (15, 3, 22, 11, 5), (21, 11, 27, 12, 10), (26, 11, 29, 9, 22)]),
+    ],
+)
+def test_golden_gemm_period_scan(monkeypatch, p, n, M, bins, digest, witnesses):
+    # Periods 15 and 31, where the default kernel is GEMM. The histogram and
+    # witnesses are pinned under every OpenBLAS CPU kernel tried; delta_max's
+    # last bits move with that kernel, so it is held to the direct sum at the
+    # witnesses instead.
+    fam = build_family(build_extension(build_field(p, n), 2), M)
+    assert fam.period == M == 2**n - 1
+    members = {(s.c, s.l): s for s in fam.sequences}
+    for cpus in (1, 2):
+        monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)), raising=False)
+        report = max_correlation(fam)
+        assert (report.backend, report.scan["threads"]) == ("gemm", cpus)
+        histogram = json.dumps(report.to_dict()["histogram"]).encode()
+        assert (len(report.histogram), hashlib.sha256(histogram).hexdigest()) == (bins, digest)
+        assert [(w["c1"], w["l1"], w["c2"], w["l2"], w["tau"]) for w in report.argmax] == witnesses
+        for c1, l1, c2, l2, tau in witnesses:
+            direct = abs(cross_correlation(members[c1, l1], members[c2, l2], tau))
+            assert abs(report.delta_max - direct) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -126,7 +158,7 @@ def test_golden_auto_scan(monkeypatch, p, n, M, policy, period, size, delta_max,
     # shows in delta_max's last bits.
     fam = build_family(build_extension(build_field(p, n), 2), M, policy=policy)
     assert (fam.period, fam.size) == (period, size)
-    _assert_golden_scan(monkeypatch, fam, "auto", "fft", delta_max, digest)
+    _assert_golden_scan(monkeypatch, fam, "fft", delta_max, digest)
 
 
 @pytest.mark.parametrize("p, n, d, M, policy", [
@@ -136,29 +168,31 @@ def test_golden_auto_scan(monkeypatch, p, n, M, policy, period, size, delta_max,
     (3, 4, 2, 5, "relaxed-d2"),
     (41, 1, 3, 2, "strict"),  # GEMM gives 24.0 exactly, FFT 24.000000000000007
 ])
-def test_kernels_agree_above_the_boundary(p, n, d, M, policy):
+def test_kernels_agree_above_the_boundary(kernel, p, n, d, M, policy):
     # The two kernels differ only in the last bits of |R|: the same histogram
     # key for key, the same witnesses, and delta_max within 1e-12.
     fam = build_family(build_extension(build_field(p, n), d), M, policy=policy)
-    gemm, fft = (max_correlation(fam, backend=backend) for backend in ("gemm", "fft"))
+    with kernel("gemm"):
+        gemm = max_correlation(fam)
+    with kernel("fft"):
+        fft = max_correlation(fam)
     assert gemm.histogram == fft.histogram
     assert _key_list(fam, gemm.argmax) == _key_list(fam, fft.argmax)
     assert abs(gemm.delta_max - fft.delta_max) <= 1e-12
 
 
-def test_max_correlation_backends_agree(fam16_m5):
+def test_max_correlation_backends_agree(fam16_m5, kernel):
     brute = _brute_force(fam16_m5)
     top = max(brute.values())
     ties = sorted(k for k, v in brute.items() if v >= top - 1e-9)[:WITNESS_CAP]
     for backend in ("gemm", "fft"):
-        report = max_correlation(fam16_m5, backend=backend)
+        with kernel(backend):
+            report = max_correlation(fam16_m5)
         assert report.backend == backend
         assert report.delta_max == pytest.approx(top, abs=1e-6)
         assert report.histogram == _fine_histogram(brute.values())
         assert _key_list(fam16_m5, report.argmax) == ties
     assert max_correlation(fam16_m5).backend == "gemm"  # period 15
-    with pytest.raises(ParameterError, match="unknown correlation backend 'reference'"):
-        max_correlation(fam16_m5, backend="reference")
 
 
 def _brute_force(family):
@@ -191,7 +225,7 @@ def _with_members(family, sequences):
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_tiled_scan_matches_brute_force(fam16_m5, data):
+def test_tiled_scan_matches_brute_force(fam16_m5, kernel, data):
     """Ragged and diagonal tiles, down to one member and tiles of one row."""
     members = data.draw(st.lists(st.sampled_from(fam16_m5.sequences), min_size=1, max_size=9, unique=True))
     family = _with_members(fam16_m5, sorted(members, key=lambda s: (s.c, s.l)))
@@ -199,8 +233,8 @@ def test_tiled_scan_matches_brute_force(fam16_m5, data):
     backend = data.draw(st.sampled_from(["gemm", "fft"]))
     brute = _brute_force(family)
     top = max(brute.values())
-    with mock.patch.object(kernels, "TILE_ELEMENTS", tile_elements):
-        report = max_correlation(family, backend=backend)
+    with mock.patch.object(kernels, "TILE_ELEMENTS", tile_elements), kernel(backend):
+        report = max_correlation(family)
     assert report.delta_max == pytest.approx(top, abs=1e-9)
     ties = sorted(k for k, v in brute.items() if v >= top - 1e-9)[:WITNESS_CAP]
     assert _key_list(family, report.argmax) == ties
@@ -209,7 +243,7 @@ def test_tiled_scan_matches_brute_force(fam16_m5, data):
 
 
 @pytest.mark.parametrize("tile_elements", [60, kernels.TILE_ELEMENTS])
-def test_argmax_keeps_first_witnesses_among_many_ties(fam16_m5, tile_elements):
+def test_argmax_keeps_first_witnesses_among_many_ties(fam16_m5, kernel, tile_elements):
     # Twenty shifted copies of one member: every pair of copies peaks at |R| = 15.
     base = fam16_m5.sequences[3]
     copies = [dataclasses.replace(base.shifted(k), c=100 + k) for k in range(20)]
@@ -219,7 +253,8 @@ def test_argmax_keeps_first_witnesses_among_many_ties(fam16_m5, tile_elements):
     assert len(ties) > WITNESS_CAP
     with mock.patch.object(kernels, "TILE_ELEMENTS", tile_elements):
         for backend in ("gemm", "fft"):
-            assert _key_list(family, max_correlation(family, backend=backend).argmax) == ties[:WITNESS_CAP]
+            with kernel(backend):
+                assert _key_list(family, max_correlation(family).argmax) == ties[:WITNESS_CAP]
 
 
 def _assert_first_violation_recomputes(family, report):
@@ -694,7 +729,7 @@ def test_block_order_does_not_change_the_report(fam16_m5, monkeypatch, regroup):
 
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("backend", ["gemm", "fft"])
-def test_one_column_operand_per_column_tile(fam16_m5, monkeypatch, triangle_scan, backend, threads):
+def test_one_column_operand_per_column_tile(fam16_m5, monkeypatch, triangle_scan, kernel, backend, threads):
     # The upper triangle in tiles of 4: column tile k meets 4 * (k + 1) rows, in bands of 2.
     monkeypatch.setattr(kernels, "TILE_ELEMENTS", 240)
     monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(threads)), raising=False)
@@ -705,7 +740,8 @@ def test_one_column_operand_per_column_tile(fam16_m5, monkeypatch, triangle_scan
         return original(self, cols)
 
     monkeypatch.setattr(kernels.PairScanner, "operand", counted)
-    report = triangle_scan(fam16_m5, backend=backend)
+    with kernel(backend):
+        report = triangle_scan(fam16_m5)
     assert report.scan["threads"] == threads
     tile = kernels.tile_size(fam16_m5.period)
     tiles = -(-fam16_m5.size // tile)
@@ -781,7 +817,7 @@ def test_orbit_scan_expands_pair_bound_violations(fam16_m5, triangle_scan, asser
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
-def test_merges_in_several_expand_chunks_keep_the_first_witnesses(fam16_m5, chunk):
+def test_merges_in_several_expand_chunks_keep_the_first_witnesses(fam16_m5, kernel, chunk):
     # The many-ties family: more than WITNESS_CAP ties, merged a few hits at a time.
     base = fam16_m5.sequences[3]
     family = _with_members(fam16_m5, [dataclasses.replace(base.shifted(k), c=100 + k) for k in range(20)])
@@ -790,9 +826,10 @@ def test_merges_in_several_expand_chunks_keep_the_first_witnesses(fam16_m5, chun
     assert len(ties) > WITNESS_CAP
     with mock.patch.object(kernels, "TILE_ELEMENTS", 60):
         for backend in ("gemm", "fft"):
-            whole = max_correlation(family, backend=backend)
-            with mock.patch.object(correlation, "_EXPAND_CHUNK", chunk):
-                chunked = max_correlation(family, backend=backend)
+            with kernel(backend):
+                whole = max_correlation(family)
+                with mock.patch.object(correlation, "_EXPAND_CHUNK", chunk):
+                    chunked = max_correlation(family)
             assert _key_list(family, chunked.argmax) == ties[:WITNESS_CAP]
             assert chunked.argmax == whole.argmax
 
@@ -952,8 +989,8 @@ def test_bound_attained_with_equality_at_q121(p, size, at_bound, first_witness, 
     assert (report.scan["symmetry_order"], report.scan["blocks"]) == order_blocks
 
 
-def _serial_fold(family, backend="auto", prepare_first=False):
-    """The scan max_correlation(family, backend) runs, each block's kernel and reduction in turn on this thread.
+def _serial_fold(family, prepare_first=False):
+    """The scan max_correlation(family) runs, each block's kernel and reduction in turn on this thread.
 
     With prepare_first, every block is prepared before the first fold: the
     farthest the folds of a threaded scan can lag. Also returns the number
@@ -968,7 +1005,7 @@ def _serial_fold(family, backend="auto", prepare_first=False):
     assert shared is None
     generators = correlation._find_generators(symbols, family.M, degs, prime_factors(family.q)[0], index, starts)
     scan = correlation._OrbitScan(generators, n, period)
-    scanner = kernels.PairScanner(symbols, family.M, backend)
+    scanner = kernels.PairScanner(symbols, family.M)
     reducer = correlation._ScanReducer(scan, degs, family.q)
     coarse_from = None
     with kernels.scan_blas_threads():
@@ -1034,7 +1071,9 @@ def _within(call, seconds: float = 60.0):
     for case in ("symmetric", "trivial", "coarse")
 ])
 @pytest.mark.parametrize("threads", [1, 2, 3])
-def test_parallel_scan_equals_the_serial_fold(fam16_m5, monkeypatch, short_switch_interval, backend, threads, case):
+def test_parallel_scan_equals_the_serial_fold(
+    fam16_m5, monkeypatch, short_switch_interval, kernel, backend, threads, case
+):
     # Tiles of 4 members in bands of 2 rows: 10 blocks with the symmetry group, 72 without.
     # With 60 exact keys at most, the histogram turns coarse partway through the scan.
     monkeypatch.setattr(kernels, "TILE_ELEMENTS", 15 * 4 * 4)
@@ -1043,9 +1082,11 @@ def test_parallel_scan_equals_the_serial_fold(fam16_m5, monkeypatch, short_switc
         monkeypatch.setattr(correlation, "_find_generators", lambda *args: [])
     if case == "coarse":
         monkeypatch.setattr(correlation, "HISTOGRAM_EXACT_LIMIT", 60)
-    scan, reducer, one_row, coarse_from = _serial_fold(fam16_m5, backend)
-    gemm_rows = _gemm_rows(monkeypatch)
-    report = _within(lambda: max_correlation(fam16_m5, backend))
+    with kernel(backend):
+        scan, reducer, one_row, coarse_from = _serial_fold(fam16_m5)
+        prepared_first = _serial_fold(fam16_m5, prepare_first=True)[1]
+        gemm_rows = _gemm_rows(monkeypatch)
+        report = _within(lambda: max_correlation(fam16_m5))
     assert (report.backend, report.scan["threads"]) == (backend, threads)
     assert report.scan["blocks"] == scan.blocks_scanned == (72 if case == "trivial" else 10)
     assert 0 < coarse_from < scan.blocks_scanned - 1 if case == "coarse" else coarse_from is None
@@ -1054,7 +1095,7 @@ def test_parallel_scan_equals_the_serial_fold(fam16_m5, monkeypatch, short_switc
     # where its band does.
     assert one_row == (0 if case == "trivial" else 2)
     assert gemm_rows.count(1) == (one_row if backend == "gemm" else 0)
-    for reducer in (reducer, _serial_fold(fam16_m5, backend, prepare_first=True)[1]):
+    for reducer in (reducer, prepared_first):
         assert report.delta_max == reducer.delta_max
         assert report.histogram == reducer.histogram.result()
         assert report.histogram_resolution == 1 / reducer.histogram.scale

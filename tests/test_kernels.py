@@ -17,7 +17,6 @@ from seqfam.kernels import (
     TILE_ELEMENTS,
     PairScanner,
     default_backend,
-    resolve_backend,
     root_phases,
     tile_size,
 )
@@ -36,10 +35,10 @@ def _random_case(rng, n, period, M):
     return symbols, rows, cols
 
 
-def _matches_cross_correlation(backend, period, M, seed):
+def _matches_cross_correlation(period, M, seed):
     """Both kernels are checked against one reference, the direct sum cross_correlation."""
     symbols, rows, cols = _random_case(np.random.default_rng(seed), 40, period, M)
-    vals = PairScanner(symbols, M, backend=backend).correlations_abs(rows, cols)
+    vals = PairScanner(symbols, M).correlations_abs(rows, cols)
     assert vals.shape == (rows.size, cols.size, period)
     seqs = [MSequence(s, M, M + 1) for s in symbols]
     expect = [[[abs(cross_correlation(seqs[i], seqs[j], tau)) for tau in range(period)] for j in cols] for i in rows]
@@ -50,13 +49,15 @@ KERNEL_CASES = [(15, 5), (12, 4), (31, 31), (40, 8), (7, 2), (255, 15)]
 
 
 @pytest.mark.parametrize("period,M", KERNEL_CASES)
-def test_fft_matches_reference(period, M):
-    _matches_cross_correlation("fft", period, M, period * M)
+def test_fft_matches_reference(kernel, period, M):
+    with kernel("fft"):
+        _matches_cross_correlation(period, M, period * M)
 
 
 @pytest.mark.parametrize("period,M", KERNEL_CASES)
-def test_gemm_matches_reference(period, M):
-    _matches_cross_correlation("gemm", period, M, period * M + 1)
+def test_gemm_matches_reference(kernel, period, M):
+    with kernel("gemm"):
+        _matches_cross_correlation(period, M, period * M + 1)
 
 
 @pytest.mark.parametrize("M", [*range(2, 65), 255])
@@ -69,32 +70,27 @@ def test_root_table_phases_equal_the_formula_to_the_bit(M):
     assert np.array_equal(PairScanner(symbols, M)._phases.view(np.int64), direct.view(np.int64))
 
 
-def test_trivial_correlation_equals_period():
+def test_trivial_correlation_equals_period(kernel):
     rng = np.random.default_rng(9)
     symbols = rng.integers(0, 4, (5, 20))
     idx = np.arange(5, dtype=np.int64)
     for backend in ("gemm", "fft"):
-        vals = PairScanner(symbols, 4, backend=backend).correlations_abs(idx, idx)
+        with kernel(backend):
+            vals = PairScanner(symbols, 4).correlations_abs(idx, idx)
         assert np.allclose(vals[idx, idx, 0], 20.0, atol=1e-9)
-    with pytest.raises(ParameterError):
-        PairScanner(symbols, 4, backend="reference")
 
 
-def test_backend_resolution():
+def test_backend_resolution(kernel):
     # Period 31, prime, is slow in pocketfft and stays on GEMM; 36 and 40 go to FFT.
-    assert resolve_backend("auto", 31) == default_backend(31) == "gemm"
+    assert default_backend(31) == "gemm"
     for period in (36, 40, 255):
-        assert resolve_backend("auto", period) == default_backend(period) == "fft"
+        assert default_backend(period) == "fft"
     assert default_backend(GEMM_MAX_PERIOD) == "gemm"
     assert default_backend(GEMM_MAX_PERIOD + 1) == "fft"
     assert default_backend() == "auto"
     for name in ("gemm", "fft"):
-        assert resolve_backend(name, 40) == name
-    for name in ("nope", "compiled", "reference"):
-        with pytest.raises(ParameterError, match=f"unknown correlation backend '{name}'"):
-            resolve_backend(name, 40)
-    with pytest.raises(ParameterError):  # "auto" is the one spelling of the default
-        resolve_backend(None, 40)
+        with kernel(name):
+            assert PairScanner(np.zeros((2, 40), dtype=np.int64), 2).backend == name
     assert PairScanner(np.zeros((2, 31), dtype=np.int64), 2).backend == "gemm"
     for period in (36, 40, 255):
         assert PairScanner(np.zeros((2, period), dtype=np.int64), 2).backend == "fft"
@@ -130,10 +126,11 @@ def _tile_case(draw):
 @pytest.mark.parametrize("backend", ["gemm", "fft"])
 @settings(max_examples=60, deadline=None)
 @given(case=_tile_case())
-def test_tile_matches_cross_correlation(backend, case):
+def test_tile_matches_cross_correlation(kernel, backend, case):
     symbols, M, rows, cols = case
     n, period = symbols.shape
-    scanner = PairScanner(symbols, M, backend=backend)
+    with kernel(backend):
+        scanner = PairScanner(symbols, M)
     seqs = [MSequence(s, M, M + 1) for s in symbols]
     # Each call builds the operand of its columns: switch them, then switch back.
     for left, right in ((rows, cols), (cols, rows), (cols, rows)):
@@ -154,12 +151,13 @@ def test_import_loads_no_scipy():
 
 
 @pytest.mark.parametrize("backend", ["gemm", "fft"])
-def test_block_in_parts_equals_the_whole_product(backend):
+def test_block_in_parts_equals_the_whole_product(kernel, backend):
     # A scan's bands vary in size: each band's values must not depend on the rows it is formed with.
     rng = np.random.default_rng(4)
     symbols = rng.integers(0, 7, (40, 24))
     rows, cols = rng.permutation(40)[:17], rng.permutation(40)[:9]
-    scanner = PairScanner(symbols, 7, backend=backend)
+    with kernel(backend):
+        scanner = PairScanner(symbols, 7)
     whole = scanner.correlations_abs(rows, cols)
     bounds = [0, 2, 4, 6, 8, 10, 12, 14, 17]  # seven bands of 2 rows and one of 3
     for lo, hi in zip(bounds[:-1], bounds[1:]):

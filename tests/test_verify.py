@@ -93,11 +93,11 @@ def _first_min_poly_times_x(original):
     return wrapped
 
 
-def _one_symbol_moved(original):
-    """A column_from_long_sequence wrapper that moves the first symbol of column 7 to the next value."""
+def _one_symbol_moved(original, moved=7):
+    """A column_from_long_sequence wrapper that moves the first symbol of column `moved` to the next value."""
     def wrapped(ext, l, M, long_seq):
         column = original(ext, l, M, long_seq)
-        if l != 7:
+        if l != moved:
             return column
         symbols = column.symbols.copy()
         symbols[0] = (symbols[0] + 1) % M
@@ -156,3 +156,24 @@ def test_each_verify_check_fails_on_its_planted_fault(fault, monkeypatch):
     assert not result["ok"]
     if fault == "yucas-count":
         assert cli.main(["verify", "--p", "2", "--n", "4", "--d", "2", "--M", "5"]) == 1
+
+
+def _check_entries(result) -> list[tuple]:
+    return [(c["name"], c["ok"], c["detail"]) for c in result["checks"]]
+
+
+@pytest.mark.parametrize("p, n, d, M, policy", [(2, 4, 2, 5, "strict"), (13, 1, 2, 4, "relaxed-d2")])
+def test_verify_checks_in_several_chunks_equal_one_chunk(monkeypatch, p, n, d, M, policy):
+    # 64 values a chunk is 4 columns or values of l at a time: the stride,
+    # root-free and reflection checks each run in 4 or 5 chunks, not one.
+    whole = run_verification(p, n, d, M, policy)
+    monkeypatch.setattr(verify, "CHUNK", 64)
+    assert _check_entries(run_verification(p, n, d, M, policy)) == _check_entries(whole)
+
+
+def test_stride_check_in_chunks_reaches_the_last_column(monkeypatch):
+    monkeypatch.setattr(verify, "CHUNK", 64)
+    # q=16 d=2: m = 17 columns, so column 16 is the last one, in the fifth chunk.
+    monkeypatch.setattr(verify, "column_from_long_sequence", _one_symbol_moved(verify.column_from_long_sequence, 16))
+    result = run_verification(2, 4, 2, 5)
+    assert [c["name"] for c in result["checks"] if not c["ok"]] == ["column-stride-vs-closed-form"]
